@@ -1,11 +1,13 @@
 """k-coverage thresholds with certified error intervals.
 
-The coverage threshold of a sample over a target set B is the max over B
-of the k-th nearest-neighbor distance field.  That field is 1-Lipschitz
-in the geodesic metric, so evaluating it on an h-covering grid brackets
-the true threshold inside [grid max, grid max + h].  Optional refinement
-re-covers only the region that can still contain the argmax, shrinking h
-geometrically at near-constant cost.
+Every threshold here is the max over a target set B of one field that is
+1-Lipschitz in the geodesic metric.  The coverage threshold maximises the
+k-th nearest-neighbor distance field f; the interior coverage threshold
+maximises min(f, depth), where depth is the distance to the boundary of
+the shape.  Evaluating the field on an h-covering grid brackets the max
+inside [grid max, grid max + h].  Optional refinement re-covers only the
+region that can still contain the argmax, shrinking h geometrically at
+near-constant cost.  One maximiser serves both thresholds.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .geometry import (ManifoldSpec, Metric, RegionSpec, chord_to_geodesic,
-                       dist_many, dist_to_boundary_many, intrinsic_diameter)
-from .grids import DEFAULT_NODE_CAP, EvalGrid, refine_nodes
+                       dist_many, dist_to_boundary_many)
+from .grids import DEFAULT_NODE_CAP, EvalGrid, build_grid, refine_nodes
 from .sampling import PointCloud, DensitySpec, density_sample
 
 # full-scan threshold: below this cloud size brute force beats a tree
@@ -35,9 +37,9 @@ class CoverageError(ValueError):
 class ThresholdEstimate:
     """Certified bracket [lo, hi] for a coverage threshold.
 
-    lo is the exact max of the k-NN distance over the grid nodes (a valid
-    lower bound since nodes lie in B); hi = lo + h by the Lipschitz/cover
-    argument.  ``argmax`` is the node attaining lo.
+    lo is the exact max of the threshold's field over the grid nodes (a
+    valid lower bound since nodes lie in B); hi = lo + h by the
+    Lipschitz/cover argument.  ``argmax`` is the node attaining lo.
     """
 
     lo: float
@@ -118,19 +120,18 @@ def knn_distance(x, cloud: PointCloud, k: int, metric: Metric) -> float:
     return float(np.partition(d, k - 1)[k - 1])
 
 
-def coverage_threshold(cloud: PointCloud, grid: EvalGrid, k: int,
-                       metric: Metric, refine_to: float | None = None,
-                       refine_factor: float = 8.0,
-                       node_cap: int = DEFAULT_NODE_CAP) -> ThresholdEstimate:
-    """Certified bracket for the k-coverage threshold of B.
+def _certified_max(field, grid: EvalGrid, k: int, metric: Metric,
+                   refine_to: float | None, refine_factor: float = 8.0,
+                   node_cap: int = DEFAULT_NODE_CAP) -> ThresholdEstimate:
+    """Certified bracket for the max over B of a 1-Lipschitz field.
 
-    Without refinement the bracket is [max node value, max + grid.h].  With
-    ``refine_to`` set, levels of locally regenerated grid (each `refine_factor`
-    times finer) re-cover only the nodes whose value is within one covering
-    radius of the running max -- the only places the true argmax can hide --
-    until the covering radius reaches ``refine_to``.
+    ``field`` maps an (N, m) node array to N values.  Without refinement
+    the bracket is [max node value, max + grid.h].  With ``refine_to`` set,
+    levels of locally regenerated grid (each `refine_factor` times finer)
+    re-cover only the nodes whose value is within one covering radius of
+    the running max -- the only places the true argmax can hide -- until
+    the covering radius reaches ``refine_to``.
     """
-    field = KnnField(cloud.spec, cloud.points, k, metric)
     vals = field(grid.nodes)
     best = int(np.argmax(vals))
     lo = float(vals[best])
@@ -140,7 +141,7 @@ def coverage_threshold(cloud: PointCloud, grid: EvalGrid, k: int,
     while refine_to is not None and h_cur > refine_to * (1.0 + 1e-12):
         h_next = max(refine_to, h_cur / refine_factor)
         cand = nodes_cur[vals_cur >= lo - h_cur - 1e-12]
-        new_nodes = refine_nodes(cloud.spec, grid.region, cand,
+        new_nodes = refine_nodes(grid.spec, grid.region, cand,
                                  reach=h_cur + h_next, h=h_next,
                                  node_cap=node_cap)
         new_vals = field(new_nodes)
@@ -154,59 +155,45 @@ def coverage_threshold(cloud: PointCloud, grid: EvalGrid, k: int,
                              metric=metric, argmax=tuple(float(v) for v in arg))
 
 
+def coverage_threshold(cloud: PointCloud, grid: EvalGrid, k: int,
+                       metric: Metric, refine_to: float | None = None,
+                       refine_factor: float = 8.0,
+                       node_cap: int = DEFAULT_NODE_CAP) -> ThresholdEstimate:
+    """Certified bracket for the k-coverage threshold of B.
+
+    The threshold is the max over B of the k-NN distance field; the bracket
+    is refined down to a covering radius of ``refine_to`` when it is given.
+    """
+    field = KnnField(cloud.spec, cloud.points, k, metric)
+    return _certified_max(field, grid, k, metric, refine_to, refine_factor,
+                          node_cap)
+
+
 def interior_threshold(cloud: PointCloud, spec: ManifoldSpec,
                        region: RegionSpec, k: int, metric: Metric,
-                       h: float | None = None, tol: float = 1e-3,
-                       grid: EvalGrid | None = None,
+                       h: float | None = None, grid: EvalGrid | None = None,
                        refine_to: float | None = None) -> ThresholdEstimate:
     """Certified bracket for the interior coverage threshold.
 
     This is the smallest r such that every point of B farther than r from
-    the boundary has k sample points within r.  The predicate "all grid
-    nodes deeper than r are r-covered" is monotone in r, so bisection over
-    [0, diam(A)] brackets it; grid discretization adds at most the grid's
-    covering radius to the upper end.
-
-    On a boundaryless shape the deep set is all of B for every r and the
-    interior threshold coincides with the plain coverage threshold, which
-    is returned directly (refined if ``refine_to`` is given).
+    the boundary has k sample points within r.  Some point violates that
+    at r exactly when min(f(x), depth(x)) > r, where f is the k-NN
+    distance field, so the threshold is the max over B of min(f, depth).
+    Both terms are 1-Lipschitz, so the bracket and the refinement of
+    :func:`coverage_threshold` carry over unchanged.  On a boundaryless
+    shape the depth is infinite and the result equals the plain coverage
+    threshold.
     """
-    if tol <= 0.0:
-        raise CoverageError("tol must be > 0")
     if grid is None:
         if h is None:
             raise CoverageError("provide either h or a prebuilt grid")
-        from .grids import build_grid
         grid = build_grid(spec, region, h)
-    depth = dist_to_boundary_many(spec, grid.nodes)
-    if np.all(np.isinf(depth)):
-        return coverage_threshold(cloud, grid, k, metric, refine_to=refine_to)
-    field = KnnField(spec, cloud.points, k, metric)
-    vals = field(grid.nodes)
+    knn = KnnField(spec, cloud.points, k, metric)
 
-    def covered_deep(r: float) -> bool:
-        sel = depth > r
-        return bool(np.all(vals[sel] <= r)) if np.any(sel) else True
+    def deep_field(nodes: np.ndarray) -> np.ndarray:
+        return np.minimum(knn(nodes), dist_to_boundary_many(spec, nodes))
 
-    hi_r = intrinsic_diameter(spec)
-    if not covered_deep(hi_r):
-        raise CoverageError("interior coverage predicate fails even at the "
-                            "diameter; cloud too small?")
-    lo_r = 0.0
-    if covered_deep(0.0):
-        hi_r = 0.0
-    while hi_r - lo_r > tol:
-        mid = 0.5 * (lo_r + hi_r)
-        if covered_deep(mid):
-            hi_r = mid
-        else:
-            lo_r = mid
-    viol = (depth > lo_r) & (vals > lo_r)
-    arg = grid.nodes[int(np.argmax(np.where(viol, vals, -np.inf)))] \
-        if np.any(viol) else grid.nodes[int(np.argmax(vals))]
-    return ThresholdEstimate(lo=lo_r, hi=hi_r + grid.h, h=grid.h, k=k,
-                             metric=metric,
-                             argmax=tuple(float(v) for v in arg))
+    return _certified_max(deep_field, grid, k, metric, refine_to)
 
 
 def covered_region(cloud: PointCloud, grid: EvalGrid, k: int, r: float,
@@ -240,7 +227,6 @@ def packing_estimate(spec: ManifoldSpec, region: RegionSpec, r: float,
         raise CoverageError("need r > 0 and a > 0")
     dens = dens or DensitySpec.uniform()
     if candidates is None:
-        from .grids import build_grid
         candidate_h = candidate_h or r / 2.0
         candidates = build_grid(spec, region, candidate_h).nodes
     probe = density_sample(spec, dens, n_mc, seed).points

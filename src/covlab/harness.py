@@ -119,6 +119,12 @@ def constant_k(k: int) -> KSchedule:
     return KSchedule("constant", k)
 
 
+# top-level keys of a JSON experiment config
+_CONFIG_KEYS = frozenset({"spec", "region", "mode", "metric", "sampler",
+                          "sizes", "k", "replications", "grid_h", "base_seed",
+                          "density"})
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     spec: ManifoldSpec
@@ -168,6 +174,11 @@ class ExperimentConfig:
 
     @staticmethod
     def from_json(obj: dict) -> "ExperimentConfig":
+        unknown = sorted(set(obj) - _CONFIG_KEYS)
+        if unknown:
+            raise ConfigError(
+                f"unknown config key(s) {', '.join(map(repr, unknown))}; "
+                f"known keys: {', '.join(sorted(_CONFIG_KEYS))}")
         dens_kind = obj.get("density", {"kind": "uniform"}).get("kind", "uniform")
         if dens_kind != "uniform":
             raise ConfigError("JSON configs support the uniform density only; "
@@ -403,9 +414,10 @@ def _row_weak(size, rep, k, metric, est: ThresholdEstimate, transform,
 def run_weak_interior(config: ExperimentConfig) -> ExperimentResult:
     """Weak-limit experiment for the interior coverage threshold.
 
-    For the full region the interior threshold (bisection over the deep
-    set) is used; for an interior-body region the plain threshold already
-    avoids the boundary and is used directly.
+    For the full region the interior threshold, the certified max of
+    min(k-NN field, depth) refined like every other mode, is used; for an
+    interior-body region the plain threshold already avoids the boundary
+    and is used directly.
     """
     t0 = time.monotonic()
     if config.mode is not RunMode.WEAK_INTERIOR:
@@ -417,8 +429,7 @@ def run_weak_interior(config: ExperimentConfig) -> ExperimentResult:
     f0 = 1.0 / geo.volume(spec)
     v_b, _ = geo.region_measures(spec, region)
     law = LimitLaw(regime=Regime.WEAK_INTERIOR, d=d, k=k, f0=f0, volume=v_b)
-    boundaryless = geo.boundary_measure(spec) == 0.0
-    use_plain = region.kind is RegionKind.INTERIOR_BODY or boundaryless
+    use_plain = region.kind is RegionKind.INTERIOR_BODY
     rows: list[ReplicationRow] = []
     for si, size in enumerate(config.sizes):
         if config.grid_h is not None:
@@ -426,10 +437,6 @@ def run_weak_interior(config: ExperimentConfig) -> ExperimentResult:
         else:
             h_coarse, h_target = _plan_resolution(spec, region, config.mode,
                                                   size, k, 0.0, f0, None)
-        if not use_plain:
-            # bisection needs the fine field everywhere: no local refinement
-            h_coarse = max(h_target,
-                           _budgeted_h(spec, region, h_target))
         grid = build_grid(spec, region, h_coarse)
 
         def one(rep: int, _size=size, _si=si, _grid=grid, _ht=h_target):
@@ -439,8 +446,7 @@ def run_weak_interior(config: ExperimentConfig) -> ExperimentResult:
                                          refine_to=_ht)
             else:
                 est = interior_threshold(cloud, spec, region, k, config.metric,
-                                         grid=_grid, tol=_grid.h,
-                                         refine_to=_ht)
+                                         grid=_grid, refine_to=_ht)
             return _row_weak(_size, rep, k, config.metric, est,
                              interior_centering, d, f0)
 
@@ -449,13 +455,6 @@ def run_weak_interior(config: ExperimentConfig) -> ExperimentResult:
                               lambda b: interior_law_cdf(law, b))
     return ExperimentResult(config, law.to_json(), rows, summary,
                             wall_clock=time.monotonic() - t0)
-
-
-def _budgeted_h(spec, region, h_target: float) -> float:
-    h = h_target
-    while estimate_node_count(spec, region, h) > COARSE_NODE_BUDGET:
-        h *= 1.3
-    return h
 
 
 def run_slln_trace(config: ExperimentConfig) -> ExperimentResult:

@@ -16,6 +16,7 @@ from covlab import geometry as geo
 from covlab.coverage import KnnField, coverage_threshold, interior_threshold
 from covlab.grids import build_grid
 from covlab.sampling import uniform_sample
+from conftest import make_cloud
 
 GEO = geo.Metric.GEODESIC
 EUC = geo.Metric.EUCLIDEAN
@@ -82,8 +83,7 @@ def test_interior_bracket_dominates_probe_bisection():
         n = int(rng.integers(max(k, 20), 200))
         cloud = uniform_sample(spec, n, int(rng.integers(2 ** 31)))
         est = interior_threshold(cloud, spec, geo.REGION_ALL, k, GEO,
-                                 h=geo.intrinsic_diameter(spec) / 40.0,
-                                 tol=1e-3)
+                                 h=geo.intrinsic_diameter(spec) / 40.0)
         probes = _region_probes(spec, geo.REGION_ALL, 40_000,
                                 int(rng.integers(2 ** 31)))
         vals = KnnField(spec, cloud.points, k, GEO)(probes)
@@ -143,3 +143,55 @@ def test_pinned_regression_values():
                              2, GEO, refine_to=0.001)
     assert est.lo == pytest.approx(0.17104192001562926, abs=1e-12)
     assert est.hi == pytest.approx(est.lo + est.h, abs=1e-15)
+
+
+def _probe_deep_root(spec, cloud, k, n_probes, seed):
+    """Root of the interior predicate over random probes, by bisection."""
+    probes = _region_probes(spec, geo.REGION_ALL, n_probes, seed)
+    vals = KnnField(spec, cloud.points, k, GEO)(probes)
+    depth = geo.dist_to_boundary_many(spec, probes)
+    lo_r, hi_r = 0.0, geo.intrinsic_diameter(spec)
+    for _ in range(60):
+        mid = 0.5 * (lo_r + hi_r)
+        sel = depth > mid
+        if not np.any(sel) or np.all(vals[sel] <= mid):
+            hi_r = mid
+        else:
+            lo_r = mid
+    return hi_r
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("spec", [geo.unit_disk(), geo.unit_square(2),
+                                  geo.solid_ball(), geo.spherical_cap(1.4)],
+                         ids=["disk", "square", "ball", "cap"])
+def test_refined_interior_bracket_meets_independent_oracles(spec, k):
+    rng = np.random.default_rng(4000 + 10 * k + spec.d)
+    diam = geo.intrinsic_diameter(spec)
+    h = diam / 10.0
+    for _ in range(3):
+        n = int(rng.integers(max(k, 20), 301))
+        cloud = uniform_sample(spec, n, int(rng.integers(2 ** 31)))
+        est = interior_threshold(cloud, spec, geo.REGION_ALL, k, GEO, h=h,
+                                 refine_to=h / 50.0)
+        assert est.h == pytest.approx(h / 50.0)
+        assert est.width == pytest.approx(est.h, rel=1e-9)
+        # unrefined full-grid bracket of max(min(field, depth)), other h
+        grid = build_grid(spec, geo.REGION_ALL, diam / 37.0)
+        g = np.minimum(KnnField(spec, cloud.points, k, GEO)(grid.nodes),
+                       geo.dist_to_boundary_many(spec, grid.nodes))
+        oracle = (float(g.max()), float(g.max()) + grid.h)
+        assert max(est.lo, oracle[0]) <= min(est.hi, oracle[1]) + 1e-12
+        root = _probe_deep_root(spec, cloud, k, 40_000,
+                                int(rng.integers(2 ** 31)))
+        assert root <= est.hi + 1e-9
+
+
+def test_refined_interior_disk_center_fixed_point():
+    # single point at the center: the threshold 1/2 solves 1 - r = r
+    disk = geo.unit_disk()
+    cloud = make_cloud(disk, [[0.0, 0.0]])
+    est = interior_threshold(cloud, disk, geo.REGION_ALL, 1, GEO, h=0.05,
+                             refine_to=1e-4)
+    assert est.lo <= 0.5 <= est.hi
+    assert est.width <= 1e-4 * (1 + 1e-9)

@@ -116,6 +116,25 @@ def test_interior_and_slln_subcommands(tmp_path, capsys):
     assert "reference" in summary["summary"]
 
 
+def test_unknown_config_key_exit_1(tmp_path, capsys):
+    # a typo must not silently fall back to the default (auto-h here)
+    cfg = _write_cfg(tmp_path, **{"grid-h": 0.01})
+    assert main(["weak", "--config", cfg, "--out", str(tmp_path / "x")]) == 1
+    assert "'grid-h'" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "x")
+
+
+def test_readme_example_config_loads():
+    from covlab.harness import ExperimentConfig
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    text = open(readme).read()
+    block = text.split("Example experiment config:", 1)[1]
+    block = block.split("```json", 1)[1].split("```", 1)[0]
+    doc = {**json.loads(block), "mode": "weak_boundary"}
+    cfg = ExperimentConfig.from_json(doc)
+    assert cfg.to_json()["grid_h"] is None
+
+
 def test_refusal_exit_code_2(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, region={"kind": "interior_body", "delta": 0.3},
                      k={"kind": "constant", "k": 2})

@@ -240,8 +240,7 @@ def test_interior_disk_center_fixed_point():
     # single point at the center: the interior threshold solves 1 - r = r
     disk = geo.unit_disk()
     cloud = make_cloud(disk, [[0.0, 0.0]])
-    est = interior_threshold(cloud, disk, geo.REGION_ALL, 1, GEO,
-                             h=0.01, tol=1e-4)
+    est = interior_threshold(cloud, disk, geo.REGION_ALL, 1, GEO, h=0.01)
     assert est.lo <= 0.5 <= est.hi
     assert est.width <= 1e-4 + 0.01 + 1e-12
 
@@ -254,8 +253,7 @@ def test_interior_at_most_coverage():
         n = int(rng.integers(3, 60))
         cloud = uniform_sample(sq, n, int(rng.integers(2 ** 31)))
         tol = 1e-3
-        ei = interior_threshold(cloud, sq, geo.REGION_ALL, 1, GEO,
-                                grid=grid, tol=tol)
+        ei = interior_threshold(cloud, sq, geo.REGION_ALL, 1, GEO, grid=grid)
         ec = coverage_threshold(cloud, grid, 1, GEO)
         assert ei.hi <= ec.hi + tol + 1e-12
         assert ei.lo <= ec.lo + 1e-12
@@ -282,7 +280,7 @@ def test_interior_equals_coverage_when_threshold_clears_body():
     cloud = make_cloud(disk, pts)
     ec = coverage_threshold(cloud, grid, 1, GEO)
     assert ec.hi < 0.5  # the regime where the equality holds
-    ei = interior_threshold(cloud, disk, body, 1, GEO, grid=grid, tol=1e-4)
+    ei = interior_threshold(cloud, disk, body, 1, GEO, grid=grid)
     assert max(ei.lo, ec.lo) <= min(ei.hi, ec.hi)  # intervals overlap
 
 
