@@ -1,11 +1,13 @@
 """Byte-for-byte guard on the deterministic run outputs.
 
 ``tests/data/golden/<run>/`` holds a config together with the ``rows.csv``
-and ``summary.json`` that run wrote before the interior threshold became a
-refined max.  Speedups and refactors must reproduce those bytes exactly on
-the weak and strong-law paths, and on the interior runs whose threshold is
-the plain one: a boundaryless sphere, where the depth is infinite, and an
-interior-body region.
+and ``summary.json`` that run wrote when it was pinned.  Speedups and
+refactors must reproduce those bytes exactly.  The runs cover every mode
+of the experiment driver: weak boundary runs (disk, Poisson disk, a cap
+with the Euclidean metric on a fixed grid), strong-law traces (beta_log
+and power schedules) and interior runs (a boundaryless sphere, an
+interior-body region, and the refined max of min(k-NN field, depth) over
+a whole cap).
 """
 
 import os
@@ -20,7 +22,11 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden")
 @pytest.mark.parametrize("run,mode", [("weak_disk", "weak"),
                                       ("slln_square", "slln"),
                                       ("interior_sphere", "interior"),
-                                      ("interior_body_disk", "interior")])
+                                      ("interior_body_disk", "interior"),
+                                      ("interior_cap_k2", "interior"),
+                                      ("weak_disk_poisson", "weak"),
+                                      ("weak_cap_euclid_gridh", "weak"),
+                                      ("slln_square_power", "slln")])
 def test_outputs_match_golden_bytes(tmp_path, capsys, run, mode):
     src = os.path.join(GOLDEN, run)
     out = str(tmp_path / run)
