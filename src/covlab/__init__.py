@@ -20,7 +20,6 @@ from .limits import (LimitLaw, Regime, SllnMode, boundary_centering,
                      strong_law_limit, unit_ball_volume)
 from .harness import (ConfigError, ConfigRefused, ExperimentConfig,
                       ExperimentResult, KSchedule, RunMode, Sampler,
-                      constant_k, ks_distance, run_experiment,
-                      run_slln_trace, run_weak_boundary, run_weak_interior)
+                      constant_k, ks_distance, run_experiment)
 
 __version__ = "0.1.0"

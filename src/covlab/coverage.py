@@ -24,10 +24,6 @@ from .geometry import (ManifoldSpec, Metric, RegionSpec, chord_to_geodesic,
 from .grids import DEFAULT_NODE_CAP, EvalGrid, build_grid, refine_nodes
 from .sampling import PointCloud, DensitySpec, density_sample
 
-# full-scan threshold: below this cloud size brute force beats a tree
-_BRUTE_MAX = 32
-_BRUTE_CHUNK_FLOATS = 40_000_000
-
 
 class CoverageError(ValueError):
     pass
@@ -79,35 +75,17 @@ class KnnField:
         self.spec = spec
         self.k = k
         self.metric = metric
-        self._points = points
-        self._tree = cKDTree(points) if len(points) > _BRUTE_MAX else None
+        self._tree = cKDTree(points)
 
     def __call__(self, nodes: np.ndarray) -> np.ndarray:
         nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
         if len(nodes) == 0:
             return np.empty(0)
-        if self._tree is not None:
-            chord = self._tree.query(nodes, k=self.k)[0]
-            chord = chord[:, -1] if self.k > 1 else np.ravel(chord)
-        else:
-            chord = self._brute(nodes)
+        chord = self._tree.query(nodes, k=self.k)[0]
+        chord = chord[:, -1] if self.k > 1 else np.ravel(chord)
         if self.spec.curved and self.metric is Metric.GEODESIC:
             return chord_to_geodesic(chord)
         return chord
-
-    def _brute(self, nodes: np.ndarray) -> np.ndarray:
-        pts = self._points
-        chunk = max(1, _BRUTE_CHUNK_FLOATS // max(1, len(pts)))
-        out = np.empty(len(nodes))
-        for s in range(0, len(nodes), chunk):
-            blk = nodes[s:s + chunk]
-            d2 = ((blk[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
-            if self.k == 1:
-                out[s:s + chunk] = np.sqrt(d2.min(axis=1))
-            else:
-                part = np.partition(d2, self.k - 1, axis=1)[:, self.k - 1]
-                out[s:s + chunk] = np.sqrt(part)
-        return out
 
 
 def knn_distance(x, cloud: PointCloud, k: int, metric: Metric) -> float:

@@ -29,6 +29,19 @@ class GeometryError(ValueError):
     """Invalid shape/region parameters or unsupported combination."""
 
 
+class ConfigError(ValueError):
+    """Malformed configuration input, such as an unknown JSON key."""
+
+
+def check_keys(obj: dict, known, what: str) -> None:
+    """Raise :class:`ConfigError` naming every key of ``obj`` outside ``known``."""
+    unknown = sorted(set(obj) - set(known))
+    if unknown:
+        raise ConfigError(
+            f"unknown {what} key(s) {', '.join(map(repr, unknown))}; "
+            f"known keys: {', '.join(sorted(known))}")
+
+
 class Family(str, Enum):
     UNIT_SQUARE = "unit_square"
     UNIT_DISK = "unit_disk"
@@ -85,6 +98,7 @@ class ManifoldSpec:
     @staticmethod
     def from_json(obj: dict) -> "ManifoldSpec":
         fam = Family(obj["family"])
+        check_keys(obj, _SPEC_KEYS.get(fam, {"family"}), f"{fam.value} spec")
         if fam is Family.UNIT_SQUARE:
             return unit_square(int(obj.get("d", 2)))
         if fam is Family.SPHERICAL_CAP:
@@ -92,6 +106,11 @@ class ManifoldSpec:
         return {Family.UNIT_DISK: unit_disk,
                 Family.SOLID_BALL: solid_ball,
                 Family.UNIT_SPHERE: unit_sphere}[fam]()
+
+
+# JSON keys of the families that take a parameter
+_SPEC_KEYS = {Family.UNIT_SQUARE: {"family", "d"},
+              Family.SPHERICAL_CAP: {"family", "alpha"}}
 
 
 def unit_square(d: int = 2) -> ManifoldSpec:
@@ -152,6 +171,7 @@ class RegionSpec:
     @staticmethod
     def from_json(obj: dict) -> "RegionSpec":
         kind = RegionKind(obj["kind"])
+        check_keys(obj, _REGION_KEYS[kind], f"{kind.value} region")
         if kind is RegionKind.INTERIOR_BODY:
             return RegionSpec(kind, delta=float(obj["delta"]))
         if kind is RegionKind.GEODESIC_BALL:
@@ -159,6 +179,11 @@ class RegionSpec:
                               radius=float(obj["radius"]))
         return RegionSpec(kind)
 
+
+# JSON keys of each region kind
+_REGION_KEYS = {RegionKind.ALL: {"kind"},
+                RegionKind.INTERIOR_BODY: {"kind", "delta"},
+                RegionKind.GEODESIC_BALL: {"kind", "center", "radius"}}
 
 REGION_ALL = RegionSpec(RegionKind.ALL)
 

@@ -1,16 +1,25 @@
 """Replicated coverage experiments against their limiting laws.
 
-A run sweeps sample sizes, draws M independent clouds per size from
-per-replication derived seeds (so replications are exchangeable and can
-execute in any order or in parallel), computes certified threshold
-brackets, pushes both bracket ends through the centering transform, and
-compares the empirical law of the transformed statistic with the
-theoretical limit.  Both the lo- and hi-based statistics are always
-reported; consumers decide how to read the pair.
+One driver, :func:`run_experiment`, serves every run mode.  It sweeps the
+sample sizes; for each it plans the grid resolution, builds one grid, and
+draws M independent clouds from per-replication derived seeds (so
+replications are exchangeable and can execute in any order or in
+parallel).  Each cloud gets a certified threshold bracket, and both
+bracket ends go through the mode's statistic.  A mode contributes only
+its validation, its limit law, its statistic and its summary:
 
-The convergence in these laws is log-log slow, so nothing here asserts
-closeness at a fixed size; summaries expose KS distances and quantiles
-and leave directional checks to the caller.
+* ``weak_boundary`` -- the boundary centering, summarised by KS distances
+  against the two-term weak limit;
+* ``weak_interior`` -- the interior threshold and centering, against the
+  interior weak limit;
+* ``slln_trace`` -- the ratio n theta_d r^d / denom, summarised by
+  per-size medians against the strong-law limit.
+
+Both the lo- and hi-based statistics are always reported; consumers
+decide how to read the pair.  The convergence in these laws is log-log
+slow, so nothing here asserts closeness at a fixed size; summaries expose
+KS distances, quantiles and medians and leave directional checks to the
+caller.
 """
 
 from __future__ import annotations
@@ -20,6 +29,7 @@ import json
 import math
 import os
 import time
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
@@ -27,8 +37,9 @@ from enum import Enum
 import numpy as np
 
 from . import geometry as geo
-from .coverage import ThresholdEstimate, coverage_threshold, interior_threshold
-from .geometry import ManifoldSpec, Metric, RegionKind, RegionSpec
+from .coverage import coverage_threshold, interior_threshold
+from .geometry import (ConfigError, ManifoldSpec, Metric, RegionKind, RegionSpec,
+                       check_keys)
 from .grids import build_grid, estimate_node_count
 from .limits import (LimitLaw, Regime, SllnMode, boundary_centering,
                      boundary_law_cdf, interior_centering, interior_law_cdf,
@@ -46,10 +57,6 @@ SLLN_REL_IMAGE = 0.005
 COARSE_WINDOW = 2.5
 
 
-class ConfigError(ValueError):
-    pass
-
-
 class ConfigRefused(RuntimeError):
     """The requested comparison is degenerate and is refused, not faked."""
 
@@ -65,6 +72,10 @@ class Sampler(str, Enum):
     POISSON = "poisson"
 
 
+# the one parameter key of each k schedule kind
+_SCHEDULE_KEYS = {"constant": "k", "beta_log": "beta", "power": "p"}
+
+
 @dataclass(frozen=True)
 class KSchedule:
     """Multiplicity schedule k(n).
@@ -78,7 +89,7 @@ class KSchedule:
     value: float
 
     def __post_init__(self):
-        if self.kind not in ("constant", "beta_log", "power"):
+        if self.kind not in _SCHEDULE_KEYS:
             raise ConfigError(f"unknown k schedule kind {self.kind!r}")
         if self.kind == "constant" and (self.value < 1 or int(self.value) != self.value):
             raise ConfigError("constant schedule needs integer k >= 1")
@@ -103,16 +114,18 @@ class KSchedule:
         return math.ceil(n ** self.value)
 
     def to_json(self) -> dict:
-        key = "k" if self.kind == "constant" else ("beta" if self.kind == "beta_log" else "p")
-        return {"kind": self.kind, key: self.value}
+        return {"kind": self.kind, _SCHEDULE_KEYS[self.kind]: self.value}
 
     @staticmethod
     def from_json(obj: dict) -> "KSchedule":
-        kind = obj["kind"]
-        value = obj.get("k", obj.get("beta", obj.get("p")))
-        if value is None:
-            raise ConfigError(f"k schedule {obj} is missing its parameter")
-        return KSchedule(kind, float(value))
+        kind = obj.get("kind")
+        if kind not in _SCHEDULE_KEYS:
+            raise ConfigError(f"unknown k schedule kind {kind!r}")
+        key = _SCHEDULE_KEYS[kind]
+        check_keys(obj, {"kind", key}, f"{kind} k schedule")
+        if key not in obj:
+            raise ConfigError(f"{kind} k schedule needs its parameter {key!r}")
+        return KSchedule(kind, float(obj[key]))
 
 
 def constant_k(k: int) -> KSchedule:
@@ -174,13 +187,10 @@ class ExperimentConfig:
 
     @staticmethod
     def from_json(obj: dict) -> "ExperimentConfig":
-        unknown = sorted(set(obj) - _CONFIG_KEYS)
-        if unknown:
-            raise ConfigError(
-                f"unknown config key(s) {', '.join(map(repr, unknown))}; "
-                f"known keys: {', '.join(sorted(_CONFIG_KEYS))}")
-        dens_kind = obj.get("density", {"kind": "uniform"}).get("kind", "uniform")
-        if dens_kind != "uniform":
+        check_keys(obj, _CONFIG_KEYS, "config")
+        density = obj.get("density", {"kind": "uniform"})
+        check_keys(density, {"kind"}, "density")
+        if density.get("kind", "uniform") != "uniform":
             raise ConfigError("JSON configs support the uniform density only; "
                               "custom densities go through the Python API")
         return ExperimentConfig(
@@ -357,171 +367,150 @@ def _summarize_weak(rows: list, sizes, cdf) -> dict:
     return out
 
 
-def run_weak_boundary(config: ExperimentConfig) -> ExperimentResult:
-    """Weak-limit experiment for the full-region coverage threshold.
+@dataclass(frozen=True)
+class _ModeParts:
+    """What one run mode adds to the shared driver :func:`run_experiment`."""
+
+    law: LimitLaw
+    plan_f1: float | None   # boundary density floor the grid planner assumes
+    interior: bool          # threshold is the max of min(k-NN field, depth)
+    statistic: Callable[[float, float, int], float]   # (radius, size, k)
+    summarize: Callable[[list], dict]
+
+
+def _require_uniform(config: ExperimentConfig, which: str) -> None:
+    if config.density.kind != "uniform":
+        raise ConfigError(f"the {which} weak limit holds for the uniform density")
+
+
+def _weak_boundary_parts(config: ExperimentConfig) -> _ModeParts:
+    """Full-region coverage threshold against the two-term weak limit.
 
     Refuses configurations whose limit law is degenerate (target region
     carrying no boundary mass while (d, k) != (2, 1)).
     """
-    t0 = time.monotonic()
-    if config.mode is not RunMode.WEAK_BOUNDARY:
-        raise ConfigError(f"config mode is {config.mode}, expected weak_boundary")
-    if config.density.kind != "uniform":
-        raise ConfigError("the boundary weak limit holds for the uniform density")
-    spec, region = config.spec, config.region
-    d, k = spec.d, int(config.schedule.value)
-    f0 = 1.0 / geo.volume(spec)
-    v_b, sv_b = geo.region_measures(spec, region)
+    _require_uniform(config, "boundary")
+    spec, d, k = config.spec, config.spec.d, config.schedule.k_of(config.sizes[0])
+    f0, f1 = _density_floors(config)
+    v_b, sv_b = geo.region_measures(spec, config.region)
     if sv_b == 0.0 and not (d == 2 and k == 1):
         raise ConfigRefused(
             f"with d={d}, k={k} and a region carrying no boundary mass the "
             "limit law is degenerate (identically 1); use the interior mode")
     law = LimitLaw(regime=Regime.WEAK_BOUNDARY, d=d, k=k, f0=f0, volume=v_b,
                    boundary_area=sv_b)
-    rows: list[ReplicationRow] = []
-    for si, size in enumerate(config.sizes):
-        if config.grid_h is not None:
-            h_coarse, h_target = config.grid_h, None
-        else:
-            h_coarse, h_target = _plan_resolution(spec, region, config.mode,
-                                                  size, k, 0.0, f0,
-                                                  f0 if sv_b > 0 else None)
-        grid = build_grid(spec, region, h_coarse)
-
-        def one(rep: int, _size=size, _si=si, _grid=grid, _ht=h_target):
-            cloud = _draw_cloud(config, _size, _si, rep)
-            est = coverage_threshold(cloud, _grid, k, config.metric,
-                                     refine_to=_ht)
-            return _row_weak(_size, rep, k, config.metric, est,
-                             boundary_centering, d, f0)
-
-        rows.extend(_map_reps(one, list(range(config.replications))))
-    summary = _summarize_weak(rows, config.sizes,
-                              lambda z: boundary_law_cdf(law, z))
-    return ExperimentResult(config, law.to_json(), rows, summary,
-                            wall_clock=time.monotonic() - t0)
+    return _ModeParts(
+        law, f1, False,
+        lambda r, size, k: float(boundary_centering(r, float(size), d, k, f0)),
+        lambda rows: _summarize_weak(rows, config.sizes,
+                                     lambda z: boundary_law_cdf(law, z)))
 
 
-def _row_weak(size, rep, k, metric, est: ThresholdEstimate, transform,
-              d: int, f0: float) -> ReplicationRow:
-    stat_lo = float(transform(est.lo, float(size), d, k, f0))
-    stat_hi = float(transform(est.hi, float(size), d, k, f0))
-    return ReplicationRow(size=size, rep=rep, k=k, metric=metric.value,
-                          lo=est.lo, hi=est.hi, h=est.h,
-                          stat_lo=stat_lo, stat_hi=stat_hi)
+def _weak_interior_parts(config: ExperimentConfig) -> _ModeParts:
+    """Interior coverage threshold against the interior weak limit.
 
-
-def run_weak_interior(config: ExperimentConfig) -> ExperimentResult:
-    """Weak-limit experiment for the interior coverage threshold.
-
-    For the full region the interior threshold, the certified max of
-    min(k-NN field, depth) refined like every other mode, is used; for an
-    interior-body region the plain threshold already avoids the boundary
-    and is used directly.
+    For the full region the threshold is the certified max of min(k-NN
+    field, depth); an interior-body region already avoids the boundary, so
+    its plain threshold is used directly.
     """
-    t0 = time.monotonic()
-    if config.mode is not RunMode.WEAK_INTERIOR:
-        raise ConfigError(f"config mode is {config.mode}, expected weak_interior")
-    if config.density.kind != "uniform":
-        raise ConfigError("the interior weak limit holds for the uniform density")
-    spec, region = config.spec, config.region
-    d, k = spec.d, int(config.schedule.value)
-    f0 = 1.0 / geo.volume(spec)
-    v_b, _ = geo.region_measures(spec, region)
+    _require_uniform(config, "interior")
+    spec, d, k = config.spec, config.spec.d, config.schedule.k_of(config.sizes[0])
+    f0, _ = _density_floors(config)
+    v_b, _ = geo.region_measures(spec, config.region)
     law = LimitLaw(regime=Regime.WEAK_INTERIOR, d=d, k=k, f0=f0, volume=v_b)
-    use_plain = region.kind is RegionKind.INTERIOR_BODY
-    rows: list[ReplicationRow] = []
-    for si, size in enumerate(config.sizes):
-        if config.grid_h is not None:
-            h_coarse, h_target = config.grid_h, None
-        else:
-            h_coarse, h_target = _plan_resolution(spec, region, config.mode,
-                                                  size, k, 0.0, f0, None)
-        grid = build_grid(spec, region, h_coarse)
-
-        def one(rep: int, _size=size, _si=si, _grid=grid, _ht=h_target):
-            cloud = _draw_cloud(config, _size, _si, rep)
-            if use_plain:
-                est = coverage_threshold(cloud, _grid, k, config.metric,
-                                         refine_to=_ht)
-            else:
-                est = interior_threshold(cloud, spec, region, k, config.metric,
-                                         grid=_grid, refine_to=_ht)
-            return _row_weak(_size, rep, k, config.metric, est,
-                             interior_centering, d, f0)
-
-        rows.extend(_map_reps(one, list(range(config.replications))))
-    summary = _summarize_weak(rows, config.sizes,
-                              lambda b: interior_law_cdf(law, b))
-    return ExperimentResult(config, law.to_json(), rows, summary,
-                            wall_clock=time.monotonic() - t0)
+    return _ModeParts(
+        law, None, config.region.kind is not RegionKind.INTERIOR_BODY,
+        lambda r, size, k: float(interior_centering(r, float(size), d, k, f0)),
+        lambda rows: _summarize_weak(rows, config.sizes,
+                                     lambda b: interior_law_cdf(law, b)))
 
 
-def run_slln_trace(config: ExperimentConfig) -> ExperimentResult:
+def _slln_parts(config: ExperimentConfig) -> _ModeParts:
     """Strong-law trace: the scaled threshold ratio across a size schedule.
 
-    Emits per-replication ratios n theta_d lo^d / denom where denom is
-    k(n) in the super-logarithmic regime and log n otherwise, plus the
-    almost-sure limit they should drift toward.
+    The statistic is n theta_d r^d / denom, where denom is k(n) in the
+    super-logarithmic regime and log n otherwise; the summary sets its
+    per-size medians against the almost-sure limit they should drift
+    toward.
     """
-    t0 = time.monotonic()
-    if config.mode is not RunMode.SLLN_TRACE:
-        raise ConfigError(f"config mode is {config.mode}, expected slln_trace")
-    spec, region = config.spec, config.region
-    d = spec.d
+    spec, d, sched = config.spec, config.spec.d, config.schedule
     theta = unit_ball_volume(d)
     f0, f1 = _density_floors(config)
-    beta = config.schedule.beta
+    beta = sched.beta
     reference = strong_law_limit(d, beta, f0, f1, SllnMode.BOUNDARY)
-    v_b, sv_b = geo.region_measures(spec, region)
-    law = LimitLaw(regime=Regime.SLLN, d=d, k=max(1, config.schedule.k_of(config.sizes[0])),
+    v_b, sv_b = geo.region_measures(spec, config.region)
+    law = LimitLaw(regime=Regime.SLLN, d=d, k=max(1, sched.k_of(config.sizes[0])),
                    f0=f0, volume=v_b, boundary_area=sv_b, f1=f1, beta=beta)
-    rows: list[ReplicationRow] = []
-    for si, size in enumerate(config.sizes):
-        k_n = config.schedule.k_of(size)
-        if k_n >= size:
-            raise ConfigError(f"k({size})={k_n} is not o(n); shrink the schedule")
-        denom = float(k_n) if beta is None else math.log(size)
-        if config.grid_h is not None:
-            h_coarse, h_target = config.grid_h, None
-        else:
-            h_coarse, h_target = _plan_resolution(spec, region, config.mode,
-                                                  size, k_n, beta, f0, f1)
-        grid = build_grid(spec, region, h_coarse)
-
-        def one(rep: int, _size=size, _si=si, _grid=grid, _ht=h_target,
-                _k=k_n, _denom=denom):
-            cloud = _draw_cloud(config, _size, _si, rep)
-            est = coverage_threshold(cloud, _grid, _k, config.metric,
-                                     refine_to=_ht)
-            ratio_lo = float(_size) * theta * est.lo ** d / _denom
-            ratio_hi = float(_size) * theta * est.hi ** d / _denom
-            return ReplicationRow(size=_size, rep=rep, k=_k,
-                                  metric=config.metric.value, lo=est.lo,
-                                  hi=est.hi, h=est.h, stat_lo=ratio_lo,
-                                  stat_hi=ratio_hi)
-
-        rows.extend(_map_reps(one, list(range(config.replications))))
-    summary: dict = {"reference": reference, "beta": "infinity" if beta is None else beta,
-                     "per_size": {}}
     for size in config.sizes:
-        ratios = np.array([r.stat_lo for r in rows if r.size == size])
-        ratios_hi = np.array([r.stat_hi for r in rows if r.size == size])
-        summary["per_size"][str(_num(size))] = {
-            "k": config.schedule.k_of(size),
-            "median_lo": float(np.median(ratios)),
-            "median_hi": float(np.median(ratios_hi)),
-            "iqr_lo": [float(np.quantile(ratios, 0.25)),
-                       float(np.quantile(ratios, 0.75))],
-            "abs_gap_to_reference": float(abs(np.median(ratios) - reference)),
-        }
-    return ExperimentResult(config, law.to_json(), rows, summary,
-                            wall_clock=time.monotonic() - t0)
+        if sched.k_of(size) >= size:
+            raise ConfigError(f"k({size})={sched.k_of(size)} is not o(n); "
+                              "shrink the schedule")
+
+    def ratio(r: float, size: float, k: int) -> float:
+        denom = float(k) if beta is None else math.log(size)
+        return float(size) * theta * r ** d / denom
+
+    def summarize(rows: list) -> dict:
+        per_size = {}
+        for size in config.sizes:
+            ratios = np.array([r.stat_lo for r in rows if r.size == size])
+            ratios_hi = np.array([r.stat_hi for r in rows if r.size == size])
+            per_size[str(_num(size))] = {
+                "k": sched.k_of(size),
+                "median_lo": float(np.median(ratios)),
+                "median_hi": float(np.median(ratios_hi)),
+                "iqr_lo": [float(np.quantile(ratios, 0.25)),
+                           float(np.quantile(ratios, 0.75))],
+                "abs_gap_to_reference": float(abs(np.median(ratios) - reference)),
+            }
+        return {"reference": reference,
+                "beta": "infinity" if beta is None else beta,
+                "per_size": per_size}
+
+    return _ModeParts(law, f1, False, ratio, summarize)
+
+
+_MODE_PARTS = {RunMode.WEAK_BOUNDARY: _weak_boundary_parts,
+               RunMode.WEAK_INTERIOR: _weak_interior_parts,
+               RunMode.SLLN_TRACE: _slln_parts}
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    if config.mode is RunMode.WEAK_BOUNDARY:
-        return run_weak_boundary(config)
-    if config.mode is RunMode.WEAK_INTERIOR:
-        return run_weak_interior(config)
-    return run_slln_trace(config)
+    """Run the experiment that ``config.mode`` names.
+
+    Validates the mode and builds its limit law, then for each size plans
+    the grid resolution, builds one grid, and maps the replications over
+    it: draw a cloud, bracket its threshold, push both bracket ends
+    through the mode's statistic.  The mode's summary closes the run.
+    """
+    t0 = time.monotonic()
+    parts = _MODE_PARTS[config.mode](config)
+    spec, region, metric = config.spec, config.region, config.metric
+    rows: list[ReplicationRow] = []
+    for si, size in enumerate(config.sizes):
+        k = config.schedule.k_of(size)
+        if config.grid_h is not None:
+            h_coarse, h_target = config.grid_h, None
+        else:
+            h_coarse, h_target = _plan_resolution(
+                spec, region, config.mode, size, k, config.schedule.beta,
+                parts.law.f0, parts.plan_f1)
+        grid = build_grid(spec, region, h_coarse)
+
+        def one(rep: int) -> ReplicationRow:
+            cloud = _draw_cloud(config, size, si, rep)
+            if parts.interior:
+                est = interior_threshold(cloud, spec, region, k, metric,
+                                         grid=grid, refine_to=h_target)
+            else:
+                est = coverage_threshold(cloud, grid, k, metric,
+                                         refine_to=h_target)
+            return ReplicationRow(size=size, rep=rep, k=k, metric=metric.value,
+                                  lo=est.lo, hi=est.hi, h=est.h,
+                                  stat_lo=parts.statistic(est.lo, size, k),
+                                  stat_hi=parts.statistic(est.hi, size, k))
+
+        rows.extend(_map_reps(one, list(range(config.replications))))
+    return ExperimentResult(config, parts.law.to_json(), rows,
+                            parts.summarize(rows),
+                            wall_clock=time.monotonic() - t0)

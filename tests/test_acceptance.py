@@ -20,8 +20,7 @@ from covlab import limits as lim
 from covlab.coverage import coverage_threshold, interior_threshold
 from covlab.grids import build_grid
 from covlab.harness import (ExperimentConfig, RunMode, Sampler, constant_k,
-                            run_slln_trace, run_weak_boundary,
-                            run_weak_interior)
+                            run_experiment)
 from covlab.sampling import uniform_sample
 
 GEO = geo.Metric.GEODESIC
@@ -188,7 +187,7 @@ def test_criterion_07_slln_directional():
                            schedule=constant_k(1),
                            replications=cal["replications"],
                            base_seed=cal["acceptance_seed"])
-    res = run_slln_trace(cfg)
+    res = run_experiment(cfg)
     assert res.summary["reference"] == pytest.approx(1.0)
     medians = []
     widths = []
@@ -216,7 +215,7 @@ def test_criterion_08_weak_law_direction():
                            schedule=constant_k(1),
                            replications=cal["replications"],
                            base_seed=cal["acceptance_seed"])
-    res = run_weak_boundary(cfg)
+    res = run_experiment(cfg)
     ks_small = res.summary["1000"]["ks_lo"]
     ks_big = res.summary["10000"]["ks_lo"]
     for v in (ks_small, ks_big, res.summary["1000"]["ks_hi"],
@@ -241,7 +240,7 @@ def test_criterion_09_poisson_binomial_agreement():
                                replications=cal["replications"],
                                base_seed=cal["acceptance_seed"],
                                sampler=sampler)
-        res = run_weak_boundary(cfg)
+        res = run_experiment(cfg)
         samples[sampler.value] = np.array([r.stat_lo for r in res.rows])
     gap = float(stats.ks_2samp(samples["binomial"],
                                samples["poisson"]).statistic)
@@ -261,7 +260,7 @@ def test_criterion_10_boundaryless_interior_law():
                            schedule=constant_k(1),
                            replications=cal["replications"],
                            base_seed=cal["acceptance_seed"])
-    res = run_weak_interior(cfg)
+    res = run_experiment(cfg)
     ks_lo = res.summary[str(cal["size"])]["ks_lo"]
     assert math.isfinite(ks_lo) and 0.0 <= ks_lo <= 1.0
     assert res.law["regime"] == "weak_interior"

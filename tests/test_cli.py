@@ -124,6 +124,19 @@ def test_unknown_config_key_exit_1(tmp_path, capsys):
     assert not os.path.exists(tmp_path / "x")
 
 
+@pytest.mark.parametrize("key,value,bad", [
+    ("k", {"kind": "constant", "beta": 3}, "beta"),
+    ("spec", {"family": "unit_disk", "alpha": 1.0}, "alpha"),
+    ("region", {"kind": "all", "delta": 0.2}, "delta"),
+    ("density", {"kind": "uniform", "f1": 1.0}, "f1"),
+])
+def test_unknown_nested_config_key_exit_1(tmp_path, capsys, key, value, bad):
+    cfg = _write_cfg(tmp_path, **{key: value})
+    assert main(["weak", "--config", cfg, "--out", str(tmp_path / "x")]) == 1
+    assert f"'{bad}'" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "x")
+
+
 def test_readme_example_config_loads():
     from covlab.harness import ExperimentConfig
     readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")

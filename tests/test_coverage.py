@@ -109,8 +109,8 @@ def test_knn_brute_sort_oracle(name, metric, all_families):
 
 def test_knn_field_matches_pointwise_and_tree_vs_brute(all_families):
     spec = all_families["cap"]
-    big = uniform_sample(spec, 3000, 9)      # tree path
-    small = uniform_sample(spec, 20, 9)      # brute path
+    big = uniform_sample(spec, 3000, 9)
+    small = uniform_sample(spec, 20, 9)      # a tiny cloud goes through the tree too
     nodes = uniform_sample(spec, 200, 10).points
     for cloud in (big, small):
         for metric in (GEO, EUC):

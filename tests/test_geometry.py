@@ -165,6 +165,25 @@ def test_spec_json_round_trip(all_families):
         assert geo.RegionSpec.from_json(region.to_json()) == region
 
 
+@pytest.mark.parametrize("cls,obj,bad", [
+    (geo.ManifoldSpec, {"family": "unit_disk", "alpha": 1.0}, "alpha"),
+    (geo.ManifoldSpec, {"family": "unit_square", "dim": 3}, "dim"),
+    (geo.ManifoldSpec, {"family": "spherical_cap", "alpha": 1.0, "d": 2}, "d"),
+    (geo.RegionSpec, {"kind": "all", "delta": 0.2}, "delta"),
+    (geo.RegionSpec, {"kind": "interior_body", "delta": 0.2, "radius": 1},
+     "radius"),
+])
+def test_spec_json_rejects_unknown_keys(all_families, cls, obj, bad):
+    with pytest.raises(geo.ConfigError, match=f"'{bad}'"):
+        cls.from_json(obj)
+    # what to_json writes is exactly what from_json accepts
+    for spec in all_families.values():
+        assert geo.ManifoldSpec.from_json(spec.to_json()) == spec
+    for region in (geo.REGION_ALL, geo.interior_body(0.2),
+                   geo.geodesic_ball_region([0.0, 0.0, 1.0], 0.3)):
+        assert geo.RegionSpec.from_json(region.to_json()) == region
+
+
 def test_invalid_specs():
     with pytest.raises(geo.GeometryError):
         geo.spherical_cap(0.0)

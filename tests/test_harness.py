@@ -1,5 +1,7 @@
+import importlib.util
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -8,8 +10,7 @@ from covlab import geometry as geo
 from covlab import limits as lim
 from covlab.harness import (ConfigError, ConfigRefused, ExperimentConfig,
                             KSchedule, RunMode, Sampler, constant_k,
-                            ks_distance, run_experiment, run_slln_trace,
-                            run_weak_boundary, run_weak_interior)
+                            ks_distance, run_experiment)
 from covlab.harness import _summarize_weak  # noqa: F401  (exchangeability test)
 
 
@@ -68,6 +69,27 @@ def test_kschedule_kinds():
         KSchedule("constant", 0)
 
 
+@pytest.mark.parametrize("obj,bad", [
+    ({"kind": "beta_log", "k": 1.0}, "k"),
+    ({"kind": "constant", "beta": 3}, "beta"),
+    ({"kind": "power", "beta": 0.5}, "beta"),
+    ({"kind": "constant", "k": 2, "p": 0.5}, "p"),
+])
+def test_kschedule_json_takes_only_its_own_key(obj, bad):
+    with pytest.raises(ConfigError, match=f"'{bad}'"):
+        KSchedule.from_json(obj)
+    for sched in (constant_k(2), KSchedule("beta_log", 1.5),
+                  KSchedule("power", 0.5)):
+        assert KSchedule.from_json(sched.to_json()) == sched
+
+
+def test_kschedule_json_needs_its_parameter():
+    with pytest.raises(ConfigError, match="'beta'"):
+        KSchedule.from_json({"kind": "beta_log"})
+    with pytest.raises(ConfigError, match="unknown k schedule kind"):
+        KSchedule.from_json({"kind": "linear", "k": 1})
+
+
 def test_config_validation():
     with pytest.raises(ConfigError, match=">= 16"):
         _disk_cfg(sizes=(8,))
@@ -88,6 +110,13 @@ def test_config_json_round_trip():
     assert back == cfg
 
 
+def test_config_rejects_unknown_density_key():
+    doc = _disk_cfg().to_json()
+    doc["density"] = {"kind": "uniform", "f0": 1.0}
+    with pytest.raises(ConfigError, match="'f0'"):
+        ExperimentConfig.from_json(doc)
+
+
 def test_config_rejects_custom_density_json():
     doc = _disk_cfg().to_json()
     doc["density"] = {"kind": "custom"}
@@ -101,7 +130,7 @@ def test_config_rejects_custom_density_json():
 
 def test_minimal_run_one_row():
     cfg = _disk_cfg(sizes=(16,), schedule=constant_k(16), replications=1)
-    res = run_weak_boundary(cfg)
+    res = run_experiment(cfg)
     assert len(res.rows) == 1
     row = res.rows[0]
     assert row.stat_lo <= row.stat_hi
@@ -110,7 +139,7 @@ def test_minimal_run_one_row():
 
 def test_run_row_count_and_invariants():
     cfg = _disk_cfg(sizes=(64, 128), replications=5)
-    res = run_weak_boundary(cfg)
+    res = run_experiment(cfg)
     assert len(res.rows) == 10
     for row in res.rows:
         assert row.stat_lo <= row.stat_hi
@@ -125,7 +154,7 @@ def test_ks_pair_within_straddle_bound():
     # replications whose bracket straddles x, so the KS pair differs by at
     # most the maximal straddle fraction
     cfg = _disk_cfg(sizes=(128,), replications=40)
-    res = run_weak_boundary(cfg)
+    res = run_experiment(cfg)
     lo = np.array([r.stat_lo for r in res.rows])
     hi = np.array([r.stat_hi for r in res.rows])
     straddle = max(float(np.mean((lo <= x) & (x < hi))) for x in lo)
@@ -135,7 +164,7 @@ def test_ks_pair_within_straddle_bound():
 
 def test_run_determinism_byte_identical(tmp_path):
     cfg = _disk_cfg(replications=5)
-    a, b = run_weak_boundary(cfg), run_weak_boundary(cfg)
+    a, b = run_experiment(cfg), run_experiment(cfg)
     pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
     a.write_rows_csv(str(pa))
     b.write_rows_csv(str(pb))
@@ -146,12 +175,12 @@ def test_run_determinism_byte_identical(tmp_path):
 def test_refusal_degenerate_law():
     cfg = _disk_cfg(region=geo.interior_body(0.2), schedule=constant_k(2))
     with pytest.raises(ConfigRefused):
-        run_weak_boundary(cfg)
+        run_experiment(cfg)
 
 
 def test_poisson_sampler_runs():
     cfg = _disk_cfg(sampler=Sampler.POISSON, sizes=(128,), replications=3)
-    res = run_weak_boundary(cfg)
+    res = run_experiment(cfg)
     assert len(res.rows) == 3
 
 
@@ -159,8 +188,8 @@ def test_halved_h_shifts_within_transform_image():
     f0 = 1.0 / math.pi
     cfg1 = _disk_cfg(sizes=(256,), replications=6, grid_h=0.02)
     cfg2 = _disk_cfg(sizes=(256,), replications=6, grid_h=0.01)
-    r1 = run_weak_boundary(cfg1)
-    r2 = run_weak_boundary(cfg2)
+    r1 = run_experiment(cfg1)
+    r2 = run_experiment(cfg2)
     for a, b in zip(r1.rows, r2.rows):
         # same cloud, so the lo values differ by at most the coarser h and
         # the statistics by at most the transform image of that gap
@@ -172,7 +201,7 @@ def test_halved_h_shifts_within_transform_image():
 
 def test_exchangeable_replications():
     cfg = _disk_cfg(replications=6)
-    res = run_weak_boundary(cfg)
+    res = run_experiment(cfg)
     law = lim.LimitLaw(regime=lim.Regime.WEAK_BOUNDARY, d=2, k=1,
                        f0=1 / math.pi, volume=math.pi,
                        boundary_area=2 * math.pi)
@@ -190,17 +219,17 @@ def test_interior_run_square_body():
                            region=geo.interior_body(0.25),
                            mode=RunMode.WEAK_INTERIOR, sizes=(64,),
                            schedule=constant_k(1), replications=3, base_seed=2)
-    res = run_weak_interior(cfg)
+    res = run_experiment(cfg)
     assert len(res.rows) == 3
     assert res.law["regime"] == "weak_interior"
     assert res.law["vB"] == pytest.approx(0.25)
 
 
-def test_interior_all_region_bisection_path():
+def test_interior_all_region_refined_max_path():
     cfg = ExperimentConfig(spec=geo.unit_square(2), region=geo.REGION_ALL,
                            mode=RunMode.WEAK_INTERIOR, sizes=(64,),
                            schedule=constant_k(1), replications=3, base_seed=2)
-    res = run_weak_interior(cfg)
+    res = run_experiment(cfg)
     assert len(res.rows) == 3
     for row in res.rows:
         assert row.stat_lo <= row.stat_hi
@@ -210,26 +239,27 @@ def test_interior_k3_dominates_k1_rowwise():
     base = dict(spec=geo.unit_square(2), region=geo.interior_body(0.25),
                 mode=RunMode.WEAK_INTERIOR, sizes=(128,), replications=4,
                 base_seed=9)
-    r1 = run_weak_interior(ExperimentConfig(schedule=constant_k(1), **base))
-    r3 = run_weak_interior(ExperimentConfig(schedule=constant_k(3), **base))
+    r1 = run_experiment(ExperimentConfig(schedule=constant_k(1), **base))
+    r3 = run_experiment(ExperimentConfig(schedule=constant_k(3), **base))
     for a, b in zip(r1.rows, r3.rows):
         assert b.lo >= a.lo - 1e-12  # same seeds, larger k
 
 
 def test_interior_sphere_equals_coverage():
-    # on a pinned grid the interior threshold short-circuits to the plain
-    # coverage threshold on a boundaryless shape, replication by replication
+    # on a boundaryless shape the depth is infinite, so on a pinned grid the
+    # interior threshold equals the plain coverage threshold, replication by
+    # replication
     cfg = ExperimentConfig(spec=geo.unit_sphere(), region=geo.REGION_ALL,
                            mode=RunMode.WEAK_INTERIOR, sizes=(64,),
                            schedule=constant_k(1), replications=2, base_seed=1,
                            grid_h=0.05)
-    res_i = run_weak_interior(cfg)
+    res_i = run_experiment(cfg)
     cfg_b = ExperimentConfig(spec=geo.unit_sphere(), region=geo.REGION_ALL,
                              mode=RunMode.WEAK_BOUNDARY, sizes=(64,),
                              schedule=constant_k(1), replications=2,
                              base_seed=1, grid_h=0.05)
     # d=2, k=1 keeps the boundary mode legal on a boundaryless shape
-    res_b = run_weak_boundary(cfg_b)
+    res_b = run_experiment(cfg_b)
     for a, b in zip(res_i.rows, res_b.rows):
         assert a.lo == b.lo and a.hi == b.hi
 
@@ -242,7 +272,7 @@ def test_slln_constant_k_reference_and_rows():
     cfg = ExperimentConfig(spec=geo.unit_square(2), region=geo.REGION_ALL,
                            mode=RunMode.SLLN_TRACE, sizes=(64, 256),
                            schedule=constant_k(1), replications=4, base_seed=3)
-    res = run_slln_trace(cfg)
+    res = run_experiment(cfg)
     assert res.summary["reference"] == pytest.approx(1.0)  # max(1, (2-2/d))=1, f0=1
     assert set(res.summary["per_size"]) == {"64", "256"}
     for block in res.summary["per_size"].values():
@@ -254,7 +284,7 @@ def test_slln_power_schedule_uses_k_denominator():
                            mode=RunMode.SLLN_TRACE, sizes=(256,),
                            schedule=KSchedule("power", 0.5), replications=2,
                            base_seed=4)
-    res = run_slln_trace(cfg)
+    res = run_experiment(cfg)
     k = math.ceil(256 ** 0.5)
     assert res.rows[0].k == k
     # reference for beta=None with f0=f1=1: max(1, 2) = 2
@@ -269,7 +299,7 @@ def test_slln_beta_log_reference():
                            mode=RunMode.SLLN_TRACE, sizes=(256,),
                            schedule=KSchedule("beta_log", 1.0), replications=2,
                            base_seed=4)
-    res = run_slln_trace(cfg)
+    res = run_experiment(cfg)
     want = max(lim.rate_inverse(1.0, 1.0), 2 * lim.rate_inverse(1.0, 0.5))
     assert res.summary["reference"] == pytest.approx(want)
 
@@ -279,7 +309,7 @@ def test_slln_k_not_small_enough_errors():
                            mode=RunMode.SLLN_TRACE, sizes=(16,),
                            schedule=KSchedule("power", 0.99), replications=1)
     with pytest.raises(ConfigError, match="o\\(n\\)"):
-        run_slln_trace(cfg)
+        run_experiment(cfg)
 
 
 def test_run_experiment_dispatch():
@@ -294,8 +324,8 @@ def test_euclidean_metric_on_curved_family():
                 mode=RunMode.WEAK_BOUNDARY, sizes=(128,),
                 schedule=constant_k(1), replications=4, base_seed=6,
                 grid_h=0.05)
-    rg = run_weak_boundary(ExperimentConfig(metric=geo.Metric.GEODESIC, **base))
-    re_ = run_weak_boundary(ExperimentConfig(metric=geo.Metric.EUCLIDEAN, **base))
+    rg = run_experiment(ExperimentConfig(metric=geo.Metric.GEODESIC, **base))
+    re_ = run_experiment(ExperimentConfig(metric=geo.Metric.EUCLIDEAN, **base))
     assert rg.law == re_.law
     for a, b in zip(rg.rows, re_.rows):
         assert b.lo < a.lo
@@ -304,8 +334,20 @@ def test_euclidean_metric_on_curved_family():
 def test_thread_pool_matches_serial(monkeypatch):
     cfg = _disk_cfg(sizes=(64, 128), replications=6)
     monkeypatch.delenv("COVLAB_THREADS", raising=False)
-    serial = run_weak_boundary(cfg)
+    serial = run_experiment(cfg)
     monkeypatch.setenv("COVLAB_THREADS", "4")
-    pooled = run_weak_boundary(cfg)
+    pooled = run_experiment(cfg)
     assert pooled.rows == serial.rows
     assert pooled.summary_json() == serial.summary_json()
+
+
+def test_calibrate_pilot_tool_imports():
+    # the pilot tool binds the harness names it drives at import time, so a
+    # renamed or removed entry point fails here; no pilot is run
+    path = (pathlib.Path(__file__).resolve().parent.parent / "tools"
+            / "calibrate_pilot.py")
+    spec = importlib.util.spec_from_file_location("calibrate_pilot", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    assert tool.run_experiment is run_experiment
+    assert callable(tool.main)

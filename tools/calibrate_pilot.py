@@ -17,8 +17,7 @@ from scipy import stats
 
 from covlab import geometry as geo
 from covlab.harness import (ExperimentConfig, RunMode, Sampler, constant_k,
-                            run_slln_trace, run_weak_boundary,
-                            run_weak_interior)
+                            run_experiment)
 
 OUT = pathlib.Path(__file__).resolve().parent.parent / "tests" / "data" / "pilot_bands.json"
 
@@ -31,7 +30,7 @@ def slln_pilot(seeds):
                                mode=RunMode.SLLN_TRACE, sizes=sizes,
                                schedule=constant_k(1), replications=100,
                                base_seed=seed)
-        res = run_slln_trace(cfg)
+        res = run_experiment(cfg)
         for s in sizes:
             medians[str(s)].append(round(res.summary["per_size"][str(s)]["median_lo"], 4))
     band = {}
@@ -55,7 +54,7 @@ def weak_pilot(seeds):
                                mode=RunMode.WEAK_BOUNDARY, sizes=(1000, 10000),
                                schedule=constant_k(1), replications=300,
                                base_seed=seed)
-        res = run_weak_boundary(cfg)
+        res = run_experiment(cfg)
         ks[str(seed)] = {s: round(res.summary[s]["ks_lo"], 4)
                          for s in res.summary}
         margin = ks[str(seed)]["1000"] - ks[str(seed)]["10000"]
@@ -75,7 +74,7 @@ def poisson_pilot(seeds):
                                    mode=RunMode.WEAK_BOUNDARY, sizes=(10000,),
                                    schedule=constant_k(1), replications=200,
                                    base_seed=seed, sampler=sampler)
-            res = run_weak_boundary(cfg)
+            res = run_experiment(cfg)
             samples[sampler.value] = [r.stat_lo for r in res.rows]
         gap = float(stats.ks_2samp(samples["binomial"], samples["poisson"]).statistic)
         gaps[str(seed)] = round(gap, 4)
@@ -92,7 +91,7 @@ def sphere_pilot(seeds):
                                mode=RunMode.WEAK_INTERIOR, sizes=(2000,),
                                schedule=constant_k(1), replications=150,
                                base_seed=seed)
-        res = run_weak_interior(cfg)
+        res = run_experiment(cfg)
         ks[str(seed)] = round(res.summary["2000"]["ks_lo"], 4)
     return {"size": 2000, "replications": 150, "acceptance_seed": seeds[0],
             "pilot_ks_lo": ks}
