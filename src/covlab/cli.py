@@ -16,8 +16,8 @@ import sys
 from . import geometry as geo
 from .coverage import coverage_threshold
 from .grids import build_grid
-from .harness import (ConfigError, ConfigRefused, ExperimentConfig, RunMode,
-                      run_experiment)
+from .harness import (CONFIG_KEYS, ConfigError, ConfigRefused,
+                      ExperimentConfig, RunMode, run_experiment)
 from .limits import (boundary_coefficient, interior_coefficient,
                      unit_ball_volume)
 from .sampling import load_cloud_csv
@@ -83,6 +83,7 @@ def _cmd_cover(args) -> int:
 def _load_config(args, mode: RunMode) -> ExperimentConfig:
     with open(args.config) as fh:
         obj = json.load(fh)
+    geo.check_keys(obj, CONFIG_KEYS, "config")
     obj["mode"] = mode.value
     if args.seed is not None:
         obj["base_seed"] = args.seed

@@ -21,8 +21,11 @@ from scipy.spatial import cKDTree
 
 from .geometry import (ManifoldSpec, Metric, RegionSpec, chord_to_geodesic,
                        dist_many, dist_to_boundary_many)
-from .grids import DEFAULT_NODE_CAP, EvalGrid, build_grid, refine_nodes
+from .grids import EvalGrid, build_grid, refine_nodes
 from .sampling import PointCloud, DensitySpec, density_sample
+
+# each refinement level's covering radius is this many times finer
+REFINE_FACTOR = 8.0
 
 
 class CoverageError(ValueError):
@@ -99,13 +102,12 @@ def knn_distance(x, cloud: PointCloud, k: int, metric: Metric) -> float:
 
 
 def _certified_max(field, grid: EvalGrid, k: int, metric: Metric,
-                   refine_to: float | None, refine_factor: float = 8.0,
-                   node_cap: int = DEFAULT_NODE_CAP) -> ThresholdEstimate:
+                   refine_to: float | None) -> ThresholdEstimate:
     """Certified bracket for the max over B of a 1-Lipschitz field.
 
     ``field`` maps an (N, m) node array to N values.  Without refinement
     the bracket is [max node value, max + grid.h].  With ``refine_to`` set,
-    levels of locally regenerated grid (each `refine_factor` times finer)
+    levels of locally regenerated grid (each ``REFINE_FACTOR`` times finer)
     re-cover only the nodes whose value is within one covering radius of
     the running max -- the only places the true argmax can hide -- until
     the covering radius reaches ``refine_to``.
@@ -117,11 +119,10 @@ def _certified_max(field, grid: EvalGrid, k: int, metric: Metric,
     h_cur = grid.h
     nodes_cur, vals_cur = grid.nodes, vals
     while refine_to is not None and h_cur > refine_to * (1.0 + 1e-12):
-        h_next = max(refine_to, h_cur / refine_factor)
+        h_next = max(refine_to, h_cur / REFINE_FACTOR)
         cand = nodes_cur[vals_cur >= lo - h_cur - 1e-12]
         new_nodes = refine_nodes(grid.spec, grid.region, cand,
-                                 reach=h_cur + h_next, h=h_next,
-                                 node_cap=node_cap)
+                                 reach=h_cur + h_next, h=h_next)
         new_vals = field(new_nodes)
         if len(new_vals):
             b = int(np.argmax(new_vals))
@@ -134,17 +135,15 @@ def _certified_max(field, grid: EvalGrid, k: int, metric: Metric,
 
 
 def coverage_threshold(cloud: PointCloud, grid: EvalGrid, k: int,
-                       metric: Metric, refine_to: float | None = None,
-                       refine_factor: float = 8.0,
-                       node_cap: int = DEFAULT_NODE_CAP) -> ThresholdEstimate:
+                       metric: Metric, refine_to: float | None = None
+                       ) -> ThresholdEstimate:
     """Certified bracket for the k-coverage threshold of B.
 
     The threshold is the max over B of the k-NN distance field; the bracket
     is refined down to a covering radius of ``refine_to`` when it is given.
     """
     field = KnnField(cloud.spec, cloud.points, k, metric)
-    return _certified_max(field, grid, k, metric, refine_to, refine_factor,
-                          node_cap)
+    return _certified_max(field, grid, k, metric, refine_to)
 
 
 def interior_threshold(cloud: PointCloud, spec: ManifoldSpec,

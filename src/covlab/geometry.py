@@ -34,7 +34,10 @@ class ConfigError(ValueError):
 
 
 def check_keys(obj: dict, known, what: str) -> None:
-    """Raise :class:`ConfigError` naming every key of ``obj`` outside ``known``."""
+    """Raise :class:`ConfigError` unless ``obj`` is a JSON object whose keys
+    all lie in ``known``; the message names every key outside it."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {obj!r}")
     unknown = sorted(set(obj) - set(known))
     if unknown:
         raise ConfigError(
@@ -97,7 +100,8 @@ class ManifoldSpec:
 
     @staticmethod
     def from_json(obj: dict) -> "ManifoldSpec":
-        fam = Family(obj["family"])
+        check_keys(obj, {"family"}.union(*_SPEC_KEYS.values()), "spec")
+        fam = Family(obj.get("family"))
         check_keys(obj, _SPEC_KEYS.get(fam, {"family"}), f"{fam.value} spec")
         if fam is Family.UNIT_SQUARE:
             return unit_square(int(obj.get("d", 2)))
@@ -170,7 +174,8 @@ class RegionSpec:
 
     @staticmethod
     def from_json(obj: dict) -> "RegionSpec":
-        kind = RegionKind(obj["kind"])
+        check_keys(obj, set().union(*_REGION_KEYS.values()), "region")
+        kind = RegionKind(obj.get("kind"))
         check_keys(obj, _REGION_KEYS[kind], f"{kind.value} region")
         if kind is RegionKind.INTERIOR_BODY:
             return RegionSpec(kind, delta=float(obj["delta"]))

@@ -118,6 +118,7 @@ class KSchedule:
 
     @staticmethod
     def from_json(obj: dict) -> "KSchedule":
+        check_keys(obj, {"kind", *_SCHEDULE_KEYS.values()}, "k schedule")
         kind = obj.get("kind")
         if kind not in _SCHEDULE_KEYS:
             raise ConfigError(f"unknown k schedule kind {kind!r}")
@@ -133,9 +134,9 @@ def constant_k(k: int) -> KSchedule:
 
 
 # top-level keys of a JSON experiment config
-_CONFIG_KEYS = frozenset({"spec", "region", "mode", "metric", "sampler",
-                          "sizes", "k", "replications", "grid_h", "base_seed",
-                          "density"})
+CONFIG_KEYS = frozenset({"spec", "region", "mode", "metric", "sampler",
+                         "sizes", "k", "replications", "grid_h", "base_seed",
+                         "density"})
 
 
 @dataclass(frozen=True)
@@ -187,7 +188,17 @@ class ExperimentConfig:
 
     @staticmethod
     def from_json(obj: dict) -> "ExperimentConfig":
-        check_keys(obj, _CONFIG_KEYS, "config")
+        check_keys(obj, CONFIG_KEYS, "config")
+        missing = [key for key in ("spec", "mode", "sizes", "k", "replications")
+                   if key not in obj]
+        if missing:
+            raise ConfigError(f"config is missing required key(s) "
+                              f"{', '.join(map(repr, missing))}")
+        sizes = obj["sizes"]
+        if not isinstance(sizes, list) or any(
+                isinstance(s, bool) or not isinstance(s, (int, float))
+                for s in sizes):
+            raise ConfigError(f"sizes must be a list of numbers, got {sizes!r}")
         density = obj.get("density", {"kind": "uniform"})
         check_keys(density, {"kind"}, "density")
         if density.get("kind", "uniform") != "uniform":
@@ -199,7 +210,7 @@ class ExperimentConfig:
             mode=RunMode(obj["mode"]),
             metric=Metric(obj.get("metric", "geodesic")),
             sampler=Sampler(obj.get("sampler", "binomial")),
-            sizes=tuple(obj["sizes"]),
+            sizes=tuple(sizes),
             schedule=KSchedule.from_json(obj["k"]),
             replications=int(obj["replications"]),
             grid_h=obj.get("grid_h"),

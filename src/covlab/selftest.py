@@ -11,7 +11,6 @@ import math
 import numpy as np
 
 from . import geometry as geo
-from . import limits
 from .coverage import KnnField, coverage_threshold, knn_distance
 from .grids import build_grid
 from .sampling import CloudOrigin, PointCloud, uniform_sample
@@ -23,27 +22,6 @@ _FAMILIES = {
     "sphere": geo.unit_sphere(),
     "cap": geo.spherical_cap(1.1),
 }
-
-
-def _check_constants():
-    assert abs(limits.interior_coefficient(1) - 1.0) < 1e-12
-    assert abs(limits.interior_coefficient(2) - 1.0) < 1e-12
-    assert abs(limits.interior_coefficient(3) - 3.0 * math.pi ** 2 / 32.0) < 1e-12
-    for k in range(1, 9):
-        want = 2.0 ** (1 - k) / math.sqrt(math.pi) / math.factorial(k - 1)
-        assert abs(limits.boundary_coefficient(2, k) / want - 1.0) < 1e-12
-
-
-def _check_rate_inverse():
-    for a in np.linspace(0.0, 4.0, 9):
-        prev = -1.0
-        for x in np.linspace(0.0, 8.0, 17):
-            y = limits.rate_inverse(float(a), float(x))
-            assert y >= a - 1e-12
-            back = y * limits.rate_function(a / y) if y > 0 else 0.0
-            assert abs(back - x) < 1e-9
-            assert y >= prev
-            prev = y
 
 
 def _check_triangle(n_triples: int):
@@ -208,19 +186,6 @@ def _check_knn_oracle():
             assert abs(knn_distance(x, cloud, k, geo.Metric.GEODESIC) - d[k - 1]) < 1e-12
 
 
-def _check_exact_thresholds():
-    disk = _FAMILIES["disk"]
-    grid = build_grid(disk, geo.REGION_ALL, 0.05)
-    center = PointCloud(disk, np.zeros((1, 2)), CloudOrigin("binomial", 1, 1))
-    est = coverage_threshold(center, grid, 1, geo.Metric.GEODESIC)
-    assert est.lo <= 1.0 <= est.hi and est.width <= 0.05 + 1e-12
-    square = _FAMILIES["square"]
-    gsq = build_grid(square, geo.REGION_ALL, 0.05)
-    corner = PointCloud(square, np.zeros((1, 2)), CloudOrigin("binomial", 1, 1))
-    est2 = coverage_threshold(corner, gsq, 1, geo.Metric.GEODESIC)
-    assert est2.lo <= math.sqrt(2.0) <= est2.hi
-
-
 def _check_monotonicity(n_cases: int):
     rng = np.random.default_rng(11)
     specs = [_FAMILIES["disk"], _FAMILIES["square"], _FAMILIES["cap"]]
@@ -243,19 +208,6 @@ def _check_monotonicity(n_cases: int):
         assert ee.lo <= eg.lo + 1e-12
 
 
-def _check_cdf_monotone():
-    law = limits.LimitLaw(regime=limits.Regime.WEAK_BOUNDARY, d=2, k=1,
-                          f0=1.0 / math.pi, volume=math.pi,
-                          boundary_area=2 * math.pi)
-    z = np.linspace(-8, 12, 800)
-    v = limits.boundary_law_cdf(law, z)
-    assert np.all(np.diff(v) >= -1e-15) and v.min() >= 0 and v.max() <= 1
-    law2 = limits.LimitLaw(regime=limits.Regime.WEAK_INTERIOR, d=3, k=2,
-                           f0=1.0, volume=2.0)
-    w = limits.interior_law_cdf(law2, z)
-    assert np.all(np.diff(w) >= -1e-15)
-
-
 def _check_lipschitz():
     spec = _FAMILIES["cap"]
     cloud = uniform_sample(spec, 200, 17)
@@ -272,14 +224,10 @@ def run_selftest(fast: bool = False) -> int:
     n_triples = 2_000 if fast else 10_000
     n_cases = 20 if fast else 60
     checks = [
-        ("constants", _check_constants),
-        ("rate_inverse", _check_rate_inverse),
         ("triangle_and_domination", lambda: _check_triangle(n_triples)),
         ("boundary_distance", _check_boundary_distance),
         ("knn_oracle", _check_knn_oracle),
-        ("exact_thresholds", _check_exact_thresholds),
         ("monotonicity", lambda: _check_monotonicity(n_cases)),
-        ("cdf_monotone", _check_cdf_monotone),
         ("knn_lipschitz", _check_lipschitz),
     ]
     failures = 0

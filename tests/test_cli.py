@@ -137,6 +137,28 @@ def test_unknown_nested_config_key_exit_1(tmp_path, capsys, key, value, bad):
     assert not os.path.exists(tmp_path / "x")
 
 
+@pytest.mark.parametrize("edit,needle", [
+    (lambda d: {k: v for k, v in d.items() if k != "sizes"}, "'sizes'"),
+    (lambda d: {**d, "k": 2}, "k schedule must be a JSON object"),
+    (lambda d: {**d, "spec": "disk"}, "spec must be a JSON object"),
+    (lambda d: {**d, "region": [1]}, "region must be a JSON object"),
+    (lambda d: [d], "config must be a JSON object"),
+    (lambda d: {**d, "sizes": "100"}, "sizes must be a list of numbers"),
+    (lambda d: {**d, "sizes": [64, "128"]}, "sizes must be a list of numbers"),
+], ids=["no_sizes", "k_int", "spec_str", "region_list", "top_list",
+        "sizes_str", "sizes_entry_str"])
+def test_malformed_config_exit_1(tmp_path, capsys, edit, needle):
+    cfg = _write_cfg(tmp_path)
+    with open(cfg) as fh:
+        doc = edit(json.load(fh))
+    with open(cfg, "w") as fh:
+        json.dump(doc, fh)
+    assert main(["weak", "--config", cfg, "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and needle in err
+    assert not os.path.exists(tmp_path / "x")
+
+
 def test_readme_example_config_loads():
     from covlab.harness import ExperimentConfig
     readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
