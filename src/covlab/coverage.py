@@ -8,6 +8,16 @@ the shape.  Evaluating the field on an h-covering grid brackets the max
 inside [grid max, grid max + h].  Optional refinement re-covers only the
 region that can still contain the argmax, shrinking h geometrically at
 near-constant cost.  One maximiser serves both thresholds.
+
+The maximiser does not query the field at every node.  The max sits deep
+in the field's upper tail, so on each grid level it evaluates every third
+node in grid order, bounds each other node y by f(z) + d(y, z) from the
+sampled nodes z on either side of it, and evaluates only the nodes whose
+bound reaches the level's floor.  The floor sits at or below every value
+the refinement looks at -- the running max and the candidate threshold
+max - h -- so each node that can change the max, its first argmax or a
+candidate set is evaluated exactly, and the bracket is bit for bit the
+one that evaluating every node gives.
 """
 
 from __future__ import annotations
@@ -26,6 +36,13 @@ from .sampling import PointCloud, DensitySpec, density_sample
 
 # each refinement level's covering radius is this many times finer
 REFINE_FACTOR = 8.0
+# every PRUNE_STRIDE-th node of a level is evaluated; the rest are bounded
+# (a wider stride loosens the bounds: 6 ran slower than 3 on the disk)
+PRUNE_STRIDE = 3
+# sampled nodes per block of bounds (keeps the temporaries small), and the
+# rounding allowance on each bound
+_PRUNE_CHUNK = 2 ** 14
+_PRUNE_SLACK = 1e-9
 
 
 class CoverageError(ValueError):
@@ -101,6 +118,56 @@ def knn_distance(x, cloud: PointCloud, k: int, metric: Metric) -> float:
     return float(np.partition(d, k - 1)[k - 1])
 
 
+def _pruned_field(field, nodes: np.ndarray, curved: bool, lo: float,
+                  h: float | None) -> np.ndarray:
+    """Values of a 1-Lipschitz field at ``nodes``: each entry is exact, or
+    -inf at a node whose value is below the floor.
+
+    Every ``PRUNE_STRIDE``-th node in grid order is evaluated.  The
+    floor is ``max(lo, max sampled) - h - 1e-12``, or ``max(lo, max
+    sampled)`` when ``h`` is None.  Any other node y has
+    f(y) <= min(f(zL) + d(y, zL), f(zR) + d(y, zR)) for the sampled nodes
+    zL and zR on either side of it in grid order, where d is the geodesic
+    distance (the chord mapped to an arc on curved families; chord <=
+    geodesic, so the bound also holds for Euclidean-metric fields).  Only
+    nodes whose bound reaches the floor, less a rounding slack, are
+    evaluated.
+    """
+    n = len(nodes)
+    vals = np.full(n, -np.inf)
+    if n == 0:
+        return vals
+    z = nodes[::PRUNE_STRIDE]
+    samp = field(z)
+    vals[::PRUNE_STRIDE] = samp
+    top = max(lo, float(np.max(samp)))
+    floor = top if h is None else top - h - 1e-12
+    keep = []
+    for g0 in range(0, len(z), _PRUNE_CHUNK):
+        g1 = min(len(z), g0 + _PRUNE_CHUNK)
+        for j in range(1, PRUNE_STRIDE):
+            y = nodes[g0 * PRUNE_STRIDE + j:g1 * PRUNE_STRIDE:PRUNE_STRIDE]
+            m = len(y)
+            bound = samp[g0:g0 + m] + _row_dist(y, z[g0:g0 + m], curved)
+            # every row but possibly the last has a sampled node after it
+            r = min(m, len(z) - 1 - g0)
+            np.minimum(bound[:r], samp[g0 + 1:g0 + 1 + r]
+                       + _row_dist(y[:r], z[g0 + 1:g0 + 1 + r], curved),
+                       out=bound[:r])
+            hit = np.flatnonzero(bound >= floor - _PRUNE_SLACK)
+            keep.append((g0 + hit) * PRUNE_STRIDE + j)
+    keep = np.concatenate(keep)
+    vals[keep] = field(nodes[keep])
+    return vals
+
+
+def _row_dist(a: np.ndarray, b: np.ndarray, curved: bool) -> np.ndarray:
+    """Geodesic distance between matching rows of two node arrays."""
+    # column by column: about 5x faster than a row-wise norm on strided rows
+    chord = np.sqrt(sum((a[:, i] - b[:, i]) ** 2 for i in range(a.shape[1])))
+    return chord_to_geodesic(chord) if curved else chord
+
+
 def _certified_max(field, grid: EvalGrid, k: int, metric: Metric,
                    refine_to: float | None) -> ThresholdEstimate:
     """Certified bracket for the max over B of a 1-Lipschitz field.
@@ -111,19 +178,35 @@ def _certified_max(field, grid: EvalGrid, k: int, metric: Metric,
     re-cover only the nodes whose value is within one covering radius of
     the running max -- the only places the true argmax can hide -- until
     the covering radius reaches ``refine_to``.
+
+    Each level is evaluated by :func:`_pruned_field`, which leaves -inf
+    only at nodes whose value lies below its floor.  A level that feeds a
+    further refinement uses the floor ``max(lo, sampled max) - h - 1e-12``:
+    the sampled max never exceeds the level's max, so the floor sits at or
+    below the candidate threshold ``lo - h - 1e-12`` taken after the level,
+    and every candidate and the first node attaining the max are exact.
+    The last level only has to show whether lo strictly rises, and where
+    first, so its floor is ``max(lo, sampled max)``.  lo, the argmax and
+    every candidate set are thus those of evaluating every node.
     """
-    vals = field(grid.nodes)
+    def refines(h: float) -> bool:
+        return refine_to is not None and h > refine_to * (1.0 + 1e-12)
+
+    curved = grid.spec.curved
+    h_cur = grid.h
+    vals = _pruned_field(field, grid.nodes, curved, -np.inf,
+                         h_cur if refines(h_cur) else None)
     best = int(np.argmax(vals))
     lo = float(vals[best])
     arg = grid.nodes[best]
-    h_cur = grid.h
     nodes_cur, vals_cur = grid.nodes, vals
-    while refine_to is not None and h_cur > refine_to * (1.0 + 1e-12):
+    while refines(h_cur):
         h_next = max(refine_to, h_cur / REFINE_FACTOR)
         cand = nodes_cur[vals_cur >= lo - h_cur - 1e-12]
         new_nodes = refine_nodes(grid.spec, grid.region, cand,
                                  reach=h_cur + h_next, h=h_next)
-        new_vals = field(new_nodes)
+        new_vals = _pruned_field(field, new_nodes, curved, lo,
+                                 h_next if refines(h_next) else None)
         if len(new_vals):
             b = int(np.argmax(new_vals))
             if new_vals[b] > lo:

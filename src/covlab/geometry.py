@@ -33,9 +33,10 @@ class ConfigError(ValueError):
     """Malformed configuration input, such as an unknown JSON key."""
 
 
-def check_keys(obj: dict, known, what: str) -> None:
+def check_keys(obj: dict, known, what: str, required=()) -> None:
     """Raise :class:`ConfigError` unless ``obj`` is a JSON object whose keys
-    all lie in ``known``; the message names every key outside it."""
+    all lie in ``known`` and include every key of ``required``; the message
+    names every key outside ``known``, or every required key missing."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{what} must be a JSON object, got {obj!r}")
     unknown = sorted(set(obj) - set(known))
@@ -43,6 +44,10 @@ def check_keys(obj: dict, known, what: str) -> None:
         raise ConfigError(
             f"unknown {what} key(s) {', '.join(map(repr, unknown))}; "
             f"known keys: {', '.join(sorted(known))}")
+    missing = [key for key in required if key not in obj]
+    if missing:
+        raise ConfigError(f"{what} is missing required key(s) "
+                          f"{', '.join(map(repr, missing))}")
 
 
 class Family(str, Enum):
@@ -102,7 +107,8 @@ class ManifoldSpec:
     def from_json(obj: dict) -> "ManifoldSpec":
         check_keys(obj, {"family"}.union(*_SPEC_KEYS.values()), "spec")
         fam = Family(obj.get("family"))
-        check_keys(obj, _SPEC_KEYS.get(fam, {"family"}), f"{fam.value} spec")
+        check_keys(obj, _SPEC_KEYS.get(fam, {"family"}), f"{fam.value} spec",
+                   required=("alpha",) if fam is Family.SPHERICAL_CAP else ())
         if fam is Family.UNIT_SQUARE:
             return unit_square(int(obj.get("d", 2)))
         if fam is Family.SPHERICAL_CAP:
@@ -176,7 +182,8 @@ class RegionSpec:
     def from_json(obj: dict) -> "RegionSpec":
         check_keys(obj, set().union(*_REGION_KEYS.values()), "region")
         kind = RegionKind(obj.get("kind"))
-        check_keys(obj, _REGION_KEYS[kind], f"{kind.value} region")
+        check_keys(obj, _REGION_KEYS[kind], f"{kind.value} region",
+                   required=sorted(_REGION_KEYS[kind]))
         if kind is RegionKind.INTERIOR_BODY:
             return RegionSpec(kind, delta=float(obj["delta"]))
         if kind is RegionKind.GEODESIC_BALL:

@@ -97,7 +97,14 @@ class _Lattice:
         axis = self.lo + np.arange(self.n + 1) * self.s
         if self.rho is None:
             axis[-1] = self.lo + self.side  # exact upper face
-        nodes = np.column_stack([axis[q] for q in np.unravel_index(idx, self.shape)])
+        if len(idx) == math.prod(self.shape):  # every index: broadcast the axis
+            nodes = np.empty(self.shape + (self.d,))
+            for i in range(self.d):
+                nodes[..., i] = axis.reshape((-1,) + (1,) * (self.d - 1 - i))
+            nodes = nodes.reshape(-1, self.d)
+        else:
+            nodes = np.column_stack(
+                [axis[q] for q in np.unravel_index(idx, self.shape)])
         return (nodes if self.rho is None
                 else _ball_project(nodes, self.rho, self.s))
 

@@ -123,9 +123,7 @@ class KSchedule:
         if kind not in _SCHEDULE_KEYS:
             raise ConfigError(f"unknown k schedule kind {kind!r}")
         key = _SCHEDULE_KEYS[kind]
-        check_keys(obj, {"kind", key}, f"{kind} k schedule")
-        if key not in obj:
-            raise ConfigError(f"{kind} k schedule needs its parameter {key!r}")
+        check_keys(obj, {"kind", key}, f"{kind} k schedule", required=(key,))
         return KSchedule(kind, float(obj[key]))
 
 
@@ -137,6 +135,10 @@ def constant_k(k: int) -> KSchedule:
 CONFIG_KEYS = frozenset({"spec", "region", "mode", "metric", "sampler",
                          "sizes", "k", "replications", "grid_h", "base_seed",
                          "density"})
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -188,17 +190,14 @@ class ExperimentConfig:
 
     @staticmethod
     def from_json(obj: dict) -> "ExperimentConfig":
-        check_keys(obj, CONFIG_KEYS, "config")
-        missing = [key for key in ("spec", "mode", "sizes", "k", "replications")
-                   if key not in obj]
-        if missing:
-            raise ConfigError(f"config is missing required key(s) "
-                              f"{', '.join(map(repr, missing))}")
+        check_keys(obj, CONFIG_KEYS, "config",
+                   required=("spec", "mode", "sizes", "k", "replications"))
         sizes = obj["sizes"]
-        if not isinstance(sizes, list) or any(
-                isinstance(s, bool) or not isinstance(s, (int, float))
-                for s in sizes):
+        if not isinstance(sizes, list) or not all(map(_is_number, sizes)):
             raise ConfigError(f"sizes must be a list of numbers, got {sizes!r}")
+        grid_h = obj.get("grid_h")
+        if grid_h is not None and not _is_number(grid_h):
+            raise ConfigError(f"grid_h must be a number or null, got {grid_h!r}")
         density = obj.get("density", {"kind": "uniform"})
         check_keys(density, {"kind"}, "density")
         if density.get("kind", "uniform") != "uniform":
@@ -213,7 +212,7 @@ class ExperimentConfig:
             sizes=tuple(sizes),
             schedule=KSchedule.from_json(obj["k"]),
             replications=int(obj["replications"]),
-            grid_h=obj.get("grid_h"),
+            grid_h=grid_h,
             base_seed=int(obj.get("base_seed", 0)),
         )
 
@@ -321,14 +320,19 @@ def _plan_resolution(spec: ManifoldSpec, region: RegionSpec, mode: RunMode,
 
 
 def _threads() -> int:
+    """Worker count from ``COVLAB_THREADS`` (default 1): a positive integer."""
+    raw = os.environ.get("COVLAB_THREADS", "1")
     try:
-        return max(1, int(os.environ.get("COVLAB_THREADS", "1")))
+        n = int(raw)
     except ValueError:
-        return 1
+        n = 0
+    if n < 1:
+        raise ConfigError(f"COVLAB_THREADS must be a positive integer, "
+                          f"got {raw!r}")
+    return n
 
 
-def _map_reps(fn, tasks):
-    n_workers = _threads()
+def _map_reps(fn, tasks, n_workers: int):
     if n_workers == 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
     with ThreadPoolExecutor(max_workers=n_workers) as ex:
@@ -495,6 +499,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     through the mode's statistic.  The mode's summary closes the run.
     """
     t0 = time.monotonic()
+    n_workers = _threads()
     parts = _MODE_PARTS[config.mode](config)
     spec, region, metric = config.spec, config.region, config.metric
     rows: list[ReplicationRow] = []
@@ -521,7 +526,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                                   stat_lo=parts.statistic(est.lo, size, k),
                                   stat_hi=parts.statistic(est.hi, size, k))
 
-        rows.extend(_map_reps(one, list(range(config.replications))))
+        rows.extend(_map_reps(one, list(range(config.replications)),
+                              n_workers))
     return ExperimentResult(config, parts.law.to_json(), rows,
                             parts.summarize(rows),
                             wall_clock=time.monotonic() - t0)

@@ -5,6 +5,10 @@ probe set is an independent check of the certified upper end: if some
 probe's k-NN distance ever exceeded hi, the bracket (and in particular the
 refinement bookkeeping) would be broken.  The probes never use the grid
 machinery under audit.
+
+The pruned evaluation of each grid level is checked against the plain
+maximiser that evaluates every node, kept here as an oracle: the brackets
+must agree bit for bit, argmax included.
 """
 
 import math
@@ -13,8 +17,9 @@ import numpy as np
 import pytest
 
 from covlab import geometry as geo
+from covlab import coverage as cov
 from covlab.coverage import KnnField, coverage_threshold, interior_threshold
-from covlab.grids import build_grid
+from covlab.grids import build_grid, refine_nodes
 from covlab.sampling import uniform_sample
 from conftest import make_cloud
 
@@ -195,3 +200,171 @@ def test_refined_interior_disk_center_fixed_point():
                              refine_to=1e-4)
     assert est.lo <= 0.5 <= est.hi
     assert est.width <= 1e-4 * (1 + 1e-9)
+
+
+# ---------------------------------------------------------------------------
+# pruned field evaluation against the every-node maximiser
+
+
+def _every_node_max(field, grid, k, metric, refine_to):
+    """The certified maximiser as it was before pruning: every node of
+    every level goes through ``field``."""
+    vals = field(grid.nodes)
+    best = int(np.argmax(vals))
+    lo = float(vals[best])
+    arg = grid.nodes[best]
+    h_cur = grid.h
+    nodes_cur, vals_cur = grid.nodes, vals
+    while refine_to is not None and h_cur > refine_to * (1.0 + 1e-12):
+        h_next = max(refine_to, h_cur / cov.REFINE_FACTOR)
+        cand = nodes_cur[vals_cur >= lo - h_cur - 1e-12]
+        new_nodes = cov.refine_nodes(grid.spec, grid.region, cand,
+                                     reach=h_cur + h_next, h=h_next)
+        new_vals = field(new_nodes)
+        if len(new_vals):
+            b = int(np.argmax(new_vals))
+            if new_vals[b] > lo:
+                lo = float(new_vals[b])
+                arg = new_nodes[b]
+        nodes_cur, vals_cur, h_cur = new_nodes, new_vals, h_next
+    return cov.ThresholdEstimate(lo=lo, hi=lo + h_cur, h=h_cur, k=k,
+                                 metric=metric,
+                                 argmax=tuple(float(v) for v in arg))
+
+
+def _bits(est):
+    floats = np.array([est.lo, est.hi, est.h, *est.argmax])
+    return floats.tobytes(), est.k, est.metric
+
+
+def _assert_matches_every_node(monkeypatch, cloud, region, k, metric, h,
+                               refine_to):
+    """Both thresholds equal the every-node maximiser's bit for bit, and
+    hand refinement the same candidate centres at every level."""
+    spec = cloud.spec
+    grid = build_grid(spec, region, h)
+    knn = KnnField(spec, cloud.points, k, metric)
+    calls = []
+
+    def recording(spec, region, centers, reach, h):
+        calls.append((centers.shape, centers.tobytes(), reach, h))
+        return refine_nodes(spec, region, centers, reach=reach, h=h)
+
+    monkeypatch.setattr(cov, "refine_nodes", recording)
+
+    def deep(nodes):
+        return np.minimum(knn(nodes), geo.dist_to_boundary_many(spec, nodes))
+
+    runs = ((knn, lambda: coverage_threshold(cloud, grid, k, metric,
+                                             refine_to=refine_to)),
+            (deep, lambda: interior_threshold(cloud, spec, region, k, metric,
+                                              grid=grid, refine_to=refine_to)))
+    for field, pruned in runs:
+        calls.clear()
+        got = _bits(pruned())
+        got_calls = list(calls)
+        calls.clear()
+        assert got == _bits(_every_node_max(field, grid, k, metric,
+                                            refine_to))
+        assert got_calls == calls
+
+
+def _prune_h(spec):
+    # coarser in 3-D, where refining to h/50 regenerates many more nodes
+    return geo.intrinsic_diameter(spec) / (30.0 if spec.d == 2 else 12.0)
+
+
+PRUNE_CASES = [(fam, reg) for fam in ("square", "cube", "disk", "ball",
+                                      "sphere", "cap")
+               for reg in ("all", "body") if not (fam == "sphere"
+                                                  and reg == "body")]
+
+
+@pytest.mark.parametrize("refined", [False, True], ids=["coarse", "refined"])
+@pytest.mark.parametrize("metric", [GEO, EUC], ids=["geo", "euc"])
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("fam,reg", PRUNE_CASES,
+                         ids=[f"{f}-{r}" for f, r in PRUNE_CASES])
+def test_pruned_max_is_bitwise_the_every_node_max(monkeypatch, all_families,
+                                                  fam, reg, k, metric,
+                                                  refined):
+    spec = all_families[fam]
+    region = geo.REGION_ALL if reg == "all" else geo.interior_body(0.2)
+    h = _prune_h(spec)
+    seed = 50 * PRUNE_CASES.index((fam, reg)) + 10 * k + refined
+    cloud = uniform_sample(spec, 300, seed)
+    _assert_matches_every_node(monkeypatch, cloud, region, k, metric, h,
+                               h / 50.0 if refined else None)
+
+
+def _boundary_points(spec, n, rng):
+    """n points exactly on the boundary of the shape."""
+    if spec.family in (geo.Family.UNIT_DISK, geo.Family.SOLID_BALL):
+        g = rng.normal(size=(n, spec.m))
+        return g / np.linalg.norm(g, axis=1, keepdims=True)
+    t = rng.uniform(0.0, 2.0 * math.pi, n)
+    if spec.family is geo.Family.SPHERICAL_CAP:
+        s = math.sin(spec.alpha)
+        return np.column_stack([s * np.cos(t), s * np.sin(t),
+                                np.full(n, math.cos(spec.alpha))])
+    # unit square: a random edge, a random place along it
+    u = rng.uniform(0.0, 1.0, n)
+    side = rng.integers(0, 4, n)
+    return np.column_stack([np.where(side < 2, u, side - 2.0),
+                            np.where(side < 2, side.astype(float), u)])
+
+
+def _adversarial_clouds(spec, rng):
+    """(points, k) pairs that stress the pruning bounds."""
+    base = uniform_sample(spec, 40, int(rng.integers(2 ** 31))).points
+    yield np.repeat(base, 3, axis=0), 3  # every point three times
+    yield base[:12], 12  # k = n
+    # every point near one corner: the field is large almost everywhere,
+    # so most bounds are loose and most of the grid sits near the max
+    corner = base[np.argmax(base @ np.ones(spec.m))]
+    yield base[np.argsort(np.linalg.norm(base - corner, axis=1))[:8]], 2
+    yield _boundary_points(spec, 30, rng), 1
+
+
+@pytest.mark.parametrize("spec", [geo.unit_square(2), geo.unit_disk(),
+                                  geo.spherical_cap(1.1), geo.solid_ball()],
+                         ids=["square", "disk", "cap", "ball"])
+def test_pruned_max_on_adversarial_clouds(monkeypatch, spec):
+    rng = np.random.default_rng(2024 + spec.m)
+    h = _prune_h(spec)
+    for pts, k in _adversarial_clouds(spec, rng):
+        cloud = make_cloud(spec, pts)
+        for metric in (GEO, EUC):
+            for refine_to in (None, h / 50.0):
+                for region in (geo.REGION_ALL, geo.interior_body(0.2)):
+                    _assert_matches_every_node(monkeypatch, cloud, region,
+                                               k, metric, h, refine_to)
+
+
+def test_pruned_field_is_exact_or_below_floor(all_families):
+    # every entry is the exact value, or -inf at a node whose exact value
+    # lies below the floor the helper promises
+    rng = np.random.default_rng(606)
+    n_pruned = 0
+    for trial in range(60):
+        spec = list(all_families.values())[trial % len(all_families)]
+        k = int(rng.integers(1, 4))
+        metric = GEO if trial % 2 else EUC
+        cloud = uniform_sample(spec, int(rng.integers(k, 200)),
+                               int(rng.integers(2 ** 31)))
+        h = geo.intrinsic_diameter(spec) / float(rng.uniform(8.0, 60.0))
+        nodes = build_grid(spec, geo.REGION_ALL, h).nodes
+        knn = KnnField(spec, cloud.points, k, metric)
+        exact = knn(nodes)
+        lo = float(exact.max() - rng.uniform(-0.1, 0.3))
+        lo = -np.inf if trial % 3 == 0 else lo
+        drop = None if trial % 4 == 0 else float(rng.uniform(0.0, 2.0 * h))
+        got = cov._pruned_field(knn, nodes, spec.curved, lo, drop)
+        top = max(lo, float(exact[::cov.PRUNE_STRIDE].max()))
+        floor = top if drop is None else top - drop - 1e-12
+        pruned = got == -np.inf
+        assert np.array_equal(got[~pruned], exact[~pruned]), f"trial {trial}"
+        assert np.all(exact[pruned] < floor), f"trial {trial}"
+        assert not np.any(pruned[::cov.PRUNE_STRIDE])
+        n_pruned += int(np.count_nonzero(pruned))
+    assert n_pruned > 0

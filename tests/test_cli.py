@@ -145,8 +145,14 @@ def test_unknown_nested_config_key_exit_1(tmp_path, capsys, key, value, bad):
     (lambda d: [d], "config must be a JSON object"),
     (lambda d: {**d, "sizes": "100"}, "sizes must be a list of numbers"),
     (lambda d: {**d, "sizes": [64, "128"]}, "sizes must be a list of numbers"),
+    (lambda d: {**d, "region": {"kind": "interior_body"}}, "'delta'"),
+    (lambda d: {**d, "region": {"kind": "geodesic_ball", "radius": 0.3}},
+     "'center'"),
+    (lambda d: {**d, "spec": {"family": "spherical_cap"}}, "'alpha'"),
+    (lambda d: {**d, "grid_h": "0.1"}, "grid_h must be a number"),
 ], ids=["no_sizes", "k_int", "spec_str", "region_list", "top_list",
-        "sizes_str", "sizes_entry_str"])
+        "sizes_str", "sizes_entry_str", "body_no_delta", "ball_no_center",
+        "cap_no_alpha", "grid_h_str"])
 def test_malformed_config_exit_1(tmp_path, capsys, edit, needle):
     cfg = _write_cfg(tmp_path)
     with open(cfg) as fh:
@@ -156,6 +162,18 @@ def test_malformed_config_exit_1(tmp_path, capsys, edit, needle):
     assert main(["weak", "--config", cfg, "--out", str(tmp_path / "x")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and needle in err
+    assert not os.path.exists(tmp_path / "x")
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2"])
+def test_bad_thread_count_exit_1(tmp_path, capsys, monkeypatch, value):
+    # a bad worker count must not silently fall back to one worker
+    monkeypatch.setenv("COVLAB_THREADS", value)
+    cfg = _write_cfg(tmp_path)
+    assert main(["weak", "--config", cfg, "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "COVLAB_THREADS" in err and repr(value) in err
     assert not os.path.exists(tmp_path / "x")
 
 
