@@ -3,7 +3,7 @@ with certified error intervals and comparisons against their limiting laws."""
 
 from .geometry import (Family, ManifoldSpec, Metric, RegionKind, RegionSpec,
                        REGION_ALL, boundary_measure, dist, dist_to_boundary,
-                       geodesic_ball_region, interior_body, intrinsic_diameter,
+                       interior_body, intrinsic_diameter,
                        region_contains, region_measures, solid_ball,
                        spherical_cap, unit_disk, unit_sphere, unit_square,
                        volume)

@@ -132,7 +132,10 @@ def _build_parser() -> argparse.ArgumentParser:
     cv.add_argument("--h", type=float, required=True)
     cv.add_argument("--metric", choices=["geodesic", "euclidean"],
                     default="geodesic")
-    cv.add_argument("--refine-to", type=float, default=None, dest="refine_to")
+    cv.add_argument("--refine-to", type=float, default=None, dest="refine_to",
+                    help="target bracket width: cells of the --h partition "
+                         "are split by branch and bound until hi - lo is at "
+                         "most this (default: the --h partition unrefined)")
 
     for name, mode in (("weak", RunMode.WEAK_BOUNDARY),
                        ("interior", RunMode.WEAK_INTERIOR),

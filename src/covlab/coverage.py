@@ -4,20 +4,14 @@ Every threshold here is the max over a target set B of one field that is
 1-Lipschitz in the geodesic metric.  The coverage threshold maximises the
 k-th nearest-neighbor distance field f; the interior coverage threshold
 maximises min(f, depth), where depth is the distance to the boundary of
-the shape.  Evaluating the field on an h-covering grid brackets the max
-inside [grid max, grid max + h].  Optional refinement re-covers only the
-region that can still contain the argmax, shrinking h geometrically at
-near-constant cost.  One maximiser serves both thresholds.
-
-The maximiser does not query the field at every node.  The max sits deep
-in the field's upper tail, so on each grid level it evaluates every third
-node in grid order, bounds each other node y by f(z) + d(y, z) from the
-sampled nodes z on either side of it, and evaluates only the nodes whose
-bound reaches the level's floor.  The floor sits at or below every value
-the refinement looks at -- the running max and the candidate threshold
-max - h -- so each node that can change the max, its first argmax or a
-candidate set is evaluated exactly, and the bracket is bit for bit the
-one that evaluating every node gives.
+the shape.  One maximiser serves both thresholds: Lipschitz branch and
+bound over the cells of a partition of B (Piyavskii 1972; Shubert 1972).
+A cell whose representative p has value f(p) and whose cover radius is
+rho holds no value above f(p) + rho, so cells whose bound stays within
+the target width of the best value found are set aside, and only the
+others are split and evaluated again.  The work goes to the few cells
+near the argmax, and the bracket [best value, largest bound set aside]
+is at most the target wide.
 """
 
 from __future__ import annotations
@@ -31,18 +25,8 @@ from scipy.spatial import cKDTree
 
 from .geometry import (ManifoldSpec, Metric, RegionSpec, chord_to_geodesic,
                        dist_many, dist_to_boundary_many)
-from .grids import EvalGrid, build_grid, refine_nodes
+from .grids import MIN_RESOLUTION, EvalGrid, build_grid, refine_nodes
 from .sampling import PointCloud, DensitySpec, density_sample
-
-# each refinement level's covering radius is this many times finer
-REFINE_FACTOR = 8.0
-# every PRUNE_STRIDE-th node of a level is evaluated; the rest are bounded
-# (a wider stride loosens the bounds: 6 ran slower than 3 on the disk)
-PRUNE_STRIDE = 3
-# sampled nodes per block of bounds (keeps the temporaries small), and the
-# rounding allowance on each bound
-_PRUNE_CHUNK = 2 ** 14
-_PRUNE_SLACK = 1e-9
 
 
 class CoverageError(ValueError):
@@ -53,9 +37,9 @@ class CoverageError(ValueError):
 class ThresholdEstimate:
     """Certified bracket [lo, hi] for a coverage threshold.
 
-    lo is the exact max of the threshold's field over the grid nodes (a
-    valid lower bound since nodes lie in B); hi = lo + h by the
-    Lipschitz/cover argument.  ``argmax`` is the node attaining lo.
+    lo is the largest field value found at a point of B (a valid lower
+    bound); hi is the largest bound f(p) + rho over a partition of B, so
+    hi - lo <= h, the target width.  ``argmax`` is the point attaining lo.
     """
 
     lo: float
@@ -118,103 +102,39 @@ def knn_distance(x, cloud: PointCloud, k: int, metric: Metric) -> float:
     return float(np.partition(d, k - 1)[k - 1])
 
 
-def _pruned_field(field, nodes: np.ndarray, curved: bool, lo: float,
-                  h: float | None) -> np.ndarray:
-    """Values of a 1-Lipschitz field at ``nodes``: each entry is exact, or
-    -inf at a node whose value is below the floor.
-
-    Every ``PRUNE_STRIDE``-th node in grid order is evaluated.  The
-    floor is ``max(lo, max sampled) - h - 1e-12``, or ``max(lo, max
-    sampled)`` when ``h`` is None.  Any other node y has
-    f(y) <= min(f(zL) + d(y, zL), f(zR) + d(y, zR)) for the sampled nodes
-    zL and zR on either side of it in grid order, where d is the geodesic
-    distance (the chord mapped to an arc on curved families; chord <=
-    geodesic, so the bound also holds for Euclidean-metric fields).  Only
-    nodes whose bound reaches the floor, less a rounding slack, are
-    evaluated.
-    """
-    n = len(nodes)
-    vals = np.full(n, -np.inf)
-    if n == 0:
-        return vals
-    z = nodes[::PRUNE_STRIDE]
-    samp = field(z)
-    vals[::PRUNE_STRIDE] = samp
-    top = max(lo, float(np.max(samp)))
-    floor = top if h is None else top - h - 1e-12
-    keep = []
-    for g0 in range(0, len(z), _PRUNE_CHUNK):
-        g1 = min(len(z), g0 + _PRUNE_CHUNK)
-        for j in range(1, PRUNE_STRIDE):
-            y = nodes[g0 * PRUNE_STRIDE + j:g1 * PRUNE_STRIDE:PRUNE_STRIDE]
-            m = len(y)
-            bound = samp[g0:g0 + m] + _row_dist(y, z[g0:g0 + m], curved)
-            # every row but possibly the last has a sampled node after it
-            r = min(m, len(z) - 1 - g0)
-            np.minimum(bound[:r], samp[g0 + 1:g0 + 1 + r]
-                       + _row_dist(y[:r], z[g0 + 1:g0 + 1 + r], curved),
-                       out=bound[:r])
-            hit = np.flatnonzero(bound >= floor - _PRUNE_SLACK)
-            keep.append((g0 + hit) * PRUNE_STRIDE + j)
-    keep = np.concatenate(keep)
-    vals[keep] = field(nodes[keep])
-    return vals
-
-
-def _row_dist(a: np.ndarray, b: np.ndarray, curved: bool) -> np.ndarray:
-    """Geodesic distance between matching rows of two node arrays."""
-    # column by column: about 5x faster than a row-wise norm on strided rows
-    chord = np.sqrt(sum((a[:, i] - b[:, i]) ** 2 for i in range(a.shape[1])))
-    return chord_to_geodesic(chord) if curved else chord
-
-
 def _certified_max(field, grid: EvalGrid, k: int, metric: Metric,
                    refine_to: float | None) -> ThresholdEstimate:
     """Certified bracket for the max over B of a 1-Lipschitz field.
 
-    ``field`` maps an (N, m) node array to N values.  Without refinement
-    the bracket is [max node value, max + grid.h].  With ``refine_to`` set,
-    levels of locally regenerated grid (each ``REFINE_FACTOR`` times finer)
-    re-cover only the nodes whose value is within one covering radius of
-    the running max -- the only places the true argmax can hide -- until
-    the covering radius reaches ``refine_to``.
-
-    Each level is evaluated by :func:`_pruned_field`, which leaves -inf
-    only at nodes whose value lies below its floor.  A level that feeds a
-    further refinement uses the floor ``max(lo, sampled max) - h - 1e-12``:
-    the sampled max never exceeds the level's max, so the floor sits at or
-    below the candidate threshold ``lo - h - 1e-12`` taken after the level,
-    and every candidate and the first node attaining the max are exact.
-    The last level only has to show whether lo strictly rises, and where
-    first, so its floor is ``max(lo, sampled max)``.  lo, the argmax and
-    every candidate set are thus those of evaluating every node.
+    ``field`` maps an (N, m) node array to N values.  Branch and bound
+    over the cells of ``grid``: each level evaluates the field at every
+    live cell's representative in one batch, and splits only the cells
+    whose bound f(p) + rho exceeds the best value so far plus the target
+    width, ``refine_to`` or, without it, ``grid.h`` (no cell is split).
+    Every cell set aside has its bound within the target of the final
+    best, so the bracket [best, max bound over the cells set aside] has
+    width <= the target.
     """
-    def refines(h: float) -> bool:
-        return refine_to is not None and h > refine_to * (1.0 + 1e-12)
-
-    curved = grid.spec.curved
-    h_cur = grid.h
-    vals = _pruned_field(field, grid.nodes, curved, -np.inf,
-                         h_cur if refines(h_cur) else None)
-    best = int(np.argmax(vals))
-    lo = float(vals[best])
-    arg = grid.nodes[best]
-    nodes_cur, vals_cur = grid.nodes, vals
-    while refines(h_cur):
-        h_next = max(refine_to, h_cur / REFINE_FACTOR)
-        cand = nodes_cur[vals_cur >= lo - h_cur - 1e-12]
-        new_nodes = refine_nodes(grid.spec, grid.region, cand,
-                                 reach=h_cur + h_next, h=h_next)
-        new_vals = _pruned_field(field, new_nodes, curved, lo,
-                                 h_next if refines(h_next) else None)
-        if len(new_vals):
-            b = int(np.argmax(new_vals))
-            if new_vals[b] > lo:
-                lo = float(new_vals[b])
-                arg = new_nodes[b]
-        nodes_cur, vals_cur, h_cur = new_nodes, new_vals, h_next
-    return ThresholdEstimate(lo=lo, hi=lo + h_cur, h=h_cur, k=k,
-                             metric=metric, argmax=tuple(float(v) for v in arg))
+    target = grid.h if refine_to is None else min(refine_to, grid.h)
+    if target <= MIN_RESOLUTION:
+        raise CoverageError(f"target width {target} is below the supported "
+                            "resolution")
+    lo, hi, arg = -np.inf, -np.inf, None
+    cells = grid
+    while len(cells):
+        vals = field(cells.nodes)
+        best = int(np.argmax(vals))
+        if vals[best] > lo:
+            lo, arg = float(vals[best]), cells.nodes[best]
+        bound = vals + cells.rad
+        split = bound > lo + target
+        hi = max(hi, float(np.max(bound[~split], initial=-np.inf)))
+        if not split.any():
+            break
+        cells = refine_nodes(centers=cells.take(split))
+    return ThresholdEstimate(lo=lo, hi=max(hi, lo), h=target, k=k,
+                             metric=metric,
+                             argmax=tuple(float(v) for v in arg))
 
 
 def coverage_threshold(cloud: PointCloud, grid: EvalGrid, k: int,
@@ -223,7 +143,8 @@ def coverage_threshold(cloud: PointCloud, grid: EvalGrid, k: int,
     """Certified bracket for the k-coverage threshold of B.
 
     The threshold is the max over B of the k-NN distance field; the bracket
-    is refined down to a covering radius of ``refine_to`` when it is given.
+    is narrowed to a width of ``refine_to`` when it is given, and is at
+    most ``grid.h`` wide otherwise.
     """
     field = KnnField(cloud.spec, cloud.points, k, metric)
     return _certified_max(field, grid, k, metric, refine_to)
@@ -239,8 +160,8 @@ def interior_threshold(cloud: PointCloud, spec: ManifoldSpec,
     the boundary has k sample points within r.  Some point violates that
     at r exactly when min(f(x), depth(x)) > r, where f is the k-NN
     distance field, so the threshold is the max over B of min(f, depth).
-    Both terms are 1-Lipschitz, so the bracket and the refinement of
-    :func:`coverage_threshold` carry over unchanged.  On a boundaryless
+    Both terms are 1-Lipschitz, so the branch and bound of
+    :func:`coverage_threshold` carries over unchanged.  On a boundaryless
     shape the depth is infinite and the result equals the plain coverage
     threshold.
     """

@@ -50,6 +50,29 @@ def check_keys(obj: dict, known, what: str, required=()) -> None:
                           f"{', '.join(map(repr, missing))}")
 
 
+def is_number(value) -> bool:
+    """True for a JSON number: an int or a float, but not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def read_number(obj: dict, key: str, what: str, integral: bool = False,
+                default=None):
+    """``obj[key]`` as a float, or as an int when ``integral``; ``default``
+    when the key is absent.  Raises :class:`ConfigError` for anything but
+    a JSON number (a string, a bool, null), and for a fractional value
+    where an integer is needed."""
+    if key not in obj:
+        return default
+    value = obj[key]
+    if not is_number(value):
+        raise ConfigError(f"{what} {key!r} must be a number, got {value!r}")
+    if not integral:
+        return float(value)
+    if not float(value).is_integer():
+        raise ConfigError(f"{what} {key!r} must be an integer, got {value!r}")
+    return int(value)
+
+
 class Family(str, Enum):
     UNIT_SQUARE = "unit_square"
     UNIT_DISK = "unit_disk"
@@ -66,7 +89,6 @@ class Metric(str, Enum):
 class RegionKind(str, Enum):
     ALL = "all"
     INTERIOR_BODY = "interior_body"
-    GEODESIC_BALL = "geodesic_ball"
 
 
 @dataclass(frozen=True)
@@ -110,9 +132,10 @@ class ManifoldSpec:
         check_keys(obj, _SPEC_KEYS.get(fam, {"family"}), f"{fam.value} spec",
                    required=("alpha",) if fam is Family.SPHERICAL_CAP else ())
         if fam is Family.UNIT_SQUARE:
-            return unit_square(int(obj.get("d", 2)))
+            return unit_square(read_number(obj, "d", "spec", integral=True,
+                                           default=2))
         if fam is Family.SPHERICAL_CAP:
-            return spherical_cap(float(obj["alpha"]))
+            return spherical_cap(read_number(obj, "alpha", "spec"))
         return {Family.UNIT_DISK: unit_disk,
                 Family.SOLID_BALL: solid_ball,
                 Family.UNIT_SPHERE: unit_sphere}[fam]()
@@ -153,59 +176,46 @@ class RegionSpec:
 
     * ``ALL``            -- B = A.
     * ``INTERIOR_BODY``  -- B = {x in A : dist(x, boundary) >= delta}.
-    * ``GEODESIC_BALL``  -- B = A intersect {dist(center, .) <= radius}.
     """
 
     kind: RegionKind
     delta: float | None = None
-    center: tuple | None = None
-    radius: float | None = None
 
     def __post_init__(self):
         if self.kind is RegionKind.INTERIOR_BODY:
             if self.delta is None or self.delta <= 0:
                 raise GeometryError("interior_body needs delta > 0")
-        if self.kind is RegionKind.GEODESIC_BALL:
-            if self.center is None or self.radius is None or self.radius <= 0:
-                raise GeometryError("geodesic_ball needs center and radius > 0")
 
     def to_json(self) -> dict:
         out: dict = {"kind": self.kind.value}
         if self.delta is not None:
             out["delta"] = self.delta
-        if self.center is not None:
-            out["center"] = list(self.center)
-            out["radius"] = self.radius
         return out
 
     @staticmethod
     def from_json(obj: dict) -> "RegionSpec":
         check_keys(obj, set().union(*_REGION_KEYS.values()), "region")
-        kind = RegionKind(obj.get("kind"))
-        check_keys(obj, _REGION_KEYS[kind], f"{kind.value} region",
+        kind = obj.get("kind")
+        if not isinstance(kind, str) or kind not in _REGION_KEYS:
+            raise ConfigError(f"unknown region kind {kind!r}; known kinds: "
+                              f"{', '.join(sorted(_REGION_KEYS))}")
+        check_keys(obj, _REGION_KEYS[kind], f"{kind} region",
                    required=sorted(_REGION_KEYS[kind]))
-        if kind is RegionKind.INTERIOR_BODY:
-            return RegionSpec(kind, delta=float(obj["delta"]))
-        if kind is RegionKind.GEODESIC_BALL:
-            return RegionSpec(kind, center=tuple(obj["center"]),
-                              radius=float(obj["radius"]))
-        return RegionSpec(kind)
+        if kind == RegionKind.INTERIOR_BODY:
+            return RegionSpec(RegionKind.INTERIOR_BODY,
+                              delta=read_number(obj, "delta", "region"))
+        return REGION_ALL
 
 
 # JSON keys of each region kind
-_REGION_KEYS = {RegionKind.ALL: {"kind"},
-                RegionKind.INTERIOR_BODY: {"kind", "delta"},
-                RegionKind.GEODESIC_BALL: {"kind", "center", "radius"}}
+_REGION_KEYS = {RegionKind.ALL.value: {"kind"},
+                RegionKind.INTERIOR_BODY.value: {"kind", "delta"}}
 
 REGION_ALL = RegionSpec(RegionKind.ALL)
 
 
 def interior_body(delta: float) -> RegionSpec:
     return RegionSpec(RegionKind.INTERIOR_BODY, delta=delta)
-
-
-def geodesic_ball_region(center, radius: float) -> RegionSpec:
-    return RegionSpec(RegionKind.GEODESIC_BALL, center=tuple(center), radius=radius)
 
 
 # ---------------------------------------------------------------------------
@@ -366,10 +376,7 @@ def region_contains(spec: ManifoldSpec, region: RegionSpec, x) -> bool:
         return False
     if region.kind is RegionKind.ALL:
         return True
-    if region.kind is RegionKind.INTERIOR_BODY:
-        return dist_to_boundary(spec, x) >= region.delta
-    return dist(spec, np.asarray(region.center, dtype=float), x,
-                Metric.GEODESIC) <= region.radius
+    return dist_to_boundary(spec, x) >= region.delta
 
 
 def region_contains_many(spec: ManifoldSpec, region: RegionSpec,
@@ -377,10 +384,7 @@ def region_contains_many(spec: ManifoldSpec, region: RegionSpec,
     inside = contains_many(spec, pts)
     if region.kind is RegionKind.ALL:
         return inside
-    if region.kind is RegionKind.INTERIOR_BODY:
-        return inside & (dist_to_boundary_many(spec, pts) >= region.delta)
-    c = np.asarray(region.center, dtype=float)
-    return inside & (dist_many(spec, c, pts, Metric.GEODESIC) <= region.radius)
+    return inside & (dist_to_boundary_many(spec, pts) >= region.delta)
 
 
 def _interior_body_measures(spec: ManifoldSpec, delta: float) -> tuple[float, float]:
@@ -409,38 +413,11 @@ def _interior_body_measures(spec: ManifoldSpec, delta: float) -> tuple[float, fl
     return 2.0 * math.pi * (1.0 - math.cos(a)), 0.0
 
 
-def _geodesic_ball_measures(spec: ManifoldSpec, region: RegionSpec) -> tuple[float, float]:
-    c = np.asarray(region.center, dtype=float)
-    r = float(region.radius)
-    f = spec.family
-    if f is Family.UNIT_SPHERE:
-        reff = min(r, math.pi)
-        return 2.0 * math.pi * (1.0 - math.cos(reff)), 0.0
-    centered = bool(np.allclose(c, 0.0))
-    if f is Family.UNIT_DISK and centered:
-        rr = min(r, 1.0)
-        return math.pi * rr * rr, (2.0 * math.pi if r >= 1.0 else 0.0)
-    if f is Family.SOLID_BALL and centered:
-        rr = min(r, 1.0)
-        return 4.0 * math.pi * rr ** 3 / 3.0, (4.0 * math.pi if r >= 1.0 else 0.0)
-    if f is Family.SPHERICAL_CAP and np.allclose(c, (0.0, 0.0, 1.0)):
-        a = min(r, spec.alpha)
-        return (2.0 * math.pi * (1.0 - math.cos(a)),
-                2.0 * math.pi * math.sin(spec.alpha) if r >= spec.alpha else 0.0)
-    raise GeometryError(
-        "closed-form measures of a geodesic-ball region are only available "
-        "for the sphere, or for balls centered at the symmetry point of "
-        "disk/ball/cap")
-
-
 def region_measures(spec: ManifoldSpec, region: RegionSpec) -> tuple[float, float]:
     """(volume of B, surface measure of B intersected with the boundary of A).
 
-    Raises :class:`GeometryError` for shape/region combinations without a
-    closed form.
+    Raises :class:`GeometryError` for an interior body that is empty.
     """
     if region.kind is RegionKind.ALL:
         return volume(spec), boundary_measure(spec)
-    if region.kind is RegionKind.INTERIOR_BODY:
-        return _interior_body_measures(spec, region.delta)
-    return _geodesic_ball_measures(spec, region)
+    return _interior_body_measures(spec, region.delta)

@@ -1,38 +1,58 @@
-"""Evaluation grids with a certified covering radius.
+"""Cell partitions of B with a certified cover radius.
 
-A grid discretizes "for every x in B" into a finite max: every point of B
-lies within geodesic distance h of some node, and all nodes lie in B.
-Every supported (family, region) pair is one of two constructions whose
-nodes are numbered by a flat index:
+A partition turns "for every x in B" into a finite max.  Each cell is a box
+in a parameter space of the shape, with a representative point p in B and
+a cover radius rho: every point of B in the cell lies within geodesic
+distance rho of p.  A cell splits into its 2^d children by halving every
+side of its box, so the children tile their parent exactly.  The parameter
+spaces are
 
-- a lattice of the corners of cells of half-diagonal <= h on the square or
-  cube; the solid ball is the cube lattice on [-rho, rho]^3 with its
-  corners kept in the ball or projected onto it;
-- rings of equally spaced nodes at radius r on the disk (circumference
-  2 pi r) or at polar angle theta on the sphere or cap (2 pi sin theta).
+- the coordinates themselves on the square and cube;
+- the coordinates of the enclosing cube [-R, R]^3 on the solid ball: a
+  box that misses the ball is dropped, and a representative outside the
+  ball is projected onto it, which moves it no farther from any point of
+  the ball (projection onto a convex set is 1-Lipschitz);
+- radius x azimuth on the disk, polar angle x azimuth on the sphere and cap.
 
-The full grid emits every index; certified refinement emits a window of
-indices around some centers, so refined nodes are nodes of the finer grid.
+rho is the largest distance from the (unprojected) representative to a
+corner of the box.  That is exact on flat boxes, where the distance is
+convex.  On polar boxes the distance grows with the azimuth gap, and along
+a meridian it is largest at an end of the polar range, provided that the
+azimuth gap to the box's ends is at most pi/2 (pi on the disk), or the
+representative sits on the axis; the start partition and the halving keep
+to that.
 
-For interior-body regions the nodes are pulled a hair (1e-9) inside the
-closed region so they satisfy the strict interior constraint; the slack is
-absorbed into the certified radius.
+The start partition at resolution h has every rho <= h.  It is the
+lattice of nodes lo + i s with spacing s <= 2h/sqrt(d), each node with the
+box [node - s/2, node + s/2] clipped to the shape, or rings spaced <= h of
+ceil(2 pi c / h) nodes (c the ring's radius, or sin of its polar angle;
+two nodes at least off the axis), each node with the box half way to its
+neighbours; its nodes are the
+representatives, so the corners, faces and rims of B are among them.
+Children take the centres of their boxes.
+
+For interior-body regions the representatives are pulled a hair (1e-9)
+inside the closed region so they satisfy the strict interior constraint;
+the slack is added to every cover radius.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import (Family, ManifoldSpec, RegionKind, RegionSpec,
-                       polar_angle)
+                       chord_to_geodesic)
 
 DEFAULT_NODE_CAP = 4_000_000
 
 # strict-interior pullback for interior_body grids
 _EDGE_EPS = 1e-9
+# smallest supported cover radius or bracket width
+MIN_RESOLUTION = 4.0 * _EDGE_EPS
 
 
 class GridError(ValueError):
@@ -41,181 +61,122 @@ class GridError(ValueError):
 
 @dataclass(frozen=True)
 class EvalGrid:
-    """Finite node set in B whose covering radius (geodesic) is <= h."""
+    """Cells covering B: representatives ``nodes`` in B, boxes and radii.
+
+    Row i is the parameter box ``[box_lo[i], box_hi[i]]`` with
+    representative ``nodes[i]`` (ambient coordinates) and cover radius
+    ``rad[i] <= h``.  The boxes are stored column-major, so that the
+    per-axis arithmetic runs on contiguous columns.
+    """
 
     spec: ManifoldSpec
     region: RegionSpec
-    nodes: np.ndarray     # (N, m) ambient coordinates
+    nodes: np.ndarray     # (N, m) representative points in B
     h: float
+    box_lo: np.ndarray    # (N, d) parameter box lower corners
+    box_hi: np.ndarray    # (N, d) parameter box upper corners
+    rad: np.ndarray       # (N,) certified cover radii
 
     def __len__(self) -> int:
         return len(self.nodes)
 
+    def take(self, mask: np.ndarray) -> "EvalGrid":
+        """The cells selected by a boolean mask or an index array."""
+        rad = self.rad[mask]
+        return EvalGrid(self.spec, self.region, self.nodes[mask],
+                        float(np.max(rad, initial=0.0)),
+                        _rows(self.box_lo, mask), _rows(self.box_hi, mask),
+                        rad)
 
-class _Lattice:
-    """Corner lattice of [lo, lo + side]^d with cells of half-diagonal <= h.
 
-    With ``rho`` set this is the solid ball of radius rho, and the lattice
-    spans [-rho, rho]^3 (see :func:`_ball_project`).
+def _rows(a: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Selected rows of a column-major (N, d) array, column-major."""
+    return np.array([col[mask] for col in a.T]).T
+
+
+@dataclass(frozen=True)
+class _Domain:
+    """Parameter space of one (family, region) pair.
+
+    ``kind`` is "box" ([lo, lo + size]^d), "ball" (radius size, boxes in
+    [-size, size]^3), "disk" (radius in [0, size]) or "sphere" (polar
+    angle in [0, size]); the polar kinds add the azimuth in [0, 2 pi].
     """
 
-    def __init__(self, d: int, lo: float, side: float, h: float,
-                 rho: float | None = None):
-        self.d, self.lo, self.side, self.rho = d, lo, side, rho
-        self.n = max(1, math.ceil(side / (2.0 * h / math.sqrt(d))))
-        self.s = side / self.n
-        self.shape = (self.n + 1,) * d
+    kind: str
+    d: int
+    size: float
+    lo: float = 0.0
+    slack: float = 0.0
 
-    def count(self) -> int:
-        if self.rho is None:
-            return math.prod(self.shape)
-        # lattice nodes inside the ball plus the projected shell: ~ volume ratio
-        return int(math.prod(self.shape) * 0.65) + 8
-
-    def all(self) -> np.ndarray:
-        return np.arange(math.prod(self.shape))
-
-    def window(self, centers: np.ndarray, reach: float) -> np.ndarray:
-        # the ball's projection can move a corner by up to s*sqrt(3)/2
-        pad = reach if self.rho is None else reach + self.s
-        lo_idx = np.maximum(np.floor((centers - pad - self.lo) / self.s), 0).astype(np.int64)
-        hi_idx = np.minimum(np.ceil((centers + pad - self.lo) / self.s),
-                            self.n).astype(np.int64)
-        # offsets of the largest box; each center's box is clipped to the
-        # lattice (which repeats indices), in chunks of about 1M indices
-        box = np.indices((int(np.max(hi_idx - lo_idx)) + 1,) * self.d)
-        box = box.reshape(self.d, 1, -1)
-        per = max(1, 2 ** 20 // box.shape[-1])
-        parts = []
-        for i in range(0, len(centers), per):
-            q = np.minimum(lo_idx[i:i + per].T[:, :, None] + box,
-                           hi_idx[i:i + per].T[:, :, None])
-            parts.append(_distinct(np.ravel_multi_index(tuple(q), self.shape)))
-        return _distinct(np.concatenate(parts))
-
-    def emit(self, idx: np.ndarray) -> np.ndarray:
-        axis = self.lo + np.arange(self.n + 1) * self.s
-        if self.rho is None:
-            axis[-1] = self.lo + self.side  # exact upper face
-        if len(idx) == math.prod(self.shape):  # every index: broadcast the axis
-            nodes = np.empty(self.shape + (self.d,))
-            for i in range(self.d):
-                nodes[..., i] = axis.reshape((-1,) + (1,) * (self.d - 1 - i))
-            nodes = nodes.reshape(-1, self.d)
-        else:
-            nodes = np.column_stack(
-                [axis[q] for q in np.unravel_index(idx, self.shape)])
-        return (nodes if self.rho is None
-                else _ball_project(nodes, self.rho, self.s))
-
-
-def _ball_project(q: np.ndarray, rho: float, s: float) -> np.ndarray:
-    """Keep lattice corners in the ball; radially project the near shell."""
-    nrm = np.linalg.norm(q, axis=1)
-    inside = nrm <= rho
-    shell = (~inside) & (nrm <= rho + s * math.sqrt(3.0) / 2.0 + 1e-12)
-    return np.concatenate([q[inside], q[shell] * (rho / nrm[shell])[:, None]])
-
-
-class _Rings:
-    """Rings at positions 0..tmax, spaced <= h, of ceil(2 pi c / h) nodes.
-
-    On the disk a ring sits at radius r and c = r; on the sphere or cap it
-    sits at polar angle theta and c = sin theta.  Flat indices run ring by
-    ring, each ring by increasing azimuth.
-    """
-
-    def __init__(self, tmax: float, h: float, polar: bool):
-        self.polar = polar
-        self.pos = np.linspace(0.0, tmax, max(1, math.ceil(tmax / h)) + 1)
-        self.circ = np.sin(self.pos) if polar else self.pos
-        self.counts = np.maximum(
-            1, np.ceil(2.0 * math.pi * self.circ / h)).astype(np.int64)
-        self.starts = np.cumsum(self.counts) - self.counts
-
-    def count(self) -> int:
-        return int(np.sum(self.counts))
-
-    def all(self) -> np.ndarray:
-        return np.arange(self.count())
-
-    def _cos_half(self, ring: np.ndarray, c_pos: np.ndarray,
-                  reach: float) -> np.ndarray:
-        """Cosine of the azimuth half-width within ``reach`` of a center, or
-        -1 (the whole ring) where the ring or the center is on the axis."""
-        if self.polar:  # spherical law of cosines
-            num = (math.cos(min(reach, math.pi))
-                   - np.cos(self.pos[ring]) * np.cos(c_pos))
-            den = self.circ[ring] * np.sin(c_pos)
-            whole = den < 1e-12
-        else:  # chord <= reach: planar law of cosines
-            r = self.pos[ring]
-            num = r * r + c_pos * c_pos - reach * reach
-            den = 2.0 * r * c_pos
-            whole = (r < 1e-12) | (c_pos < 1e-12)
-        return np.divide(num, den, out=np.full(len(num), -1.0), where=~whole)
-
-    def window(self, centers: np.ndarray, reach: float) -> np.ndarray:
-        c_pos = (polar_angle(centers) if self.polar
-                 else np.linalg.norm(centers, axis=1))
-        c_ang = np.mod(np.arctan2(centers[:, 1], centers[:, 0]), 2.0 * math.pi)
-        first = np.searchsorted(self.pos, c_pos - reach, side="left")
-        last = np.searchsorted(self.pos, c_pos + reach, side="right") - 1
-        # one entry per (center, ring) pair, then one per node of its window
-        pair_c, rank = _runs(np.maximum(last - first + 1, 0))
-        ring = first[pair_c] + rank
-        half = np.arccos(np.clip(self._cos_half(ring, c_pos[pair_c], reach),
-                                 -1.0, 1.0))
-        count = self.counts[ring]
-        step = 2.0 * math.pi / count
-        w = np.ceil(half / step).astype(np.int64) + 1
-        whole = 2 * w + 1 >= count
-        j0 = np.floor(c_ang[pair_c] / step).astype(np.int64) - w
-        pair, k = _runs(np.where(whole, count, 2 * w + 1))
-        j = np.where(whole[pair], k, (j0[pair] + k) % count[pair])
-        return _distinct(self.starts[ring[pair]] + j)
-
-    def emit(self, idx: np.ndarray) -> np.ndarray:
-        ring = np.searchsorted(self.starts, idx, side="right") - 1
-        ang = 2.0 * math.pi * (idx - self.starts[ring]) / self.counts[ring]
-        c = self.circ[ring]
-        cols = [c * np.cos(ang), c * np.sin(ang)]
-        if self.polar:
-            cols.append(np.cos(self.pos[ring]))
+    def ambient(self, q: np.ndarray) -> np.ndarray:
+        if self.kind in ("box", "ball"):
+            return q
+        t, phi = q[:, 0], q[:, 1]
+        c = np.sin(t) if self.kind == "sphere" else t
+        cols = [c * np.cos(phi), c * np.sin(phi)]
+        if self.kind == "sphere":
+            cols.append(np.cos(t))
         return np.column_stack(cols)
 
+    def radius(self, lo: np.ndarray, hi: np.ndarray,
+               rep: np.ndarray) -> np.ndarray:
+        """Largest distance from each representative to a corner of its box.
 
-def _distinct(idx: np.ndarray) -> np.ndarray:
-    """Sorted distinct entries, as from np.unique."""
-    # np.unique took 1.5 s on 1.5M random int64 where this takes 22 ms
-    # (numpy 2.4.6 on a 2-vCPU x86-64 VM with AVX-512)
-    idx = np.sort(idx, axis=None)
-    keep = np.ones(len(idx), dtype=bool)
-    np.not_equal(idx[1:], idx[:-1], out=keep[1:])
-    return idx[keep]
+        On flat boxes the farthest corner takes the farther end on every
+        axis.  On polar boxes it takes the larger azimuth gap, and the
+        chord to a point at the same azimuth gap is
+        ``dt^2 + c(t) c(t') (2 sin(gap/2))^2`` with dt = t - t' on the disk
+        and 2 sin((t - t')/2) on the sphere, for t' at either end.
+        """
+        if self.kind in ("box", "ball"):
+            return np.sqrt(sum(np.maximum(rep[:, i] - lo[:, i],
+                                          hi[:, i] - rep[:, i]) ** 2
+                               for i in range(self.d)))
+        sphere = self.kind == "sphere"
+        t = rep[:, 0]
+        gap = np.maximum(rep[:, 1] - lo[:, 1], hi[:, 1] - rep[:, 1])
+        across = (2.0 * np.sin(0.5 * gap)) ** 2 * (np.sin(t) if sphere else t)
+        chord2 = np.zeros(len(t))
+        for end in (lo[:, 0], hi[:, 0]):
+            dt = 2.0 * np.sin(0.5 * (t - end)) if sphere else t - end
+            np.maximum(chord2, dt * dt + across * (np.sin(end) if sphere
+                                                   else end), out=chord2)
+        chord = np.sqrt(chord2)
+        return chord_to_geodesic(chord) if sphere else chord
+
+    def cells(self, spec: ManifoldSpec, region: RegionSpec, lo: np.ndarray,
+              hi: np.ndarray, rep: np.ndarray, h: float | None = None
+              ) -> EvalGrid:
+        """Cells of the given boxes and parameter representatives."""
+        if self.kind == "ball":  # drop the boxes that miss the ball
+            near2 = sum(np.clip(0.0, lo[:, i], hi[:, i]) ** 2
+                        for i in range(3))
+            keep = near2 <= self.size ** 2
+            lo, hi, rep = (_rows(a, keep) for a in (lo, hi, rep))
+        rad = self.radius(lo, hi, rep) + self.slack
+        x = self.ambient(rep)
+        if self.kind == "ball":
+            nrm = np.sqrt(sum(x[:, i] ** 2 for i in range(3)))
+            out = nrm > self.size
+            x = x.copy()
+            x[out] *= (self.size / nrm[out])[:, None]
+        if h is None:
+            h = float(np.max(rad, initial=0.0))
+        return EvalGrid(spec, region, x, h, lo, hi, rad)
 
 
-def _runs(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Run number and rank within its run of each entry of consecutive runs."""
-    run = np.repeat(np.arange(len(sizes)), sizes)
-    return run, np.arange(len(run)) - (np.cumsum(sizes) - sizes)[run]
-
-
-def _construction(spec: ManifoldSpec, region: RegionSpec,
-                  h: float) -> _Lattice | _Rings:
-    """The structured construction of B at covering radius h."""
-    if region.kind is RegionKind.GEODESIC_BALL:
-        raise GridError("structured grids for geodesic-ball regions are not "
-                        "supported; evaluate on an enclosing region instead")
-    delta = 0.0
-    if region.kind is RegionKind.INTERIOR_BODY:
-        delta = region.delta + _EDGE_EPS
-        # nodes sit _EDGE_EPS inside the closed region, so the construction
-        # runs slightly finer to keep the certified radius <= h
-        h = h - _EDGE_EPS
+def _domain(spec: ManifoldSpec, region: RegionSpec) -> _Domain:
+    """The parameter space of B."""
     fam = spec.family
-    if fam is Family.UNIT_SPHERE:
-        return _Rings(math.pi, h, polar=True)
+    if fam is Family.UNIT_SPHERE:  # no boundary: every region is the sphere
+        return _Domain("sphere", 2, math.pi)
+    delta = slack = 0.0
+    if region.kind is RegionKind.INTERIOR_BODY:
+        # every point of B lies within _EDGE_EPS * sqrt(d) of the shrunk
+        # domain, whose points are strictly inside B
+        delta = region.delta + _EDGE_EPS
+        slack = _EDGE_EPS * math.sqrt(spec.d)
     if fam is Family.UNIT_SQUARE:
         size = 1.0 - 2.0 * delta
     elif fam is Family.SPHERICAL_CAP:
@@ -225,53 +186,89 @@ def _construction(spec: ManifoldSpec, region: RegionSpec,
     if size <= 0.0:
         raise GridError(f"interior body delta={region.delta} empties the "
                         f"{fam.value}")
-    if fam is Family.UNIT_SQUARE:
-        return _Lattice(spec.d, delta, size, h)
-    if fam is Family.SOLID_BALL:
-        return _Lattice(3, -size, 2.0 * size, h, rho=size)
-    return _Rings(size, h, polar=fam is Family.SPHERICAL_CAP)
+    kind = {Family.UNIT_SQUARE: "box", Family.SOLID_BALL: "ball",
+            Family.UNIT_DISK: "disk", Family.SPHERICAL_CAP: "sphere"}[fam]
+    return _Domain(kind, spec.d, size, delta, slack)
 
 
-def estimate_node_count(spec: ManifoldSpec, region: RegionSpec, h: float) -> int:
-    """Node count of :func:`build_grid`; approximate (~volume ratio) for the ball."""
-    return _construction(spec, region, h).count()
+def _start(dom: _Domain, h: float, node_cap: int):
+    """(box lo, box hi, representative) of the start partition at h."""
+    if dom.kind in ("box", "ball"):
+        lo, side = ((dom.lo, dom.size) if dom.kind == "box"
+                    else (-dom.size, 2.0 * dom.size))
+        n = max(1, math.ceil(side / (2.0 * h / math.sqrt(dom.d))))
+        _check_cap((n + 1) ** dom.d, h, node_cap)
+        s = side / n
+        axis = lo + np.arange(n + 1) * s
+        axis[-1] = lo + side  # exact upper face
+        axes = (axis, np.maximum(axis - s / 2, lo),
+                np.minimum(axis + s / 2, lo + side))
+        rep, box_lo, box_hi = (
+            np.array([m.ravel() for m in np.meshgrid(*(a,) * dom.d,
+                                                     indexing="ij")]).T
+            for a in axes)
+        return box_lo, box_hi, rep
+    pos = np.linspace(0.0, dom.size, max(1, math.ceil(dom.size / h)) + 1)
+    circ = np.sin(pos) if dom.kind == "sphere" else pos
+    # a ring off the axis gets two boxes at least, so no azimuth gap
+    # exceeds pi/2 (see the module docstring)
+    on_axis = (pos == 0.0) | (pos == math.pi)
+    counts = np.maximum(np.where(on_axis, 1, 2),
+                        np.ceil(2.0 * math.pi * circ / h)).astype(np.int64)
+    _check_cap(int(np.sum(counts)), h, node_cap)
+    ring = np.repeat(np.arange(len(pos)), counts)
+    j = np.arange(len(ring)) - (np.cumsum(counts) - counts)[ring]
+    ang = 2.0 * math.pi * j / counts[ring]
+    half_t = 0.5 * (pos[1] - pos[0])
+    half_a = math.pi / counts[ring]
+    t = pos[ring]
+    box_lo = np.array([np.maximum(t - half_t, 0.0), ang - half_a]).T
+    box_hi = np.array([np.minimum(t + half_t, dom.size), ang + half_a]).T
+    return box_lo, box_hi, np.array([t, ang]).T
+
+
+def _check_cap(count: int, h: float, node_cap: int) -> None:
+    if count > node_cap:
+        raise GridError(
+            f"grid at h={h} needs ~{count} nodes, above the cap of "
+            f"{node_cap}; raise node_cap to at least {count} or coarsen h")
 
 
 def build_grid(spec: ManifoldSpec, region: RegionSpec, h: float,
                node_cap: int = DEFAULT_NODE_CAP) -> EvalGrid:
-    """Structured grid over B with certified covering radius <= h.
+    """Start partition of B with every cover radius <= h.
 
-    Raises :class:`GridError` when the required node count exceeds
+    Raises :class:`GridError` when the required cell count exceeds
     ``node_cap`` (the message reports the count needed).
     """
     if h <= 0.0:
         raise GridError("covering radius h must be > 0")
-    if h <= 4.0 * _EDGE_EPS:
+    if h <= MIN_RESOLUTION:
         raise GridError(f"h={h} is below the supported resolution")
-    grid = _construction(spec, region, h)
-    est = grid.count()
-    if est > node_cap:
-        raise GridError(
-            f"grid at h={h} needs ~{est} nodes, above the cap of {node_cap}; "
-            f"raise node_cap to at least {est} or coarsen h")
-    return EvalGrid(spec=spec, region=region, nodes=grid.emit(grid.all()),
-                    h=float(h))
+    dom = _domain(spec, region)
+    grid = dom.cells(spec, region, *_start(dom, h - dom.slack, node_cap),
+                     h=float(h))
+    # the lattice and the rings have rho <= h (rings about 0.8 h); where
+    # it is h itself, the corner formula can round a few ulps above it
+    np.minimum(grid.rad, grid.h, out=grid.rad)
+    return grid
 
 
-def refine_nodes(spec: ManifoldSpec, region: RegionSpec, centers: np.ndarray,
-                 reach: float, h: float) -> np.ndarray:
-    """Nodes of the resolution-h structured grid near the given centers.
+def refine_nodes(centers: EvalGrid) -> EvalGrid:
+    """The children of the given cells: each box halved along every side.
 
-    Returns every node within geodesic distance `reach` of some center
-    (possibly a few more).  Because the full construction is an h-cover of
-    B, the result is an h-cover of {x in B : dist(x, centers) <= reach - h}.
+    Children take the centres of their boxes as representatives; on the
+    ball, children whose box misses the ball are dropped.
     """
-    centers = np.atleast_2d(np.asarray(centers, dtype=float))
-    if len(centers) == 0:
-        return np.empty((0, spec.m))
-    grid = _construction(spec, region, h)
-    nodes = grid.emit(grid.window(centers, reach))
-    if len(nodes) > DEFAULT_NODE_CAP:
-        raise GridError(f"refinement produced {len(nodes)} nodes, above the "
-                        f"cap of {DEFAULT_NODE_CAP}")
-    return nodes
+    dom = _domain(centers.spec, centers.region)
+    n, d = len(centers), dom.d
+    bits = np.array(list(itertools.product((False, True), repeat=d)))
+    c_lo, c_hi = np.empty((2, d, n, 2 ** d))
+    for i in range(d):  # child j of a cell takes the upper half where bit i
+        lo, hi = centers.box_lo[:, i, None], centers.box_hi[:, i, None]
+        mid = 0.5 * (lo + hi)
+        c_lo[i] = np.where(bits[:, i], mid, lo)
+        c_hi[i] = np.where(bits[:, i], hi, mid)
+    c_lo, c_hi = c_lo.reshape(d, -1).T, c_hi.reshape(d, -1).T
+    return dom.cells(centers.spec, centers.region, c_lo, c_hi,
+                     0.5 * (c_lo + c_hi))

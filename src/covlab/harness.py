@@ -1,7 +1,8 @@
 """Replicated coverage experiments against their limiting laws.
 
 One driver, :func:`run_experiment`, serves every run mode.  It sweeps the
-sample sizes; for each it plans the grid resolution, builds one grid, and
+sample sizes; for each it builds one start partition, whose cells are about
+the size of the predicted threshold, plans the target bracket width, and
 draws M independent clouds from per-replication derived seeds (so
 replications are exchangeable and can execute in any order or in
 parallel).  Each cloud gets a certified threshold bracket, and both
@@ -39,22 +40,20 @@ import numpy as np
 from . import geometry as geo
 from .coverage import coverage_threshold, interior_threshold
 from .geometry import (ConfigError, ManifoldSpec, Metric, RegionKind, RegionSpec,
-                       check_keys)
-from .grids import build_grid, estimate_node_count
+                       check_keys, is_number, read_number)
+from .grids import build_grid
 from .limits import (LimitLaw, Regime, SllnMode, boundary_centering,
                      boundary_law_cdf, interior_centering, interior_law_cdf,
                      strong_law_limit, unit_ball_volume)
 from .sampling import DensitySpec, poisson_sample, uniform_sample
 
-MAX_SIZE = 200_000
-COARSE_NODE_BUDGET = 1_200_000
+# desk-scale cap on the sample size, by intrinsic dimension (2, or 3 and up)
+MAX_SIZE = {2: 1_000_000, 3: 200_000}
 
-# target image of one covering radius under the centering transform
+# target image of the bracket width under the centering transform
 ZETA_IMAGE = 0.05
 # target relative error of the SLLN ratio due to the bracket width
 SLLN_REL_IMAGE = 0.005
-# depth of the candidate window for the coarse grid, in transform units
-COARSE_WINDOW = 2.5
 
 
 class ConfigRefused(RuntimeError):
@@ -124,7 +123,8 @@ class KSchedule:
             raise ConfigError(f"unknown k schedule kind {kind!r}")
         key = _SCHEDULE_KEYS[kind]
         check_keys(obj, {"kind", key}, f"{kind} k schedule", required=(key,))
-        return KSchedule(kind, float(obj[key]))
+        return KSchedule(kind, float(read_number(
+            obj, key, f"{kind} k schedule", integral=kind == "constant")))
 
 
 def constant_k(k: int) -> KSchedule:
@@ -135,10 +135,6 @@ def constant_k(k: int) -> KSchedule:
 CONFIG_KEYS = frozenset({"spec", "region", "mode", "metric", "sampler",
                          "sizes", "k", "replications", "grid_h", "base_seed",
                          "density"})
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -158,11 +154,13 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.sizes:
             raise ConfigError("need at least one size")
+        cap = MAX_SIZE[min(self.spec.d, 3)]
         for s in self.sizes:
             if s < 16:
                 raise ConfigError(f"sizes must be >= 16 (loglog guard), got {s}")
-            if s > MAX_SIZE:
-                raise ConfigError(f"size {s} exceeds the desk-scale cap {MAX_SIZE}")
+            if s > cap:
+                raise ConfigError(f"size {s} exceeds the desk-scale cap {cap} "
+                                  f"for d={self.spec.d}")
         if self.replications < 1:
             raise ConfigError("need replications >= 1")
         if self.grid_h is not None and self.grid_h <= 0:
@@ -193,10 +191,10 @@ class ExperimentConfig:
         check_keys(obj, CONFIG_KEYS, "config",
                    required=("spec", "mode", "sizes", "k", "replications"))
         sizes = obj["sizes"]
-        if not isinstance(sizes, list) or not all(map(_is_number, sizes)):
+        if not isinstance(sizes, list) or not all(map(is_number, sizes)):
             raise ConfigError(f"sizes must be a list of numbers, got {sizes!r}")
         grid_h = obj.get("grid_h")
-        if grid_h is not None and not _is_number(grid_h):
+        if grid_h is not None and not is_number(grid_h):
             raise ConfigError(f"grid_h must be a number or null, got {grid_h!r}")
         density = obj.get("density", {"kind": "uniform"})
         check_keys(density, {"kind"}, "density")
@@ -211,9 +209,11 @@ class ExperimentConfig:
             sampler=Sampler(obj.get("sampler", "binomial")),
             sizes=tuple(sizes),
             schedule=KSchedule.from_json(obj["k"]),
-            replications=int(obj["replications"]),
+            replications=read_number(obj, "replications", "config",
+                                     integral=True),
             grid_h=grid_h,
-            base_seed=int(obj.get("base_seed", 0)),
+            base_seed=read_number(obj, "base_seed", "config", integral=True,
+                                  default=0),
         )
 
 
@@ -287,8 +287,8 @@ def ks_distance(samples, cdf) -> float:
 # grid planning
 
 
-def _predicted_radius(spec: ManifoldSpec, d: int, f0: float, f1: float | None,
-                      size: float, k_n: int, beta: float | None) -> float:
+def _predicted_radius(d: int, f0: float, f1: float | None, size: float,
+                      k_n: int, beta: float | None) -> float:
     """Strong-law prediction of the threshold scale at this size."""
     theta = unit_ball_volume(d)
     lim = strong_law_limit(d, beta, f0, f1, SllnMode.BOUNDARY)
@@ -296,27 +296,19 @@ def _predicted_radius(spec: ManifoldSpec, d: int, f0: float, f1: float | None,
     return (lim * scale / (size * theta)) ** (1.0 / d)
 
 
-def _plan_resolution(spec: ManifoldSpec, region: RegionSpec, mode: RunMode,
-                     size: float, k_n: int, beta: float | None, f0: float,
-                     f1: float | None) -> tuple[float, float]:
-    """(coarse h, refinement target h) for one size of a run."""
+def _plan_resolution(spec: ManifoldSpec, mode: RunMode, size: float,
+                     r_bar: float, f0: float) -> float:
+    """Target bracket width at one size, given the predicted threshold."""
     d = spec.d
-    theta = unit_ball_volume(d)
-    r_bar = _predicted_radius(spec, d, f0, f1, size, k_n, beta)
-    deriv_boundary = 0.5 * size * theta * f0 * d * max(r_bar, 1e-12) ** (d - 1)
+    deriv_boundary = (0.5 * size * unit_ball_volume(d) * f0 * d
+                      * max(r_bar, 1e-12) ** (d - 1))
     if mode is RunMode.WEAK_BOUNDARY:
         h_target = ZETA_IMAGE / deriv_boundary
     elif mode is RunMode.WEAK_INTERIOR:
         h_target = ZETA_IMAGE / (2.0 * deriv_boundary)
     else:
         h_target = SLLN_REL_IMAGE * r_bar
-    diam = geo.intrinsic_diameter(spec)
-    h_target = min(max(h_target, 1e-7), diam / 8.0)
-    h_coarse = COARSE_WINDOW / deriv_boundary
-    h_coarse = min(max(h_coarse, h_target), diam / 8.0)
-    while estimate_node_count(spec, region, h_coarse) > COARSE_NODE_BUDGET:
-        h_coarse *= 1.3
-    return h_coarse, h_target
+    return min(max(h_target, 1e-7), geo.intrinsic_diameter(spec) / 8.0)
 
 
 def _threads() -> int:
@@ -493,9 +485,9 @@ _MODE_PARTS = {RunMode.WEAK_BOUNDARY: _weak_boundary_parts,
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run the experiment that ``config.mode`` names.
 
-    Validates the mode and builds its limit law, then for each size plans
-    the grid resolution, builds one grid, and maps the replications over
-    it: draw a cloud, bracket its threshold, push both bracket ends
+    Validates the mode and builds its limit law, then for each size builds
+    the start partition, plans the target width, and maps the replications
+    over them: draw a cloud, bracket its threshold, push both bracket ends
     through the mode's statistic.  The mode's summary closes the run.
     """
     t0 = time.monotonic()
@@ -506,12 +498,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     for si, size in enumerate(config.sizes):
         k = config.schedule.k_of(size)
         if config.grid_h is not None:
-            h_coarse, h_target = config.grid_h, None
+            h_start, h_target = config.grid_h, None
         else:
-            h_coarse, h_target = _plan_resolution(
-                spec, region, config.mode, size, k, config.schedule.beta,
-                parts.law.f0, parts.plan_f1)
-        grid = build_grid(spec, region, h_coarse)
+            # start from cells about the size of the predicted threshold
+            r_bar = _predicted_radius(spec.d, parts.law.f0, parts.plan_f1,
+                                      size, k, config.schedule.beta)
+            h_start = min(r_bar, geo.intrinsic_diameter(spec) / 8.0)
+            h_target = _plan_resolution(spec, config.mode, size, r_bar,
+                                        parts.law.f0)
+        grid = build_grid(spec, region, h_start)
 
         def one(rep: int) -> ReplicationRow:
             cloud = _draw_cloud(config, size, si, rep)

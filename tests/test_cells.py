@@ -1,0 +1,175 @@
+"""Property tests of the cell partitions and the branch and bound over them.
+
+The cover radius of a cell is audited without the corner formula that
+computes it: points drawn uniformly in the cell's parameter box are mapped
+to the shape here, and each one of B must lie within the cell's radius of
+its representative.  The audit covers caps up to a polar angle of
+pi - 1e-6, sphere cells touching a pole and ball cells straddling the
+sphere, whose representatives are projected.
+
+The branch and bound is audited against 60k random probes of B and an
+unrefined start partition at another resolution, on clouds with repeated
+points, with k equal to the cloud size, and with every point on the
+boundary of the shape.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from covlab import geometry as geo
+from covlab.coverage import KnnField, coverage_threshold, interior_threshold
+from covlab.grids import build_grid, refine_nodes
+from covlab.sampling import uniform_sample
+from conftest import make_cloud
+
+GEO = geo.Metric.GEODESIC
+EUC = geo.Metric.EUCLIDEAN
+SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
+                    database=None)
+
+
+def _spec(fam, alpha):
+    return {"square": geo.unit_square(2), "cube": geo.unit_square(3),
+            "disk": geo.unit_disk(), "ball": geo.solid_ball(),
+            "sphere": geo.unit_sphere(),
+            "cap": geo.spherical_cap(alpha)}[fam]
+
+
+def _to_ambient(spec, q):
+    """Parameter points to the shape: coordinates on the square, cube and
+    ball, (radius, azimuth) on the disk, (polar angle, azimuth) on the
+    sphere and cap."""
+    if spec.family in (geo.Family.UNIT_SQUARE, geo.Family.SOLID_BALL):
+        return q
+    t, phi = q[..., 0], q[..., 1]
+    if spec.family is geo.Family.UNIT_DISK:
+        return np.stack([t * np.cos(phi), t * np.sin(phi)], axis=-1)
+    return np.stack([np.sin(t) * np.cos(phi), np.sin(t) * np.sin(phi),
+                     np.cos(t)], axis=-1)
+
+
+def _geodesic(spec, a, b):
+    chord = np.linalg.norm(a - b, axis=-1)
+    return geo.chord_to_geodesic(chord) if spec.curved else chord
+
+
+def _audit(spec, region, cells, rng, n_pts=64):
+    """Largest excess of a sampled point's distance to its representative
+    over the cell's cover radius, over the points of B in the cells."""
+    u = rng.random((len(cells), n_pts, spec.d))
+    q = cells.box_lo[:, None] + u * (cells.box_hi - cells.box_lo)[:, None]
+    x = _to_ambient(spec, q)
+    in_b = geo.region_contains_many(spec, region, x.reshape(-1, spec.m))
+    excess = _geodesic(spec, x, cells.nodes[:, None]) - cells.rad[:, None]
+    return float(np.max(np.where(in_b.reshape(len(cells), n_pts), excess,
+                                 -np.inf), initial=-np.inf))
+
+
+FAMILIES = st.sampled_from(["square", "cube", "disk", "ball", "sphere", "cap"])
+
+
+@SETTINGS
+@given(fam=FAMILIES, alpha=st.floats(0.05, math.pi - 1e-6),
+       body=st.booleans(), h=st.floats(0.04, 0.6), splits=st.integers(0, 4),
+       seed=st.integers(0, 2 ** 31))
+def test_cover_radius_holds_for_sampled_points(fam, alpha, body, h, splits,
+                                               seed):
+    spec = _spec(fam, alpha)
+    diam = geo.intrinsic_diameter(spec)
+    region = geo.REGION_ALL
+    if body and fam != "sphere":
+        region = geo.interior_body(0.2 * min(diam, 1.0) / 2.0)
+    h = h * diam / 2.0
+    rng = np.random.default_rng(seed)
+    cells = build_grid(spec, region, h)
+    assert np.all(cells.rad <= h)
+    assert np.all(geo.region_contains_many(spec, region, cells.nodes))
+    for level in range(splits + 1):
+        # a random sample, plus the cells on a pole or the axis, and the
+        # ball cells whose box straddles the sphere
+        pick = rng.random(len(cells)) < min(1.0, 300 / len(cells))
+        if fam in ("disk", "sphere", "cap"):
+            pick |= cells.box_lo[:, 0] == 0.0
+            pick |= cells.box_hi[:, 0] >= math.pi
+        if fam == "ball":
+            far = np.linalg.norm(np.maximum(np.abs(cells.box_lo),
+                                            np.abs(cells.box_hi)), axis=1)
+            pick |= far > 1.0 - (region.delta or 0.0)
+        assert _audit(spec, region, cells.take(pick), rng) <= 1e-12, level
+        parents = cells.take(rng.random(len(cells)) < 0.2)
+        if not len(parents):
+            break
+        cells = refine_nodes(centers=parents)
+        assert np.all(geo.region_contains_many(spec, region, cells.nodes))
+
+
+def _cloud_points(spec, kind, n, rng):
+    pts = uniform_sample(spec, n, int(rng.integers(2 ** 31))).points
+    if kind == "repeated":
+        return np.repeat(pts[: max(1, n // 3)], 3, axis=0)
+    if kind == "boundary" and geo.boundary_measure(spec) > 0:
+        if spec.family in (geo.Family.UNIT_DISK, geo.Family.SOLID_BALL):
+            return pts / np.linalg.norm(pts, axis=1, keepdims=True)
+        if spec.family is geo.Family.SPHERICAL_CAP:
+            t = rng.uniform(0.0, 2.0 * math.pi, n)
+            s = math.sin(spec.alpha)
+            return np.column_stack([s * np.cos(t), s * np.sin(t),
+                                    np.full(n, math.cos(spec.alpha))])
+        # square: push one coordinate of every point onto a face
+        pts = pts.copy()
+        axis = rng.integers(0, spec.d, n)
+        pts[np.arange(n), axis] = rng.integers(0, 2, n)
+    return pts
+
+
+@SETTINGS
+@given(fam=FAMILIES, alpha=st.floats(0.3, math.pi - 1e-6),
+       kind=st.sampled_from(["random", "repeated", "k_is_n", "boundary"]),
+       n=st.integers(2, 60), k=st.integers(1, 4), euclid=st.booleans(),
+       ratio=st.floats(1.0, 60.0), seed=st.integers(0, 2 ** 31))
+def test_bracket_meets_probes_and_full_partition(fam, alpha, kind, n, k,
+                                                 euclid, ratio, seed):
+    spec = _spec(fam, alpha)
+    rng = np.random.default_rng(seed)
+    pts = _cloud_points(spec, kind, n, rng)
+    k = len(pts) if kind == "k_is_n" else min(k, len(pts))
+    cloud = make_cloud(spec, pts)
+    metric = EUC if euclid else GEO
+    diam = geo.intrinsic_diameter(spec)
+    h = diam / (8.0 if spec.d == 2 else 5.0)
+    target = h / ratio
+    grid = build_grid(spec, geo.REGION_ALL, h)
+    knn = KnnField(spec, cloud.points, k, metric)
+    probes = uniform_sample(spec, 60_000, int(rng.integers(2 ** 31))).points
+    oracle = build_grid(spec, geo.REGION_ALL, h / float(rng.uniform(2, 4)))
+    depth = geo.dist_to_boundary_many
+    for est, field in (
+            (coverage_threshold(cloud, grid, k, metric, refine_to=target),
+             knn),
+            (interior_threshold(cloud, spec, geo.REGION_ALL, k, metric,
+                                grid=grid, refine_to=target),
+             lambda x: np.minimum(knn(x), depth(spec, x)))):
+        assert 0.0 <= est.width <= target + 1e-12
+        assert field(np.array([est.argmax]))[0] == est.lo
+        assert float(field(probes).max()) <= est.hi + 1e-12
+        top = float(field(oracle.nodes).max())
+        assert max(est.lo, top) <= min(est.hi, top + oracle.h) + 1e-12
+
+
+@pytest.mark.parametrize("fam", ["disk", "sphere", "cap"])
+def test_axis_cells_stay_whole(fam):
+    # the start partition keeps one cell around the disk centre and each
+    # pole, and two cells at least on every other ring
+    spec = _spec(fam, 2.0)
+    grid = build_grid(spec, geo.REGION_ALL, 0.05)
+    on_axis = (grid.box_lo[:, 0] == 0.0) | (grid.box_hi[:, 0] >= math.pi)
+    first = grid.box_lo[:, 0] == 0.0
+    assert np.count_nonzero(first) == 1
+    assert np.all(grid.box_hi[first, 1] - grid.box_lo[first, 1]
+                  == pytest.approx(2.0 * math.pi))
+    widths = grid.box_hi[~on_axis, 1] - grid.box_lo[~on_axis, 1]
+    assert np.all(widths <= math.pi * (1.0 + 1e-12))

@@ -6,9 +6,11 @@ probe's k-NN distance ever exceeded hi, the bracket (and in particular the
 refinement bookkeeping) would be broken.  The probes never use the grid
 machinery under audit.
 
-The pruned evaluation of each grid level is checked against the plain
-maximiser that evaluates every node, kept here as an oracle: the brackets
-must agree bit for bit, argmax included.
+The branch and bound is checked against the unrefined full-partition
+oracle: the max of the field over every cell of a start partition.
+Without a target it evaluates exactly those cells, so the brackets agree
+bit for bit, argmax included; with one, its bracket must meet the oracle's
+and be at most the target wide.
 """
 
 import math
@@ -19,7 +21,7 @@ import pytest
 from covlab import geometry as geo
 from covlab import coverage as cov
 from covlab.coverage import KnnField, coverage_threshold, interior_threshold
-from covlab.grids import build_grid, refine_nodes
+from covlab.grids import EvalGrid, build_grid, refine_nodes
 from covlab.sampling import uniform_sample
 from conftest import make_cloud
 
@@ -128,7 +130,7 @@ def test_refinement_with_large_k_and_interior_regions():
 
 
 def test_deep_refinement_many_levels():
-    # six levels of factor-8 refinement stay certified and cheap
+    # about eighteen levels of halving stay certified and cheap
     disk = geo.unit_disk()
     cloud = uniform_sample(disk, 2000, 4242)
     est = coverage_threshold(cloud, build_grid(disk, geo.REGION_ALL, 0.25),
@@ -137,17 +139,19 @@ def test_deep_refinement_many_levels():
     probes = _region_probes(disk, geo.REGION_ALL, 100_000, 5)
     vals = KnnField(disk, cloud.points, 1, GEO)(probes)
     assert float(vals.max()) <= est.hi + 1e-12
-    assert est.width == pytest.approx(1e-6)
+    assert 0.0 <= est.width <= 1e-6 + 1e-12
 
 
 def test_pinned_regression_values():
-    # frozen end-to-end values guard the whole pipeline against silent drift
+    # frozen end-to-end values guard the whole pipeline against silent
+    # drift; pinned with the branch and bound, whose bracket meets the one
+    # the earlier grid refinement pinned, [0.17104192001562926, +0.001]
     disk = geo.unit_disk()
     cloud = uniform_sample(disk, 500, 123456)
     est = coverage_threshold(cloud, build_grid(disk, geo.REGION_ALL, 0.08),
                              2, GEO, refine_to=0.001)
-    assert est.lo == pytest.approx(0.17104192001562926, abs=1e-12)
-    assert est.hi == pytest.approx(est.lo + est.h, abs=1e-15)
+    assert est.lo == pytest.approx(0.17104771743033328, abs=1e-12)
+    assert est.hi == pytest.approx(0.17186981258995337, abs=1e-12)
 
 
 def _probe_deep_root(spec, cloud, k, n_probes, seed):
@@ -180,7 +184,7 @@ def test_refined_interior_bracket_meets_independent_oracles(spec, k):
         est = interior_threshold(cloud, spec, geo.REGION_ALL, k, GEO, h=h,
                                  refine_to=h / 50.0)
         assert est.h == pytest.approx(h / 50.0)
-        assert est.width == pytest.approx(est.h, rel=1e-9)
+        assert 0.0 <= est.width <= est.h + 1e-12
         # unrefined full-grid bracket of max(min(field, depth)), other h
         grid = build_grid(spec, geo.REGION_ALL, diam / 37.0)
         g = np.minimum(KnnField(spec, cloud.points, k, GEO)(grid.nodes),
@@ -203,33 +207,7 @@ def test_refined_interior_disk_center_fixed_point():
 
 
 # ---------------------------------------------------------------------------
-# pruned field evaluation against the every-node maximiser
-
-
-def _every_node_max(field, grid, k, metric, refine_to):
-    """The certified maximiser as it was before pruning: every node of
-    every level goes through ``field``."""
-    vals = field(grid.nodes)
-    best = int(np.argmax(vals))
-    lo = float(vals[best])
-    arg = grid.nodes[best]
-    h_cur = grid.h
-    nodes_cur, vals_cur = grid.nodes, vals
-    while refine_to is not None and h_cur > refine_to * (1.0 + 1e-12):
-        h_next = max(refine_to, h_cur / cov.REFINE_FACTOR)
-        cand = nodes_cur[vals_cur >= lo - h_cur - 1e-12]
-        new_nodes = cov.refine_nodes(grid.spec, grid.region, cand,
-                                     reach=h_cur + h_next, h=h_next)
-        new_vals = field(new_nodes)
-        if len(new_vals):
-            b = int(np.argmax(new_vals))
-            if new_vals[b] > lo:
-                lo = float(new_vals[b])
-                arg = new_nodes[b]
-        nodes_cur, vals_cur, h_cur = new_nodes, new_vals, h_next
-    return cov.ThresholdEstimate(lo=lo, hi=lo + h_cur, h=h_cur, k=k,
-                                 metric=metric,
-                                 argmax=tuple(float(v) for v in arg))
+# branch and bound against the unrefined full-partition oracle
 
 
 def _bits(est):
@@ -237,18 +215,33 @@ def _bits(est):
     return floats.tobytes(), est.k, est.metric
 
 
-def _assert_matches_every_node(monkeypatch, cloud, region, k, metric, h,
-                               refine_to):
-    """Both thresholds equal the every-node maximiser's bit for bit, and
-    hand refinement the same candidate centres at every level."""
+def _every_cell_max(field, grid, k, metric):
+    """The unrefined bracket from every cell of ``grid``: the first max of
+    the field over the representatives, and the largest bound f(p) + rho."""
+    vals = field(grid.nodes)
+    best = int(np.argmax(vals))
+    return cov.ThresholdEstimate(
+        lo=float(vals[best]), hi=float(np.max(vals + grid.rad)), h=grid.h,
+        k=k, metric=metric, argmax=tuple(float(v) for v in grid.nodes[best]))
+
+
+def _assert_matches_oracle(monkeypatch, cloud, region, k, metric, h,
+                           refine_to):
+    """Both thresholds against the full-partition oracle.  Unrefined they
+    are its bracket bit for bit; refined, they meet it (at h and at h/3),
+    are at most ``refine_to`` wide, and lo is the field at the argmax,
+    which lies in B.  Each level hands its live cells to ``refine_nodes``
+    once, and they are never more than its children."""
     spec = cloud.spec
     grid = build_grid(spec, region, h)
     knn = KnnField(spec, cloud.points, k, metric)
     calls = []
 
-    def recording(spec, region, centers, reach, h):
-        calls.append((centers.shape, centers.tobytes(), reach, h))
-        return refine_nodes(spec, region, centers, reach=reach, h=h)
+    def recording(centers):
+        assert isinstance(centers, EvalGrid)
+        out = refine_nodes(centers=centers)
+        calls.append((len(centers), len(out)))
+        return out
 
     monkeypatch.setattr(cov, "refine_nodes", recording)
 
@@ -259,14 +252,24 @@ def _assert_matches_every_node(monkeypatch, cloud, region, k, metric, h,
                                              refine_to=refine_to)),
             (deep, lambda: interior_threshold(cloud, spec, region, k, metric,
                                               grid=grid, refine_to=refine_to)))
-    for field, pruned in runs:
+    for field, threshold in runs:
         calls.clear()
-        got = _bits(pruned())
-        got_calls = list(calls)
-        calls.clear()
-        assert got == _bits(_every_node_max(field, grid, k, metric,
-                                            refine_to))
-        assert got_calls == calls
+        est = threshold()
+        oracle = _every_cell_max(field, grid, k, metric)
+        if refine_to is None:
+            assert _bits(est) == _bits(oracle)
+            assert calls == []
+            continue
+        assert 0.0 <= est.width <= refine_to + 1e-12
+        arg = np.array([est.argmax])
+        assert field(arg)[0] == est.lo
+        assert geo.region_contains_many(spec, region, arg)[0]
+        finer = _every_cell_max(field, build_grid(spec, region, h / 3.0),
+                                k, metric)
+        for o in (oracle, finer):
+            assert max(est.lo, o.lo) <= min(est.hi, o.hi) + 1e-12
+        assert all(0 < n_in and n_out <= n_in * 2 ** spec.d
+                   for n_in, n_out in calls)
 
 
 def _prune_h(spec):
@@ -288,13 +291,15 @@ PRUNE_CASES = [(fam, reg) for fam in ("square", "cube", "disk", "ball",
 def test_pruned_max_is_bitwise_the_every_node_max(monkeypatch, all_families,
                                                   fam, reg, k, metric,
                                                   refined):
+    # unrefined: bit for bit the every-cell max; refined: see
+    # _assert_matches_oracle
     spec = all_families[fam]
     region = geo.REGION_ALL if reg == "all" else geo.interior_body(0.2)
     h = _prune_h(spec)
     seed = 50 * PRUNE_CASES.index((fam, reg)) + 10 * k + refined
     cloud = uniform_sample(spec, 300, seed)
-    _assert_matches_every_node(monkeypatch, cloud, region, k, metric, h,
-                               h / 50.0 if refined else None)
+    _assert_matches_oracle(monkeypatch, cloud, region, k, metric, h,
+                           h / 50.0 if refined else None)
 
 
 def _boundary_points(spec, n, rng):
@@ -315,7 +320,7 @@ def _boundary_points(spec, n, rng):
 
 
 def _adversarial_clouds(spec, rng):
-    """(points, k) pairs that stress the pruning bounds."""
+    """(points, k) pairs that stress the cell bounds."""
     base = uniform_sample(spec, 40, int(rng.integers(2 ** 31))).points
     yield np.repeat(base, 3, axis=0), 3  # every point three times
     yield base[:12], 12  # k = n
@@ -337,34 +342,29 @@ def test_pruned_max_on_adversarial_clouds(monkeypatch, spec):
         for metric in (GEO, EUC):
             for refine_to in (None, h / 50.0):
                 for region in (geo.REGION_ALL, geo.interior_body(0.2)):
-                    _assert_matches_every_node(monkeypatch, cloud, region,
-                                               k, metric, h, refine_to)
+                    _assert_matches_oracle(monkeypatch, cloud, region,
+                                           k, metric, h, refine_to)
 
 
 def test_pruned_field_is_exact_or_below_floor(all_families):
-    # every entry is the exact value, or -inf at a node whose exact value
-    # lies below the floor the helper promises
+    # lo is the exact field value at the argmax, and no value on a full
+    # partition at another resolution rises above hi
     rng = np.random.default_rng(606)
-    n_pruned = 0
     for trial in range(60):
         spec = list(all_families.values())[trial % len(all_families)]
         k = int(rng.integers(1, 4))
         metric = GEO if trial % 2 else EUC
         cloud = uniform_sample(spec, int(rng.integers(k, 200)),
                                int(rng.integers(2 ** 31)))
-        h = geo.intrinsic_diameter(spec) / float(rng.uniform(8.0, 60.0))
-        nodes = build_grid(spec, geo.REGION_ALL, h).nodes
+        diam = geo.intrinsic_diameter(spec)
+        h = diam / float(rng.uniform(6.0, 20.0))
+        target = None if trial % 4 == 0 else h / float(rng.uniform(1.0, 40.0))
         knn = KnnField(spec, cloud.points, k, metric)
-        exact = knn(nodes)
-        lo = float(exact.max() - rng.uniform(-0.1, 0.3))
-        lo = -np.inf if trial % 3 == 0 else lo
-        drop = None if trial % 4 == 0 else float(rng.uniform(0.0, 2.0 * h))
-        got = cov._pruned_field(knn, nodes, spec.curved, lo, drop)
-        top = max(lo, float(exact[::cov.PRUNE_STRIDE].max()))
-        floor = top if drop is None else top - drop - 1e-12
-        pruned = got == -np.inf
-        assert np.array_equal(got[~pruned], exact[~pruned]), f"trial {trial}"
-        assert np.all(exact[pruned] < floor), f"trial {trial}"
-        assert not np.any(pruned[::cov.PRUNE_STRIDE])
-        n_pruned += int(np.count_nonzero(pruned))
-    assert n_pruned > 0
+        est = coverage_threshold(cloud, build_grid(spec, geo.REGION_ALL, h),
+                                 k, metric, refine_to=target)
+        assert knn(np.array([est.argmax]))[0] == est.lo, f"trial {trial}"
+        assert est.width <= (h if target is None else target) + 1e-12
+        oracle = build_grid(spec, geo.REGION_ALL,
+                            diam / float(rng.uniform(8.0, 60.0)))
+        assert float(knn(oracle.nodes).max()) <= est.hi + 1e-12, \
+            f"trial {trial}"

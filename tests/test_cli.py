@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -27,7 +28,7 @@ def test_cover_subcommand(tmp_path, capsys):
                "--h", "0.02"])
     assert rc == 0
     est = json.loads(capsys.readouterr().out)
-    assert est["hi"] - est["lo"] == pytest.approx(0.02)
+    assert 0.0 <= est["hi"] - est["lo"] <= 0.02
     assert est["k"] == 1 and est["metric"] == "geodesic"
 
 
@@ -146,13 +147,34 @@ def test_unknown_nested_config_key_exit_1(tmp_path, capsys, key, value, bad):
     (lambda d: {**d, "sizes": "100"}, "sizes must be a list of numbers"),
     (lambda d: {**d, "sizes": [64, "128"]}, "sizes must be a list of numbers"),
     (lambda d: {**d, "region": {"kind": "interior_body"}}, "'delta'"),
-    (lambda d: {**d, "region": {"kind": "geodesic_ball", "radius": 0.3}},
-     "'center'"),
+    # the geodesic_ball region kind is gone: no grid could evaluate it
+    (lambda d: {**d, "region": {"kind": "geodesic_ball"}},
+     "unknown region kind 'geodesic_ball'"),
     (lambda d: {**d, "spec": {"family": "spherical_cap"}}, "'alpha'"),
     (lambda d: {**d, "grid_h": "0.1"}, "grid_h must be a number"),
+    (lambda d: {**d, "replications": 2.7}, "'replications' must be an integer"),
+    (lambda d: {**d, "replications": "3"}, "'replications' must be a number"),
+    (lambda d: {**d, "replications": True}, "'replications' must be a number"),
+    (lambda d: {**d, "base_seed": 1.9}, "'base_seed' must be an integer"),
+    (lambda d: {**d, "spec": {"family": "unit_square", "d": 2.5}},
+     "'d' must be an integer"),
+    (lambda d: {**d, "spec": {"family": "spherical_cap", "alpha": "1.0"}},
+     "'alpha' must be a number"),
+    (lambda d: {**d, "k": {"kind": "constant", "k": "2"}},
+     "'k' must be a number"),
+    (lambda d: {**d, "k": {"kind": "constant", "k": 1.5}},
+     "'k' must be an integer"),
+    (lambda d: {**d, "region": {"kind": "interior_body", "delta": "0.2"}},
+     "'delta' must be a number"),
+    (lambda d: {**d, "k": {"kind": "beta_log", "beta": "1"}},
+     "'beta' must be a number"),
+    (lambda d: {**d, "k": {"kind": "power", "p": True}},
+     "'p' must be a number"),
 ], ids=["no_sizes", "k_int", "spec_str", "region_list", "top_list",
         "sizes_str", "sizes_entry_str", "body_no_delta", "ball_no_center",
-        "cap_no_alpha", "grid_h_str"])
+        "cap_no_alpha", "grid_h_str", "reps_fraction", "reps_str",
+        "reps_bool", "seed_fraction", "square_d_fraction", "alpha_str",
+        "k_str", "k_fraction", "delta_str", "beta_str", "p_bool"])
 def test_malformed_config_exit_1(tmp_path, capsys, edit, needle):
     cfg = _write_cfg(tmp_path)
     with open(cfg) as fh:
@@ -175,6 +197,30 @@ def test_bad_thread_count_exit_1(tmp_path, capsys, monkeypatch, value):
     assert err.startswith("error: ")
     assert "COVLAB_THREADS" in err and repr(value) in err
     assert not os.path.exists(tmp_path / "x")
+
+
+def _rows(outdir):
+    with open(os.path.join(outdir, "rows.csv")) as fh:
+        return list(csv.DictReader(fh))
+
+
+@pytest.mark.parametrize("family,size,reps", [("solid_ball", 100_000, 2),
+                                              ("unit_disk", 1_000_000, 1)],
+                         ids=["ball_1e5", "disk_1e6"])
+def test_weak_run_at_the_size_cap(tmp_path, capsys, family, size, reps):
+    # the ball at n=1e5 used to stop when its refinement windows needed
+    # 5.8M nodes, above their 4M cap; both sizes are within MAX_SIZE
+    cfg = _write_cfg(tmp_path, spec={"family": family}, sizes=[size],
+                     replications=reps, base_seed=0, grid_h=None)
+    out = str(tmp_path / "o")
+    assert main(["weak", "--config", cfg, "--out", out]) == 0
+    rows = _rows(out)
+    assert [int(r["rep"]) for r in rows] == list(range(reps))
+    for r in rows:
+        lo, hi, h = float(r["lo"]), float(r["hi"]), float(r["h"])
+        stats = float(r["stat_lo"]), float(r["stat_hi"])
+        assert all(map(math.isfinite, (lo, hi, h, *stats)))
+        assert 0.0 < lo <= hi <= lo + h
 
 
 def test_readme_example_config_loads():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from covlab.coverage import (CoverageError, KnnField, coverage_threshold,
                              covered_region, covering_estimate,
                              interior_threshold, knn_distance,
                              packing_estimate)
-from covlab.grids import GridError, build_grid, estimate_node_count
+from covlab.grids import GridError, build_grid
 from covlab.sampling import uniform_sample
 
 GEO = geo.Metric.GEODESIC
@@ -63,17 +64,16 @@ def test_node_cap_error_reports_requirement():
         build_grid(geo.unit_disk(), geo.REGION_ALL, 1e-4, node_cap=1000)
 
 
-def test_geodesic_ball_region_grid_unsupported():
-    region = geo.geodesic_ball_region([0.0, 0.0], 0.5)
-    with pytest.raises(GridError, match="not.*supported|unsupported"):
-        build_grid(geo.unit_disk(), region, 0.1)
-
-
 def test_estimate_matches_actual_counts(all_families):
+    # the node cap is checked against a count made before the cells are:
+    # exact on the lattice and the rings; on the ball, the cube lattice's
+    # count, about 6/pi times the cells that meet the ball
     for name, spec in all_families.items():
-        grid = build_grid(spec, geo.REGION_ALL, 0.11)
-        est = estimate_node_count(spec, geo.REGION_ALL, 0.11)
-        assert len(grid) <= est * 1.6 + 16, name
+        n = len(build_grid(spec, geo.REGION_ALL, 0.11))
+        with pytest.raises(GridError, match=r"at least (\d+)") as err:
+            build_grid(spec, geo.REGION_ALL, 0.11, node_cap=n - 1)
+        est = int(re.search(r"at least (\d+)", str(err.value)).group(1))
+        assert est == n or (name == "ball" and n < est <= 2 * n + 16), name
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +142,16 @@ def test_exact_threshold_square_corner():
     est = coverage_threshold(make_cloud(sq, [[0.0, 0.0]]), grid, 1, GEO)
     assert est.lo <= math.sqrt(2.0) <= est.hi
     assert est.lo == pytest.approx(math.sqrt(2.0), abs=1e-12)
+
+
+def test_target_width_below_resolution_refused():
+    # cover radii on an interior body carry a 1e-9 slack, so a target at
+    # that scale could never be met
+    disk = geo.unit_disk()
+    grid = build_grid(disk, geo.interior_body(0.2), 0.1)
+    with pytest.raises(CoverageError, match="below the supported"):
+        coverage_threshold(make_cloud(disk, [[0.0, 0.0]]), grid, 1, GEO,
+                           refine_to=1e-9)
 
 
 def test_threshold_interval_vs_fine_grid():

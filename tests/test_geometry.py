@@ -118,9 +118,6 @@ def test_region_contains():
     body = geo.interior_body(0.2)
     assert geo.region_contains(disk, body, [0.0, 0.0])
     assert not geo.region_contains(disk, body, [0.9, 0.0])
-    ball_region = geo.geodesic_ball_region([0.0, 0.0], 0.5)
-    assert geo.region_contains(disk, ball_region, [0.4, 0.0])
-    assert not geo.region_contains(disk, ball_region, [0.6, 0.0])
 
 
 def test_region_measures(all_families):
@@ -137,19 +134,6 @@ def test_region_measures(all_families):
     assert v == pytest.approx(want) and sv == pytest.approx(2 * math.pi)
 
 
-def test_region_measures_geodesic_ball():
-    sph = geo.unit_sphere()
-    v, sv = geo.region_measures(sph, geo.geodesic_ball_region([0, 0, 1.0], 0.7))
-    assert v == pytest.approx(2 * math.pi * (1 - math.cos(0.7)))
-    assert sv == 0.0
-    v, sv = geo.region_measures(geo.unit_disk(),
-                                geo.geodesic_ball_region([0.0, 0.0], 0.5))
-    assert v == pytest.approx(math.pi * 0.25) and sv == 0.0
-    with pytest.raises(geo.GeometryError):
-        geo.region_measures(geo.unit_square(2),
-                            geo.geodesic_ball_region([0.5, 0.5], 0.2))
-
-
 def test_interior_body_empty_region_errors():
     with pytest.raises(geo.GeometryError):
         geo.region_measures(geo.unit_disk(), geo.interior_body(1.5))
@@ -160,8 +144,7 @@ def test_interior_body_empty_region_errors():
 def test_spec_json_round_trip(all_families):
     for spec in all_families.values():
         assert geo.ManifoldSpec.from_json(spec.to_json()) == spec
-    for region in (geo.REGION_ALL, geo.interior_body(0.2),
-                   geo.geodesic_ball_region([0.0, 0.0, 1.0], 0.3)):
+    for region in (geo.REGION_ALL, geo.interior_body(0.2)):
         assert geo.RegionSpec.from_json(region.to_json()) == region
 
 
@@ -179,8 +162,7 @@ def test_spec_json_rejects_unknown_keys(all_families, cls, obj, bad):
     # what to_json writes is exactly what from_json accepts
     for spec in all_families.values():
         assert geo.ManifoldSpec.from_json(spec.to_json()) == spec
-    for region in (geo.REGION_ALL, geo.interior_body(0.2),
-                   geo.geodesic_ball_region([0.0, 0.0, 1.0], 0.3)):
+    for region in (geo.REGION_ALL, geo.interior_body(0.2)):
         assert geo.RegionSpec.from_json(region.to_json()) == region
 
 

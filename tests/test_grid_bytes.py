@@ -1,15 +1,19 @@
-"""Byte-for-byte guard on the evaluation grids, and the refinement contract.
+"""Byte-for-byte guard on the start partitions, and the splitting contract.
 
 ``tests/data/golden/grid_nodes.json`` maps each case id to the sha256 and
 byte length of ``build_grid(...).nodes.tobytes()``, for every family, on
-the whole shape and on an interior body, at two resolutions, as pinned
-before the grid constructions were rewritten as one lattice and one ring
-construction.  The golden runs never reach the solid ball or the cube, so
-these hashes are their only byte-level guard.
+the whole shape and on an interior body, at two resolutions.  The square,
+cube, disk, sphere and cap representatives are the lattice and ring
+nodes pinned before the grids became cell partitions; the solid ball's
+were pinned again when its cells became boxes of the enclosing cube that
+meet the ball.  The golden runs never reach the solid ball or the cube,
+so these hashes are their only byte-level guard.
 
-The refinement test checks the contract certified refinement rests on:
-``refine_nodes`` returns rows of the full construction at the same h, and
-misses no node of it within geodesic ``reach`` of a centre.
+The splitting test checks the contract the branch and bound rests on:
+``refine_nodes`` halves every box of the cells it is given, so the
+children tile their parents exactly, and each child keeps its
+representative in B and within its cover radius of every point of B in
+its box.
 """
 
 import hashlib
@@ -20,8 +24,7 @@ import numpy as np
 import pytest
 
 from covlab import geometry as geo
-from covlab.grids import build_grid, estimate_node_count, refine_nodes
-from covlab.sampling import uniform_sample
+from covlab.grids import _domain, build_grid, refine_nodes
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden",
                       "grid_nodes.json")
@@ -58,31 +61,47 @@ def test_grid_nodes_match_golden_bytes(golden, all_families, fam, reg, h):
     assert _digest(nodes) == golden[_case_id(fam, reg, h)]
 
 
-def _rows(a: np.ndarray) -> set:
-    return {r.tobytes() for r in np.ascontiguousarray(a)}
+def _volume(lo, hi):
+    return np.prod(hi - lo, axis=1)
 
 
 @pytest.mark.parametrize("fam,reg,h", CASES,
                          ids=[_case_id(*c) for c in CASES])
 def test_refine_window_is_exact_subgrid(all_families, fam, reg, h):
+    # a window of cells, the first one on the axis, pole or corner of its
+    # family, split twice; every child box lies in its parent's, the
+    # children's parameter volumes add up to the parent's (the ball's
+    # dropped children aside), and no two children overlap
     spec, region = all_families[fam], REGIONS[reg]
-    full = build_grid(spec, region, h).nodes
-    if fam != "ball":
-        assert estimate_node_count(spec, region, h) == len(full)
-    full_rows = _rows(full)
-    # 300 centers at reach 0.5 split the finer 3-D lattice windows into
-    # several chunks; sorting by x keeps the chunks apart
-    for seed, n_centers, reach in ((0, 1, h + h / 8.0), (1, 7, h + h / 8.0),
-                                   (2, 30, h + h / 8.0), (3, 300, 0.5)):
-        pts = uniform_sample(spec, 4 * n_centers, seed).points
-        pts = pts[geo.region_contains_many(spec, region, pts)][:n_centers]
-        pts = pts[np.argsort(pts[:, 0])]
-        # the first node sits on the axis, pole or corner of its family
-        centers = np.vstack([full[:1], pts])
-        got = refine_nodes(spec, region, centers, reach=reach, h=h)
-        assert len(got) == len(_rows(got))
-        assert _rows(got) <= full_rows, "refined rows off the full grid"
-        near = np.zeros(len(full), dtype=bool)
-        for c in centers:
-            near |= geo.dist_many(spec, c, full, geo.Metric.GEODESIC) <= reach
-        assert _rows(full[near]) <= _rows(got), "node within reach missed"
+    grid = build_grid(spec, region, h)
+    assert np.all(grid.rad <= h)
+    rng = np.random.default_rng(len(grid))
+    window = np.concatenate([[0], rng.choice(len(grid), min(30, len(grid)),
+                                             replace=False)])
+    parents = grid.take(np.unique(window))
+    root_rad = parents.rad
+    d = spec.d
+    for _ in range(2):
+        kids = refine_nodes(centers=parents)
+        assert np.all(geo.region_contains_many(spec, region, kids.nodes))
+        if reg == "body":  # strictly inside the closed body
+            depth = geo.dist_to_boundary_many(spec, kids.nodes)
+            assert np.all(depth > region.delta)
+        # each child inside exactly one parent
+        inside = ((kids.box_lo[:, None] >= parents.box_lo[None])
+                  & (kids.box_hi[:, None] <= parents.box_hi[None])).all(-1)
+        assert np.all(inside.sum(axis=1) == 1)
+        owner = np.argmax(inside, axis=1)
+        assert np.all(np.bincount(owner) <= 2 ** d)
+        vol = np.bincount(owner, _volume(kids.box_lo, kids.box_hi),
+                          minlength=len(parents))
+        pvol = _volume(parents.box_lo, parents.box_hi)
+        if fam == "ball":
+            assert np.all(vol <= pvol * (1 + 1e-12))
+        else:
+            assert np.allclose(vol, pvol, rtol=1e-12, atol=0.0)
+        parents, root_rad = kids, root_rad[owner]
+    # two halvings shrink every cover radius, also where the first split
+    # of a cell on the axis does not
+    slack = _domain(spec, region).slack
+    assert np.all(parents.rad - slack <= 0.75 * (root_rad - slack) + 1e-12)

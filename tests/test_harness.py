@@ -93,8 +93,12 @@ def test_kschedule_json_needs_its_parameter():
 def test_config_validation():
     with pytest.raises(ConfigError, match=">= 16"):
         _disk_cfg(sizes=(8,))
-    with pytest.raises(ConfigError, match="cap"):
-        _disk_cfg(sizes=(300_000,))
+    with pytest.raises(ConfigError, match="cap 1000000 for d=2"):
+        _disk_cfg(sizes=(1_000_001,))
+    _disk_cfg(sizes=(1_000_000,))
+    with pytest.raises(ConfigError, match="cap 200000 for d=3"):
+        _disk_cfg(spec=geo.solid_ball(), sizes=(200_001,))
+    _disk_cfg(spec=geo.solid_ball(), sizes=(200_000,))
     with pytest.raises(ConfigError, match="constant"):
         _disk_cfg(schedule=KSchedule("beta_log", 1.0))
     with pytest.raises(ConfigError, match="increasing"):
