@@ -2,17 +2,15 @@
 with certified error intervals and comparisons against their limiting laws."""
 
 from .geometry import (Family, ManifoldSpec, Metric, RegionKind, RegionSpec,
-                       REGION_ALL, boundary_measure, dist, dist_to_boundary,
-                       interior_body, intrinsic_diameter,
-                       region_contains, region_measures, solid_ball,
+                       REGION_ALL, boundary_measure, interior_body,
+                       intrinsic_diameter, region_measures, solid_ball,
                        spherical_cap, unit_disk, unit_sphere, unit_square,
                        volume)
 from .sampling import (CloudOrigin, DensitySpec, PointCloud, density_sample,
                        poisson_sample, save_cloud_csv, uniform_sample)
 from .grids import EvalGrid, build_grid
 from .coverage import (CoverageError, KnnField, ThresholdEstimate,
-                       coverage_threshold, covered_region, covering_estimate,
-                       interior_threshold, knn_distance, packing_estimate)
+                       coverage_threshold, interior_threshold)
 from .limits import (LimitLaw, Regime, SllnMode, boundary_centering,
                      boundary_coefficient, boundary_law_cdf,
                      interior_centering, interior_coefficient,

@@ -19,7 +19,7 @@ import numpy as np
 # Points declared "on" a curved manifold may be off it by this much.
 ON_MANIFOLD_TOL = 1e-12
 
-# dist_to_boundary for a boundaryless manifold (the sphere).  Kept as a
+# dist_to_boundary_many for a boundaryless manifold (the sphere).  Kept as a
 # float infinity in-process for painless comparisons; serialization maps
 # it to null.
 NO_BOUNDARY = math.inf
@@ -272,23 +272,8 @@ def intrinsic_diameter(spec: ManifoldSpec) -> float:
 # membership and distances
 
 
-def contains(spec: ManifoldSpec, x: np.ndarray) -> bool:
-    """Exact membership x in A (1e-12 slack on curved families)."""
-    x = np.asarray(x, dtype=float)
-    f = spec.family
-    if f is Family.UNIT_SQUARE:
-        return bool(np.all(x >= 0.0) and np.all(x <= 1.0))
-    if f in (Family.UNIT_DISK, Family.SOLID_BALL):
-        return bool(np.dot(x, x) <= 1.0 + ON_MANIFOLD_TOL)
-    nrm = math.sqrt(float(np.dot(x, x)))
-    if abs(nrm - 1.0) > ON_MANIFOLD_TOL:
-        return False
-    if f is Family.UNIT_SPHERE:
-        return True
-    return bool(x[2] >= math.cos(spec.alpha) - ON_MANIFOLD_TOL)
-
-
 def contains_many(spec: ManifoldSpec, pts: np.ndarray) -> np.ndarray:
+    """Exact membership of each row in A (1e-12 slack on curved families)."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     f = spec.family
     if f is Family.UNIT_SQUARE:
@@ -302,25 +287,10 @@ def contains_many(spec: ManifoldSpec, pts: np.ndarray) -> np.ndarray:
     return on_sphere & (pts[:, 2] >= math.cos(spec.alpha) - ON_MANIFOLD_TOL)
 
 
-def dist(spec: ManifoldSpec, x, y, metric: Metric = Metric.GEODESIC) -> float:
-    """Distance between two points of the ambient manifold.
-
-    Geodesic distance is the straight-line norm on flat families and the
-    great-circle arc on the sphere (caps inherit the sphere's metric).
-    The Euclidean metric is always the plain R^m norm.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if metric is Metric.GEODESIC and spec.curved:
-        c = float(np.dot(x, y)) / max(
-            math.sqrt(float(np.dot(x, x)) * float(np.dot(y, y))), 1e-300)
-        return math.acos(min(1.0, max(-1.0, c)))
-    return float(np.linalg.norm(x - y))
-
-
 def dist_many(spec: ManifoldSpec, x: np.ndarray, pts: np.ndarray,
               metric: Metric = Metric.GEODESIC) -> np.ndarray:
-    """Distances from one point x to an (n, m) array of points."""
+    """Distances from x to each row of pts: great-circle arcs for the
+    geodesic metric on curved families, straight-line norms otherwise."""
     x = np.asarray(x, dtype=float)
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     if metric is Metric.GEODESIC and spec.curved:
@@ -334,27 +304,8 @@ def chord_to_geodesic(chord) -> np.ndarray:
     return 2.0 * np.arcsin(np.clip(np.asarray(chord) / 2.0, 0.0, 1.0))
 
 
-def polar_angle(pts: np.ndarray) -> np.ndarray:
-    """Polar angle (angle from the north pole) of unit-sphere points."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    return np.arccos(np.clip(pts[:, 2], -1.0, 1.0))
-
-
-def dist_to_boundary(spec: ManifoldSpec, x) -> float:
-    """Geodesic distance from x to the boundary of A (inf for the sphere)."""
-    x = np.asarray(x, dtype=float)
-    f = spec.family
-    if f is Family.UNIT_SQUARE:
-        return float(min(np.min(x), np.min(1.0 - x)))
-    if f in (Family.UNIT_DISK, Family.SOLID_BALL):
-        return 1.0 - float(np.linalg.norm(x))
-    if f is Family.UNIT_SPHERE:
-        return NO_BOUNDARY
-    theta = math.acos(min(1.0, max(-1.0, float(x[2]))))
-    return spec.alpha - theta
-
-
 def dist_to_boundary_many(spec: ManifoldSpec, pts: np.ndarray) -> np.ndarray:
+    """Geodesic distance from each row to the boundary of A (inf on S^2)."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     f = spec.family
     if f is Family.UNIT_SQUARE:
@@ -363,24 +314,16 @@ def dist_to_boundary_many(spec: ManifoldSpec, pts: np.ndarray) -> np.ndarray:
         return 1.0 - np.linalg.norm(pts, axis=1)
     if f is Family.UNIT_SPHERE:
         return np.full(len(pts), NO_BOUNDARY)
-    return spec.alpha - polar_angle(pts)
+    return spec.alpha - np.arccos(np.clip(pts[:, 2], -1.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
 # regions
 
 
-def region_contains(spec: ManifoldSpec, region: RegionSpec, x) -> bool:
-    """Exact membership x in B."""
-    if not contains(spec, x):
-        return False
-    if region.kind is RegionKind.ALL:
-        return True
-    return dist_to_boundary(spec, x) >= region.delta
-
-
 def region_contains_many(spec: ManifoldSpec, region: RegionSpec,
                          pts: np.ndarray) -> np.ndarray:
+    """Exact membership of each row in B."""
     inside = contains_many(spec, pts)
     if region.kind is RegionKind.ALL:
         return inside

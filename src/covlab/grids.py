@@ -47,7 +47,8 @@ import numpy as np
 from .geometry import (Family, ManifoldSpec, RegionKind, RegionSpec,
                        chord_to_geodesic)
 
-DEFAULT_NODE_CAP = 4_000_000
+# most cells a start partition may have; guards --h and grid_h input
+NODE_CAP = 4_000_000
 
 # strict-interior pullback for interior_body grids
 _EDGE_EPS = 1e-9
@@ -191,13 +192,13 @@ def _domain(spec: ManifoldSpec, region: RegionSpec) -> _Domain:
     return _Domain(kind, spec.d, size, delta, slack)
 
 
-def _start(dom: _Domain, h: float, node_cap: int):
+def _start(dom: _Domain, h: float):
     """(box lo, box hi, representative) of the start partition at h."""
     if dom.kind in ("box", "ball"):
         lo, side = ((dom.lo, dom.size) if dom.kind == "box"
                     else (-dom.size, 2.0 * dom.size))
         n = max(1, math.ceil(side / (2.0 * h / math.sqrt(dom.d))))
-        _check_cap((n + 1) ** dom.d, h, node_cap)
+        _check_cap((n + 1) ** dom.d, h)
         s = side / n
         axis = lo + np.arange(n + 1) * s
         axis[-1] = lo + side  # exact upper face
@@ -215,7 +216,7 @@ def _start(dom: _Domain, h: float, node_cap: int):
     on_axis = (pos == 0.0) | (pos == math.pi)
     counts = np.maximum(np.where(on_axis, 1, 2),
                         np.ceil(2.0 * math.pi * circ / h)).astype(np.int64)
-    _check_cap(int(np.sum(counts)), h, node_cap)
+    _check_cap(int(np.sum(counts)), h)
     ring = np.repeat(np.arange(len(pos)), counts)
     j = np.arange(len(ring)) - (np.cumsum(counts) - counts)[ring]
     ang = 2.0 * math.pi * j / counts[ring]
@@ -227,27 +228,27 @@ def _start(dom: _Domain, h: float, node_cap: int):
     return box_lo, box_hi, np.array([t, ang]).T
 
 
-def _check_cap(count: int, h: float, node_cap: int) -> None:
-    if count > node_cap:
+def _check_cap(count: int, h: float) -> None:
+    if count > NODE_CAP:
         raise GridError(
             f"grid at h={h} needs ~{count} nodes, above the cap of "
-            f"{node_cap}; raise node_cap to at least {count} or coarsen h")
+            f"{NODE_CAP}; coarsen h")
 
 
-def build_grid(spec: ManifoldSpec, region: RegionSpec, h: float,
-               node_cap: int = DEFAULT_NODE_CAP) -> EvalGrid:
+def build_grid(spec: ManifoldSpec, region: RegionSpec, h: float) -> EvalGrid:
     """Start partition of B with every cover radius <= h.
 
-    Raises :class:`GridError` when the required cell count exceeds
-    ``node_cap`` (the message reports the count needed).
+    The driver builds one per sample size; tests and benchmarks use it as
+    the full-partition oracle at h.  Raises :class:`GridError` when h is
+    not above ``MIN_RESOLUTION``, or when the partition would need more
+    than ``NODE_CAP`` cells (the message reports the count needed).
     """
     if h <= 0.0:
         raise GridError("covering radius h must be > 0")
     if h <= MIN_RESOLUTION:
         raise GridError(f"h={h} is below the supported resolution")
     dom = _domain(spec, region)
-    grid = dom.cells(spec, region, *_start(dom, h - dom.slack, node_cap),
-                     h=float(h))
+    grid = dom.cells(spec, region, *_start(dom, h - dom.slack), h=float(h))
     # the lattice and the rings have rho <= h (rings about 0.8 h); where
     # it is h itself, the corner formula can round a few ulps above it
     np.minimum(grid.rad, grid.h, out=grid.rad)

@@ -45,7 +45,8 @@ from .grids import build_grid
 from .limits import (LimitLaw, Regime, SllnMode, boundary_centering,
                      boundary_law_cdf, interior_centering, interior_law_cdf,
                      strong_law_limit, unit_ball_volume)
-from .sampling import DensitySpec, poisson_sample, uniform_sample
+from .sampling import (DensitySpec, density_sample, poisson_sample,
+                       uniform_sample)
 
 # desk-scale cap on the sample size, by intrinsic dimension (2, or 3 and up)
 MAX_SIZE = {2: 1_000_000, 3: 200_000}
@@ -161,6 +162,9 @@ class ExperimentConfig:
             if s > cap:
                 raise ConfigError(f"size {s} exceeds the desk-scale cap {cap} "
                                   f"for d={self.spec.d}")
+            if self.sampler is Sampler.BINOMIAL and not float(s).is_integer():
+                raise ConfigError(f"binomial size {s} is not a whole number "
+                                  "of points")
         if self.replications < 1:
             raise ConfigError("need replications >= 1")
         if self.grid_h is not None and self.grid_h <= 0:
@@ -336,6 +340,8 @@ def _draw_cloud(config: ExperimentConfig, size: float, size_idx: int, rep: int):
                                   spawn_key=(size_idx, rep))
     if config.sampler is Sampler.POISSON:
         return poisson_sample(config.spec, config.density, float(size), seed)
+    if config.density.kind != "uniform":
+        return density_sample(config.spec, config.density, int(size), seed)
     return uniform_sample(config.spec, int(size), seed)
 
 
@@ -510,12 +516,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
         def one(rep: int) -> ReplicationRow:
             cloud = _draw_cloud(config, size, si, rep)
-            if parts.interior:
-                est = interior_threshold(cloud, spec, region, k, metric,
-                                         grid=grid, refine_to=h_target)
-            else:
-                est = coverage_threshold(cloud, grid, k, metric,
-                                         refine_to=h_target)
+            threshold = (interior_threshold if parts.interior
+                         else coverage_threshold)
+            est = threshold(cloud, grid, k, metric, refine_to=h_target)
             return ReplicationRow(size=size, rep=rep, k=k, metric=metric.value,
                                   lo=est.lo, hi=est.hi, h=est.h,
                                   stat_lo=parts.statistic(est.lo, size, k),

@@ -31,8 +31,9 @@ class DensitySpec:
     is an arbitrary density with a known ceiling M >= sup f; f must accept
     an (n, m) array of ambient points and return n values.  ``f0``/``f1``
     are infima of f over B and over B's boundary part; they feed the limit
-    laws and are the caller's responsibility for custom densities (f0 is
-    estimated from a fixed probe sample when omitted).
+    laws and are the caller's responsibility for custom densities: a run
+    refuses a custom density without f0, or without f1 when B touches the
+    boundary.
     """
 
     kind: str = "uniform"

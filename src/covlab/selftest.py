@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from . import geometry as geo
-from .coverage import KnnField, coverage_threshold, knn_distance
+from .coverage import KnnField, coverage_threshold
 from .grids import build_grid
 from .sampling import CloudOrigin, PointCloud, uniform_sample
 
@@ -51,10 +51,10 @@ def _check_boundary_distance():
         if geo.boundary_measure(spec) == 0.0:
             continue
         pts = uniform_sample(spec, 40, 5).points
-        for p in pts:
+        got = geo.dist_to_boundary_many(spec, pts)
+        for p, g in zip(pts, got):
             want = sampled_boundary_distance(spec, p)
-            got = geo.dist_to_boundary(spec, p)
-            assert abs(want - got) < 1e-3, f"{name}: dtb {got} vs sampled {want}"
+            assert abs(want - g) < 1e-3, f"{name}: dtb {g} vs sampled {want}"
 
 
 def boundary_points(spec, n: int) -> np.ndarray:
@@ -152,7 +152,7 @@ def sampled_boundary_distance(spec, x, n: int = 10_000, rounds: int = 3,
                               seed: int = 1) -> float:
     """Min distance from x to sampled boundary points, locally resampled.
 
-    Independent oracle for dist_to_boundary: stage one scans quasi-uniform
+    Independent oracle for dist_to_boundary_many: stage one scans quasi-uniform
     boundary samples, later rounds resample around the running argmin at a
     geometrically shrinking scale.
     """
@@ -179,11 +179,13 @@ def _check_knn_oracle():
     spec = _FAMILIES["disk"]
     cloud = uniform_sample(spec, 100, 31)
     rng = np.random.default_rng(13)
-    for _ in range(20):
-        x = uniform_sample(spec, 1, int(rng.integers(2 ** 31))).points[0]
-        d = np.sort(geo.dist_many(spec, x, cloud.points, geo.Metric.GEODESIC))
-        for k in (1, 3, 7):
-            assert abs(knn_distance(x, cloud, k, geo.Metric.GEODESIC) - d[k - 1]) < 1e-12
+    xs = np.concatenate([uniform_sample(spec, 1, int(rng.integers(2 ** 31)))
+                         .points for _ in range(20)])
+    d = np.sort([geo.dist_many(spec, x, cloud.points, geo.Metric.GEODESIC)
+                 for x in xs], axis=1)
+    for k in (1, 3, 7):
+        field = KnnField(spec, cloud.points, k, geo.Metric.GEODESIC)
+        assert np.all(np.abs(field(xs) - d[:, k - 1]) < 1e-12)
 
 
 def _check_monotonicity(n_cases: int):
@@ -215,8 +217,7 @@ def _check_lipschitz():
     xs = uniform_sample(spec, 80, 23).points
     ys = uniform_sample(spec, 80, 29).points
     fx, fy = field(xs), field(ys)
-    d = np.array([geo.dist(spec, x, y, geo.Metric.GEODESIC)
-                  for x, y in zip(xs, ys)])
+    d = _pairdist(spec, xs, ys, geo.Metric.GEODESIC)
     assert np.all(np.abs(fx - fy) <= d + 1e-10)
 
 

@@ -271,7 +271,7 @@ def test_criterion_10_boundaryless_interior_law():
         seed = np.random.SeedSequence(entropy=cal["acceptance_seed"],
                                       spawn_key=(0, rep))
         cloud = uniform_sample(sph, cal["size"], seed)
-        a = interior_threshold(cloud, sph, geo.REGION_ALL, 1, GEO, grid=grid)
+        a = interior_threshold(cloud, grid, 1, GEO)
         b = coverage_threshold(cloud, grid, 1, GEO)
         assert a == b
     dt = time.monotonic() - t0

@@ -10,19 +10,20 @@ sphere, whose representatives are projected.
 The branch and bound is audited against 60k random probes of B and an
 unrefined start partition at another resolution, on clouds with repeated
 points, with k equal to the cloud size, and with every point on the
-boundary of the shape.
+boundary of the shape, on the whole shape and on interior bodies, and at
+target widths down to just above the supported resolution.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from covlab import geometry as geo
 from covlab.coverage import KnnField, coverage_threshold, interior_threshold
-from covlab.grids import build_grid, refine_nodes
+from covlab.grids import MIN_RESOLUTION, build_grid, refine_nodes
 from covlab.sampling import uniform_sample
 from conftest import make_cloud
 
@@ -69,7 +70,16 @@ def _audit(spec, region, cells, rng, n_pts=64):
                                  -np.inf), initial=-np.inf))
 
 
-FAMILIES = st.sampled_from(["square", "cube", "disk", "ball", "sphere", "cap"])
+FAMILY_NAMES = ["square", "cube", "disk", "ball", "sphere", "cap"]
+FAMILIES = st.sampled_from(FAMILY_NAMES)
+
+
+def _body(spec, fam, body):
+    """An interior body a tenth of the diameter deep, or all of A."""
+    if not body or fam == "sphere":
+        return geo.REGION_ALL
+    return geo.interior_body(0.2 * min(geo.intrinsic_diameter(spec), 1.0)
+                             / 2.0)
 
 
 @SETTINGS
@@ -79,11 +89,8 @@ FAMILIES = st.sampled_from(["square", "cube", "disk", "ball", "sphere", "cap"])
 def test_cover_radius_holds_for_sampled_points(fam, alpha, body, h, splits,
                                                seed):
     spec = _spec(fam, alpha)
-    diam = geo.intrinsic_diameter(spec)
-    region = geo.REGION_ALL
-    if body and fam != "sphere":
-        region = geo.interior_body(0.2 * min(diam, 1.0) / 2.0)
-    h = h * diam / 2.0
+    region = _body(spec, fam, body)
+    h = h * geo.intrinsic_diameter(spec) / 2.0
     rng = np.random.default_rng(seed)
     cells = build_grid(spec, region, h)
     assert np.all(cells.rad <= h)
@@ -126,14 +133,31 @@ def _cloud_points(spec, kind, n, rng):
     return pts
 
 
+def _floor_examples(fn):
+    """Adds the floor targets on every family and region as explicit
+    examples, whatever the draws."""
+    for fam in FAMILY_NAMES:
+        for body in (False, True):
+            for floor in (1.05, 2.0):
+                fn = example(fam=fam, alpha=math.pi - 1e-6, body=body,
+                             floor=floor, kind="random", n=40, k=2,
+                             euclid=False, ratio=1.0, seed=3)(fn)
+    return fn
+
+
 @SETTINGS
+@_floor_examples
 @given(fam=FAMILIES, alpha=st.floats(0.3, math.pi - 1e-6),
+       body=st.booleans(), floor=st.one_of(st.none(), st.floats(1.05, 2.0)),
        kind=st.sampled_from(["random", "repeated", "k_is_n", "boundary"]),
        n=st.integers(2, 60), k=st.integers(1, 4), euclid=st.booleans(),
        ratio=st.floats(1.0, 60.0), seed=st.integers(0, 2 ** 31))
-def test_bracket_meets_probes_and_full_partition(fam, alpha, kind, n, k,
-                                                 euclid, ratio, seed):
+def test_bracket_meets_probes_and_full_partition(fam, alpha, body, floor,
+                                                 kind, n, k, euclid, ratio,
+                                                 seed):
+    # the target is h / ratio, or floor times the supported resolution
     spec = _spec(fam, alpha)
+    region = _body(spec, fam, body)
     rng = np.random.default_rng(seed)
     pts = _cloud_points(spec, kind, n, rng)
     k = len(pts) if kind == "k_is_n" else min(k, len(pts))
@@ -141,17 +165,17 @@ def test_bracket_meets_probes_and_full_partition(fam, alpha, kind, n, k,
     metric = EUC if euclid else GEO
     diam = geo.intrinsic_diameter(spec)
     h = diam / (8.0 if spec.d == 2 else 5.0)
-    target = h / ratio
-    grid = build_grid(spec, geo.REGION_ALL, h)
+    target = h / ratio if floor is None else floor * MIN_RESOLUTION
+    grid = build_grid(spec, region, h)
     knn = KnnField(spec, cloud.points, k, metric)
     probes = uniform_sample(spec, 60_000, int(rng.integers(2 ** 31))).points
-    oracle = build_grid(spec, geo.REGION_ALL, h / float(rng.uniform(2, 4)))
+    probes = probes[geo.region_contains_many(spec, region, probes)]
+    oracle = build_grid(spec, region, h / float(rng.uniform(2, 4)))
     depth = geo.dist_to_boundary_many
     for est, field in (
             (coverage_threshold(cloud, grid, k, metric, refine_to=target),
              knn),
-            (interior_threshold(cloud, spec, geo.REGION_ALL, k, metric,
-                                grid=grid, refine_to=target),
+            (interior_threshold(cloud, grid, k, metric, refine_to=target),
              lambda x: np.minimum(knn(x), depth(spec, x)))):
         assert 0.0 <= est.width <= target + 1e-12
         assert field(np.array([est.argmax]))[0] == est.lo

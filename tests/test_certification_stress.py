@@ -89,8 +89,9 @@ def test_interior_bracket_dominates_probe_bisection():
         k = int(rng.integers(1, 3))
         n = int(rng.integers(max(k, 20), 200))
         cloud = uniform_sample(spec, n, int(rng.integers(2 ** 31)))
-        est = interior_threshold(cloud, spec, geo.REGION_ALL, k, GEO,
-                                 h=geo.intrinsic_diameter(spec) / 40.0)
+        grid = build_grid(spec, geo.REGION_ALL,
+                          geo.intrinsic_diameter(spec) / 40.0)
+        est = interior_threshold(cloud, grid, k, GEO)
         probes = _region_probes(spec, geo.REGION_ALL, 40_000,
                                 int(rng.integers(2 ** 31)))
         vals = KnnField(spec, cloud.points, k, GEO)(probes)
@@ -181,8 +182,8 @@ def test_refined_interior_bracket_meets_independent_oracles(spec, k):
     for _ in range(3):
         n = int(rng.integers(max(k, 20), 301))
         cloud = uniform_sample(spec, n, int(rng.integers(2 ** 31)))
-        est = interior_threshold(cloud, spec, geo.REGION_ALL, k, GEO, h=h,
-                                 refine_to=h / 50.0)
+        est = interior_threshold(cloud, build_grid(spec, geo.REGION_ALL, h),
+                                 k, GEO, refine_to=h / 50.0)
         assert est.h == pytest.approx(h / 50.0)
         assert 0.0 <= est.width <= est.h + 1e-12
         # unrefined full-grid bracket of max(min(field, depth)), other h
@@ -200,8 +201,8 @@ def test_refined_interior_disk_center_fixed_point():
     # single point at the center: the threshold 1/2 solves 1 - r = r
     disk = geo.unit_disk()
     cloud = make_cloud(disk, [[0.0, 0.0]])
-    est = interior_threshold(cloud, disk, geo.REGION_ALL, 1, GEO, h=0.05,
-                             refine_to=1e-4)
+    est = interior_threshold(cloud, build_grid(disk, geo.REGION_ALL, 0.05),
+                             1, GEO, refine_to=1e-4)
     assert est.lo <= 0.5 <= est.hi
     assert est.width <= 1e-4 * (1 + 1e-9)
 
@@ -250,8 +251,8 @@ def _assert_matches_oracle(monkeypatch, cloud, region, k, metric, h,
 
     runs = ((knn, lambda: coverage_threshold(cloud, grid, k, metric,
                                              refine_to=refine_to)),
-            (deep, lambda: interior_threshold(cloud, spec, region, k, metric,
-                                              grid=grid, refine_to=refine_to)))
+            (deep, lambda: interior_threshold(cloud, grid, k, metric,
+                                              refine_to=refine_to)))
     for field, threshold in runs:
         calls.clear()
         est = threshold()

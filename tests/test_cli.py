@@ -170,11 +170,14 @@ def test_unknown_nested_config_key_exit_1(tmp_path, capsys, key, value, bad):
      "'beta' must be a number"),
     (lambda d: {**d, "k": {"kind": "power", "p": True}},
      "'p' must be a number"),
+    (lambda d: {**d, "sizes": [1000.5]},
+     "binomial size 1000.5 is not a whole number"),
 ], ids=["no_sizes", "k_int", "spec_str", "region_list", "top_list",
         "sizes_str", "sizes_entry_str", "body_no_delta", "ball_no_center",
         "cap_no_alpha", "grid_h_str", "reps_fraction", "reps_str",
         "reps_bool", "seed_fraction", "square_d_fraction", "alpha_str",
-        "k_str", "k_fraction", "delta_str", "beta_str", "p_bool"])
+        "k_str", "k_fraction", "delta_str", "beta_str", "p_bool",
+        "binomial_size_fraction"])
 def test_malformed_config_exit_1(tmp_path, capsys, edit, needle):
     cfg = _write_cfg(tmp_path)
     with open(cfg) as fh:

@@ -7,10 +7,9 @@ from scipy.spatial import cKDTree
 
 from conftest import knn_sort_oracle, make_cloud
 from covlab import geometry as geo
+from covlab import grids
 from covlab.coverage import (CoverageError, KnnField, coverage_threshold,
-                             covered_region, covering_estimate,
-                             interior_threshold, knn_distance,
-                             packing_estimate)
+                             interior_threshold)
 from covlab.grids import GridError, build_grid
 from covlab.sampling import uniform_sample
 
@@ -59,20 +58,24 @@ def test_interior_grid_strictly_inside():
     assert cKDTree(grid.nodes).query(pts)[0].max() <= 0.02 + 1e-12
 
 
-def test_node_cap_error_reports_requirement():
-    with pytest.raises(GridError, match=r"raise node_cap to at least \d+"):
-        build_grid(geo.unit_disk(), geo.REGION_ALL, 1e-4, node_cap=1000)
+def test_node_cap_error_reports_requirement(monkeypatch):
+    monkeypatch.setattr(grids, "NODE_CAP", 1000)
+    with pytest.raises(GridError, match=r"needs ~\d+ nodes, above the cap "
+                                        r"of 1000; coarsen h"):
+        build_grid(geo.unit_disk(), geo.REGION_ALL, 1e-4)
 
 
-def test_estimate_matches_actual_counts(all_families):
+def test_estimate_matches_actual_counts(all_families, monkeypatch):
     # the node cap is checked against a count made before the cells are:
     # exact on the lattice and the rings; on the ball, the cube lattice's
     # count, about 6/pi times the cells that meet the ball
     for name, spec in all_families.items():
         n = len(build_grid(spec, geo.REGION_ALL, 0.11))
-        with pytest.raises(GridError, match=r"at least (\d+)") as err:
-            build_grid(spec, geo.REGION_ALL, 0.11, node_cap=n - 1)
-        est = int(re.search(r"at least (\d+)", str(err.value)).group(1))
+        with monkeypatch.context() as m, \
+                pytest.raises(GridError, match=r"needs ~(\d+)") as err:
+            m.setattr(grids, "NODE_CAP", n - 1)
+            build_grid(spec, geo.REGION_ALL, 0.11)
+        est = int(re.search(r"needs ~(\d+)", str(err.value)).group(1))
         assert est == n or (name == "ball" and n < est <= 2 * n + 16), name
 
 
@@ -82,16 +85,15 @@ def test_estimate_matches_actual_counts(all_families):
 
 def test_knn_trivial_cases():
     sq = geo.unit_square(2)
-    cloud = make_cloud(sq, [[0.2, 0.2], [0.8, 0.2]])
-    assert knn_distance([0.2, 0.2], cloud, 1, GEO) == 0.0
-    cloud2 = make_cloud(sq, [[0.0, 0.0], [1.0, 0.0]])
-    assert knn_distance([0.0, 0.0], cloud2, 2, GEO) == pytest.approx(1.0)
+    pts = np.array([[0.2, 0.2], [0.8, 0.2]])
+    assert KnnField(sq, pts, 1, GEO)([[0.2, 0.2]])[0] == 0.0
+    pts2 = np.array([[0.0, 0.0], [1.0, 0.0]])
+    assert KnnField(sq, pts2, 2, GEO)([[0.0, 0.0]])[0] == pytest.approx(1.0)
 
 
 def test_knn_cloud_too_small():
-    cloud = make_cloud(geo.unit_square(2), [[0.5, 0.5]])
     with pytest.raises(CoverageError, match="fewer than k"):
-        knn_distance([0.1, 0.1], cloud, 2, GEO)
+        KnnField(geo.unit_square(2), np.array([[0.5, 0.5]]), 2, GEO)
 
 
 @pytest.mark.parametrize("name,metric", [("disk", GEO), ("cap", GEO),
@@ -100,11 +102,11 @@ def test_knn_brute_sort_oracle(name, metric, all_families):
     spec = all_families[name]
     cloud = uniform_sample(spec, 100, 7)
     probes = uniform_sample(spec, 25, 8).points
-    for x in probes:
-        for k in (1, 3, 10):
+    for k in (1, 3, 10):
+        vals = KnnField(spec, cloud.points, k, metric)(probes)
+        for x, got in zip(probes, vals):
             want = knn_sort_oracle(spec, x, cloud.points, k, metric)
-            assert knn_distance(x, cloud, k, metric) == pytest.approx(
-                want, abs=1e-12)
+            assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_knn_field_matches_pointwise_and_tree_vs_brute(all_families):
@@ -250,7 +252,8 @@ def test_interior_disk_center_fixed_point():
     # single point at the center: the interior threshold solves 1 - r = r
     disk = geo.unit_disk()
     cloud = make_cloud(disk, [[0.0, 0.0]])
-    est = interior_threshold(cloud, disk, geo.REGION_ALL, 1, GEO, h=0.01)
+    est = interior_threshold(cloud, build_grid(disk, geo.REGION_ALL, 0.01),
+                             1, GEO)
     assert est.lo <= 0.5 <= est.hi
     assert est.width <= 1e-4 + 0.01 + 1e-12
 
@@ -263,7 +266,7 @@ def test_interior_at_most_coverage():
         n = int(rng.integers(3, 60))
         cloud = uniform_sample(sq, n, int(rng.integers(2 ** 31)))
         tol = 1e-3
-        ei = interior_threshold(cloud, sq, geo.REGION_ALL, 1, GEO, grid=grid)
+        ei = interior_threshold(cloud, grid, 1, GEO)
         ec = coverage_threshold(cloud, grid, 1, GEO)
         assert ei.hi <= ec.hi + tol + 1e-12
         assert ei.lo <= ec.lo + 1e-12
@@ -273,8 +276,9 @@ def test_interior_corner_cloud():
     # cloud hugging one corner: far interior empties as r grows
     sq = geo.unit_square(2)
     cloud = make_cloud(sq, [[0.02, 0.02], [0.05, 0.03]])
-    ei = interior_threshold(cloud, sq, geo.REGION_ALL, 1, GEO, h=0.02)
-    ec = coverage_threshold(cloud, build_grid(sq, geo.REGION_ALL, 0.02), 1, GEO)
+    grid = build_grid(sq, geo.REGION_ALL, 0.02)
+    ei = interior_threshold(cloud, grid, 1, GEO)
+    ec = coverage_threshold(cloud, grid, 1, GEO)
     assert ei.hi <= ec.hi + 1e-3 + 1e-12
 
 
@@ -290,7 +294,7 @@ def test_interior_equals_coverage_when_threshold_clears_body():
     cloud = make_cloud(disk, pts)
     ec = coverage_threshold(cloud, grid, 1, GEO)
     assert ec.hi < 0.5  # the regime where the equality holds
-    ei = interior_threshold(cloud, disk, body, 1, GEO, grid=grid)
+    ei = interior_threshold(cloud, grid, 1, GEO)
     assert max(ei.lo, ec.lo) <= min(ei.hi, ec.hi)  # intervals overlap
 
 
@@ -298,98 +302,6 @@ def test_interior_boundaryless_short_circuit():
     sph = geo.unit_sphere()
     grid = build_grid(sph, geo.REGION_ALL, 0.1)
     cloud = uniform_sample(sph, 80, 6)
-    a = interior_threshold(cloud, sph, geo.REGION_ALL, 1, GEO, grid=grid)
+    a = interior_threshold(cloud, grid, 1, GEO)
     b = coverage_threshold(cloud, grid, 1, GEO)
     assert a == b
-
-
-# ---------------------------------------------------------------------------
-# covered region
-
-
-def test_covered_region_r0_and_full():
-    sq = geo.unit_square(2)
-    grid = build_grid(sq, geo.REGION_ALL, 0.1)
-    cloud = make_cloud(sq, grid.nodes[[3, 17, 40]])
-    at0 = covered_region(cloud, grid, 1, 0.0, GEO)
-    assert set(at0) == {3, 17, 40}
-    est = coverage_threshold(cloud, grid, 1, GEO)
-    assert len(covered_region(cloud, grid, 1, est.hi, GEO)) == len(grid)
-
-
-def test_covered_region_monotone_and_consistent():
-    disk = geo.unit_disk()
-    grid = build_grid(disk, geo.REGION_ALL, 0.1)
-    cloud = uniform_sample(disk, 40, 8)
-    est = coverage_threshold(cloud, grid, 1, GEO)
-    r_small = est.lo * 0.99
-    r_big = est.lo
-    c_small = covered_region(cloud, grid, 1, r_small, GEO)
-    c_big = covered_region(cloud, grid, 1, r_big, GEO)
-    assert set(c_small) <= set(c_big)
-    assert len(c_big) == len(grid)          # all nodes covered at lo
-    assert len(c_small) < len(grid)         # argmax node not covered below lo
-    k2 = covered_region(cloud, grid, 2, r_big, GEO)
-    assert set(k2) <= set(c_big)
-    assert len(covered_region(cloud, grid, 99, 1.0, GEO)) == 0
-
-
-# ---------------------------------------------------------------------------
-# packing / covering diagnostics
-
-
-def test_packing_single_ball_at_large_radius():
-    disk = geo.unit_disk()
-    count = packing_estimate(disk, geo.REGION_ALL, r=1.2, a=1.0)
-    assert count <= 1
-
-
-def test_packing_square_lattice_example():
-    # explicit construction oracle: the 16 perimeter points of the
-    # 0.25-lattice carry pairwise-disjoint balls whose clipped mass (half
-    # or quarter disk) sits strictly under the cap a = theta_2 r^2
-    sq = geo.unit_square(2)
-    r = 0.1
-    a = math.pi * r * r
-    lat = np.array([[i / 4, j / 4] for i in range(5) for j in range(5)
-                    if i in (0, 4) or j in (0, 4)])
-    assert len(lat) == 16
-    gaps = np.linalg.norm(lat[:, None, :] - lat[None, :, :], axis=2)
-    assert np.all(gaps[np.triu_indices(16, 1)] > 2 * r)
-    for c in lat:
-        n_edges = int(c[0] in (0.0, 1.0)) + int(c[1] in (0.0, 1.0))
-        clipped = a / 2 if n_edges == 1 else a / 4
-        assert clipped <= a
-    # so the true packing number is >= 16; the conservative greedy must
-    # still find at least 9
-    count = packing_estimate(sq, geo.REGION_ALL, r=r, a=a, candidate_h=0.05)
-    assert count >= 9
-
-
-def test_packing_zero_mass_cap():
-    sq = geo.unit_square(2)
-    assert packing_estimate(sq, geo.REGION_ALL, r=0.1, a=1e-9) == 0
-
-
-def test_covering_single_point():
-    disk = geo.unit_disk()
-    assert covering_estimate(disk, [[0.1, 0.2]], 0.3) == 1
-
-
-def test_covering_segment_bound():
-    sq = geo.unit_square(2)
-    length, r = 0.8, 0.1
-    pts = np.column_stack((np.linspace(0.1, 0.1 + length, 200),
-                           np.full(200, 0.5)))
-    count = covering_estimate(sq, pts, r)
-    assert count <= math.ceil(length / (2 * r)) + 1
-
-
-def test_covering_scaling_on_disk():
-    # kappa(D, r) ~ r^-2 on a 2-dimensional set: r^2 * count stays bounded
-    disk = geo.unit_disk()
-    grid = build_grid(disk, geo.REGION_ALL, 0.02)
-    consts = []
-    for r in (0.05, 0.1, 0.2):
-        consts.append(covering_estimate(disk, grid.nodes, r) * r * r)
-    assert max(consts) / min(consts) < 3.0

@@ -51,10 +51,12 @@ def test_dist_examples():
     sph = geo.unit_sphere()
     n_pole = np.array([0.0, 0.0, 1.0])
     s_pole = np.array([0.0, 0.0, -1.0])
-    assert geo.dist(sph, n_pole, s_pole, GEO) == pytest.approx(math.pi)
-    assert geo.dist(sph, n_pole, s_pole, EUC) == pytest.approx(2.0)
+    assert geo.dist_many(sph, n_pole, [s_pole], GEO)[0] == pytest.approx(
+        math.pi)
+    assert geo.dist_many(sph, n_pole, [s_pole], EUC)[0] == pytest.approx(2.0)
     sq = geo.unit_square(2)
-    assert geo.dist(sq, [0, 0], [1, 1], GEO) == pytest.approx(math.sqrt(2))
+    assert geo.dist_many(sq, [0, 0], [[1, 1]], GEO)[0] == pytest.approx(
+        math.sqrt(2))
 
 
 def test_dist_symmetric_and_clamped():
@@ -62,12 +64,12 @@ def test_dist_symmetric_and_clamped():
     x = np.array([1.0, 0.0, 0.0])
     # nearly coincident points must not produce NaN from acos drift
     y = x + 1e-16
-    assert geo.dist(sph, x, y, GEO) >= 0.0
+    assert geo.dist_many(sph, x, [y], GEO)[0] >= 0.0
     a = uniform_sample(sph, 50, 0).points
     b = uniform_sample(sph, 50, 1).points
     for i in range(50):
-        assert geo.dist(sph, a[i], b[i], GEO) == pytest.approx(
-            geo.dist(sph, b[i], a[i], GEO), abs=1e-15)
+        assert geo.dist_many(sph, a[i], b[i:i + 1], GEO)[0] == pytest.approx(
+            geo.dist_many(sph, b[i], a[i:i + 1], GEO)[0], abs=1e-15)
 
 
 def test_metric_domination_and_triangle(all_families):
@@ -92,13 +94,14 @@ def _pair(spec, xs, ys, metric):
 
 
 def test_dist_to_boundary_examples():
-    assert geo.dist_to_boundary(geo.unit_disk(), [0.0, 0.0]) == 1.0
-    assert geo.dist_to_boundary(geo.unit_square(2), [0.25, 0.5]) == 0.25
-    assert math.isinf(geo.dist_to_boundary(geo.unit_sphere(), [0, 0, 1.0]))
+    depth = geo.dist_to_boundary_many
+    assert depth(geo.unit_disk(), [0.0, 0.0])[0] == 1.0
+    assert depth(geo.unit_square(2), [0.25, 0.5])[0] == 0.25
+    assert math.isinf(depth(geo.unit_sphere(), [0, 0, 1.0])[0])
     cap = geo.spherical_cap(1.0)
     theta = 0.3
     x = [math.sin(theta), 0.0, math.cos(theta)]
-    assert geo.dist_to_boundary(cap, x) == pytest.approx(1.0 - theta, abs=1e-12)
+    assert depth(cap, x)[0] == pytest.approx(1.0 - theta, abs=1e-12)
 
 
 def test_dist_to_boundary_sampling_oracle(all_families):
@@ -106,18 +109,17 @@ def test_dist_to_boundary_sampling_oracle(all_families):
         if geo.boundary_measure(spec) == 0.0:
             continue
         pts = uniform_sample(spec, 25, 5).points
-        for p in pts:
+        for p, got in zip(pts, geo.dist_to_boundary_many(spec, pts)):
             want = sampled_boundary_distance(spec, p)
-            got = geo.dist_to_boundary(spec, p)
             assert got == pytest.approx(want, abs=1e-3), name
 
 
 def test_region_contains():
     disk = geo.unit_disk()
-    assert geo.region_contains(disk, geo.REGION_ALL, [0.3, 0.1])
+    assert geo.region_contains_many(disk, geo.REGION_ALL, [0.3, 0.1])[0]
     body = geo.interior_body(0.2)
-    assert geo.region_contains(disk, body, [0.0, 0.0])
-    assert not geo.region_contains(disk, body, [0.9, 0.0])
+    assert list(geo.region_contains_many(disk, body, [[0.0, 0.0], [0.9, 0.0]])
+                ) == [True, False]
 
 
 def test_region_measures(all_families):

@@ -7,11 +7,14 @@ import numpy as np
 import pytest
 
 from covlab import geometry as geo
+from covlab import harness
 from covlab import limits as lim
+from covlab.coverage import coverage_threshold
 from covlab.harness import (ConfigError, ConfigRefused, ExperimentConfig,
                             KSchedule, RunMode, Sampler, constant_k,
                             ks_distance, run_experiment)
 from covlab.harness import _summarize_weak  # noqa: F401  (exchangeability test)
+from covlab.sampling import DensitySpec, density_sample
 
 
 def _disk_cfg(**kw):
@@ -105,6 +108,12 @@ def test_config_validation():
         ExperimentConfig(spec=geo.unit_square(2), region=geo.REGION_ALL,
                          mode=RunMode.SLLN_TRACE, sizes=(100, 100),
                          schedule=constant_k(1), replications=1)
+    # a binomial cloud has a whole number of points; a Poisson intensity
+    # need not be whole
+    with pytest.raises(ConfigError, match="binomial size 1000.5"):
+        _disk_cfg(sizes=(1000.5,))
+    doc = {**_disk_cfg().to_json(), "sizes": [1000.5], "sampler": "poisson"}
+    assert ExperimentConfig.from_json(doc).sizes == (1000.5,)
 
 
 def test_config_json_round_trip():
@@ -186,6 +195,28 @@ def test_poisson_sampler_runs():
     cfg = _disk_cfg(sampler=Sampler.POISSON, sizes=(128,), replications=3)
     res = run_experiment(cfg)
     assert len(res.rows) == 3
+
+
+def test_binomial_run_samples_the_custom_density(monkeypatch):
+    # density (2/3)(1 + x) on the square: mean x is 5/9, not 1/2
+    dens = DensitySpec.custom(lambda p: (2.0 / 3.0) * (1.0 + p[:, 0]),
+                              sup_bound=4.0 / 3.0, f0=2.0 / 3.0, f1=2.0 / 3.0)
+    cfg = ExperimentConfig(spec=geo.unit_square(2), region=geo.REGION_ALL,
+                           mode=RunMode.SLLN_TRACE, sizes=(20_000,),
+                           schedule=constant_k(1), replications=1,
+                           base_seed=7, density=dens)
+    clouds = []
+
+    def recording(cloud, *args, **kw):
+        clouds.append(cloud)
+        return coverage_threshold(cloud, *args, **kw)
+
+    monkeypatch.setattr(harness, "coverage_threshold", recording)
+    run_experiment(cfg)
+    want = density_sample(cfg.spec, dens, 20_000,
+                          np.random.SeedSequence(entropy=7, spawn_key=(0, 0)))
+    assert clouds[0].points.tobytes() == want.points.tobytes()
+    assert abs(float(np.mean(clouds[0].points[:, 0])) - 5.0 / 9.0) < 0.01
 
 
 def test_halved_h_shifts_within_transform_image():
