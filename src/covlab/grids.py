@@ -38,6 +38,7 @@ the slack is added to every cover radius.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -83,16 +84,16 @@ class EvalGrid:
 
     def take(self, mask: np.ndarray) -> "EvalGrid":
         """The cells selected by a boolean mask or an index array."""
-        rad = self.rad[mask]
-        return EvalGrid(self.spec, self.region, self.nodes[mask],
-                        float(np.max(rad, initial=0.0)),
-                        _rows(self.box_lo, mask), _rows(self.box_hi, mask),
-                        rad)
+        idx = np.flatnonzero(mask) if mask.dtype == bool else mask
+        rad = self.rad.take(idx)
+        return EvalGrid(self.spec, self.region, self.nodes[idx],
+                        float(rad.max(initial=0.0)), _rows(self.box_lo, idx),
+                        _rows(self.box_hi, idx), rad)
 
 
-def _rows(a: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Selected rows of a column-major (N, d) array, column-major."""
-    return np.array([col[mask] for col in a.T]).T
+def _rows(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Rows ``idx`` of a column-major (N, d) array, column-major."""
+    return a.T.take(idx, axis=1).T
 
 
 @dataclass(frozen=True)
@@ -113,12 +114,15 @@ class _Domain:
     def ambient(self, q: np.ndarray) -> np.ndarray:
         if self.kind in ("box", "ball"):
             return q
+        sphere = self.kind == "sphere"
         t, phi = q[:, 0], q[:, 1]
-        c = np.sin(t) if self.kind == "sphere" else t
-        cols = [c * np.cos(phi), c * np.sin(phi)]
-        if self.kind == "sphere":
-            cols.append(np.cos(t))
-        return np.column_stack(cols)
+        c = np.sin(t) if sphere else t
+        x = np.empty((len(t), 3 if sphere else 2))
+        np.multiply(c, np.cos(phi), out=x[:, 0])
+        np.multiply(c, np.sin(phi), out=x[:, 1])
+        if sphere:
+            np.cos(t, out=x[:, 2])
+        return x
 
     def radius(self, lo: np.ndarray, hi: np.ndarray,
                rep: np.ndarray) -> np.ndarray:
@@ -138,12 +142,10 @@ class _Domain:
         t = rep[:, 0]
         gap = np.maximum(rep[:, 1] - lo[:, 1], hi[:, 1] - rep[:, 1])
         across = (2.0 * np.sin(0.5 * gap)) ** 2 * (np.sin(t) if sphere else t)
-        chord2 = np.zeros(len(t))
-        for end in (lo[:, 0], hi[:, 0]):
-            dt = 2.0 * np.sin(0.5 * (t - end)) if sphere else t - end
-            np.maximum(chord2, dt * dt + across * (np.sin(end) if sphere
-                                                   else end), out=chord2)
-        chord = np.sqrt(chord2)
+        ends = np.array([lo[:, 0], hi[:, 0]])  # both ends in one batch
+        dt = 2.0 * np.sin(0.5 * (t - ends)) if sphere else t - ends
+        chord2 = dt * dt + across * (np.sin(ends) if sphere else ends)
+        chord = np.sqrt(chord2.max(axis=0))
         return chord_to_geodesic(chord) if sphere else chord
 
     def cells(self, spec: ManifoldSpec, region: RegionSpec, lo: np.ndarray,
@@ -153,9 +155,11 @@ class _Domain:
         if self.kind == "ball":  # drop the boxes that miss the ball
             near2 = sum(np.clip(0.0, lo[:, i], hi[:, i]) ** 2
                         for i in range(3))
-            keep = near2 <= self.size ** 2
+            keep = np.flatnonzero(near2 <= self.size ** 2)
             lo, hi, rep = (_rows(a, keep) for a in (lo, hi, rep))
-        rad = self.radius(lo, hi, rep) + self.slack
+        rad = self.radius(lo, hi, rep)
+        if self.slack:
+            rad += self.slack
         x = self.ambient(rep)
         if self.kind == "ball":
             nrm = np.sqrt(sum(x[:, i] ** 2 for i in range(3)))
@@ -163,10 +167,11 @@ class _Domain:
             x = x.copy()
             x[out] *= (self.size / nrm[out])[:, None]
         if h is None:
-            h = float(np.max(rad, initial=0.0))
+            h = float(rad.max(initial=0.0))
         return EvalGrid(spec, region, x, h, lo, hi, rad)
 
 
+@functools.lru_cache(maxsize=64)
 def _domain(spec: ManifoldSpec, region: RegionSpec) -> _Domain:
     """The parameter space of B."""
     fam = spec.family
@@ -255,6 +260,15 @@ def build_grid(spec: ManifoldSpec, region: RegionSpec, h: float) -> EvalGrid:
     return grid
 
 
+@functools.lru_cache(maxsize=8)
+def _child_bits(d: int) -> np.ndarray:
+    """(d, 1, 2^d) flags, read-only: child j takes the upper half of axis i
+    where set."""
+    bits = np.array(list(itertools.product((False, True), repeat=d)))
+    bits.setflags(write=False)
+    return bits.T[:, None, :]
+
+
 def refine_nodes(centers: EvalGrid) -> EvalGrid:
     """The children of the given cells: each box halved along every side.
 
@@ -262,14 +276,11 @@ def refine_nodes(centers: EvalGrid) -> EvalGrid:
     ball, children whose box misses the ball are dropped.
     """
     dom = _domain(centers.spec, centers.region)
-    n, d = len(centers), dom.d
-    bits = np.array(list(itertools.product((False, True), repeat=d)))
-    c_lo, c_hi = np.empty((2, d, n, 2 ** d))
-    for i in range(d):  # child j of a cell takes the upper half where bit i
-        lo, hi = centers.box_lo[:, i, None], centers.box_hi[:, i, None]
-        mid = 0.5 * (lo + hi)
-        c_lo[i] = np.where(bits[:, i], mid, lo)
-        c_hi[i] = np.where(bits[:, i], hi, mid)
-    c_lo, c_hi = c_lo.reshape(d, -1).T, c_hi.reshape(d, -1).T
+    bits = _child_bits(dom.d)
+    # (axis, cell, child) arrays, flattened to column-major (cell, child) rows
+    lo, hi = centers.box_lo.T[:, :, None], centers.box_hi.T[:, :, None]
+    mid = 0.5 * (lo + hi)
+    c_lo = np.where(bits, mid, lo).reshape(dom.d, -1).T
+    c_hi = np.where(bits, hi, mid).reshape(dom.d, -1).T
     return dom.cells(centers.spec, centers.region, c_lo, c_hi,
                      0.5 * (c_lo + c_hi))

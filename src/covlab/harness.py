@@ -45,16 +45,16 @@ from .grids import build_grid
 from .limits import (LimitLaw, Regime, SllnMode, boundary_centering,
                      boundary_law_cdf, interior_centering, interior_law_cdf,
                      strong_law_limit, unit_ball_volume)
-from .sampling import (DensitySpec, density_sample, poisson_sample,
-                       uniform_sample)
+from .sampling import (DensitySpec, check_density, density_sample,
+                       poisson_sample, uniform_sample)
 
 # desk-scale cap on the sample size, by intrinsic dimension (2, or 3 and up)
 MAX_SIZE = {2: 1_000_000, 3: 200_000}
 
 # target image of the bracket width under the centering transform
-ZETA_IMAGE = 0.05
+ZETA_IMAGE = 0.025
 # target relative error of the SLLN ratio due to the bracket width
-SLLN_REL_IMAGE = 0.005
+SLLN_REL_IMAGE = 0.0025
 
 
 class ConfigRefused(RuntimeError):
@@ -339,9 +339,11 @@ def _draw_cloud(config: ExperimentConfig, size: float, size_idx: int, rep: int):
     seed = np.random.SeedSequence(entropy=config.base_seed,
                                   spawn_key=(size_idx, rep))
     if config.sampler is Sampler.POISSON:
-        return poisson_sample(config.spec, config.density, float(size), seed)
+        return poisson_sample(config.spec, config.density, float(size), seed,
+                              checked=True)
     if config.density.kind != "uniform":
-        return density_sample(config.spec, config.density, int(size), seed)
+        return density_sample(config.spec, config.density, int(size), seed,
+                              checked=True)
     return uniform_sample(config.spec, int(size), seed)
 
 
@@ -499,6 +501,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     t0 = time.monotonic()
     n_workers = _threads()
     parts = _MODE_PARTS[config.mode](config)
+    check_density(config.spec, config.density)  # once, for every draw below
     spec, region, metric = config.spec, config.region, config.metric
     rows: list[ReplicationRow] = []
     for si, size in enumerate(config.sizes):

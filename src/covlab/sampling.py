@@ -156,15 +156,32 @@ def _density_probe(spec: ManifoldSpec, dens: DensitySpec) -> np.ndarray:
     return vals
 
 
-def density_sample(spec: ManifoldSpec, dens: DensitySpec, n: int,
-                   seed) -> PointCloud:
-    """n i.i.d. points with law dens, by rejection from the uniform law."""
+def check_density(spec: ManifoldSpec, dens: DensitySpec) -> None:
+    """Refuse a custom density that lacks f or sup_bound, is negative, is
+    not normalised within 2%, or exceeds sup_bound on a fixed probe set.
+
+    A run calls this once before its first replication and then samples
+    with ``checked=True``.
+    """
     if dens.kind == "uniform":
-        cloud = uniform_sample(spec, n, seed)
-        return cloud
+        return
     if dens.f is None or dens.sup_bound is None:
         raise SamplingError("custom density needs f and sup_bound")
     _density_probe(spec, dens)
+
+
+def density_sample(spec: ManifoldSpec, dens: DensitySpec, n: int,
+                   seed, checked: bool = False) -> PointCloud:
+    """n i.i.d. points with law dens, by rejection from the uniform law.
+
+    ``checked=True`` skips :func:`check_density`, for a caller that has
+    already run it on ``dens``; the points are the same either way.
+    """
+    if dens.kind == "uniform":
+        cloud = uniform_sample(spec, n, seed)
+        return cloud
+    if not checked:
+        check_density(spec, dens)
     rng = _rng(seed)
     m_bound = float(dens.sup_bound)
     out: list[np.ndarray] = []
@@ -242,11 +259,12 @@ def poisson_count(rng: np.random.Generator, t: float) -> int:
 
 
 def poisson_sample(spec: ManifoldSpec, dens: DensitySpec, t: float,
-                   seed) -> PointCloud:
+                   seed, checked: bool = False) -> PointCloud:
     """Poisson process of intensity t * dens on A.
 
     Draws the count Z ~ Poisson(t) (CDF inversion for t <= 30, transformed
-    rejection beyond), then Z i.i.d. points from dens.
+    rejection beyond), then Z i.i.d. points from dens; ``checked`` is
+    passed on to :func:`density_sample`.
     """
     rng = _rng(seed)
     z = poisson_count(rng, t)
@@ -255,7 +273,8 @@ def poisson_sample(spec: ManifoldSpec, dens: DensitySpec, t: float,
         density = "uniform"
     else:
         # rejection against the same stream, reusing the binomial machinery
-        sub = density_sample(spec, dens, z, rng.integers(0, 2 ** 63 - 1))
+        sub = density_sample(spec, dens, z, rng.integers(0, 2 ** 63 - 1),
+                             checked)
         pts = sub.points
         density = "custom"
     return PointCloud(spec, pts, CloudOrigin("poisson", t, z), seed=seed,

@@ -369,3 +369,71 @@ def test_pruned_field_is_exact_or_below_floor(all_families):
                             diam / float(rng.uniform(8.0, 60.0)))
         assert float(knn(oracle.nodes).max()) <= est.hi + 1e-12, \
             f"trial {trial}"
+
+
+# ---------------------------------------------------------------------------
+# the seeded lower bound against the unseeded branch and bound
+
+
+def _unseeded_max(field, grid, target):
+    """(lo, hi, nodes evaluated) of the branch and bound run once over the
+    whole partition from lo = -inf, as before its lower bound was seeded
+    from the best start cells."""
+    lo, hi, evaluated = -np.inf, -np.inf, 0
+    cells = grid
+    while len(cells):
+        vals = field(cells.nodes)
+        evaluated += len(cells)
+        lo = max(lo, float(np.max(vals)))
+        bound = vals + cells.rad
+        split = bound > lo + target
+        hi = max(hi, float(np.max(bound[~split], initial=-np.inf)))
+        if not split.any():
+            break
+        cells = refine_nodes(centers=cells.take(split))
+    return lo, max(hi, lo), evaluated
+
+
+@pytest.mark.parametrize("metric", [GEO, EUC], ids=["geo", "euc"])
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("fam,reg", PRUNE_CASES,
+                         ids=[f"{f}-{r}" for f, r in PRUNE_CASES])
+def test_seeded_bracket_meets_the_unseeded_one(all_families, fam, reg, k,
+                                               metric):
+    spec = all_families[fam]
+    region = geo.REGION_ALL if reg == "all" else geo.interior_body(0.2)
+    h = _prune_h(spec)
+    target = h / 50.0
+    cloud = uniform_sample(spec, 300, 70 * PRUNE_CASES.index((fam, reg)) + k)
+    grid = build_grid(spec, region, h)
+    knn = KnnField(spec, cloud.points, k, metric)
+
+    def deep(nodes):
+        return np.minimum(knn(nodes), geo.dist_to_boundary_many(spec, nodes))
+
+    for field, threshold in ((knn, coverage_threshold),
+                             (deep, interior_threshold)):
+        est = threshold(cloud, grid, k, metric, refine_to=target)
+        lo, hi, _ = _unseeded_max(field, grid, target)
+        assert 0.0 <= est.width <= target + 1e-12
+        assert max(est.lo, lo) <= min(est.hi, hi) + 1e-12
+        assert field(np.array([est.argmax]))[0] == est.lo
+
+
+def test_seeded_max_evaluates_fewer_nodes():
+    # a square cloud whose start partition is split almost whole when the
+    # lower bound is only the best start cell
+    square = geo.unit_square(2)
+    cloud = uniform_sample(square, 20_000, 2718)
+    grid = build_grid(square, geo.REGION_ALL, 0.02)
+    knn = KnnField(square, cloud.points, 1, GEO)
+    evaluated = []
+
+    def counting(nodes):
+        evaluated.append(len(nodes))
+        return knn(nodes)
+
+    est = cov._certified_max(counting, grid, 1, GEO, 1e-4)
+    lo, hi, oracle_evaluated = _unseeded_max(knn, grid, 1e-4)
+    assert max(est.lo, lo) <= min(est.hi, hi) + 1e-12
+    assert sum(evaluated) < oracle_evaluated

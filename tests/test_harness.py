@@ -9,6 +9,7 @@ import pytest
 from covlab import geometry as geo
 from covlab import harness
 from covlab import limits as lim
+from covlab import sampling as smp
 from covlab.coverage import coverage_threshold
 from covlab.harness import (ConfigError, ConfigRefused, ExperimentConfig,
                             KSchedule, RunMode, Sampler, constant_k,
@@ -217,6 +218,53 @@ def test_binomial_run_samples_the_custom_density(monkeypatch):
                           np.random.SeedSequence(entropy=7, spawn_key=(0, 0)))
     assert clouds[0].points.tobytes() == want.points.tobytes()
     assert abs(float(np.mean(clouds[0].points[:, 0])) - 5.0 / 9.0) < 0.01
+
+
+def _tilted_square_cfg(dens, sampler, replications):
+    return ExperimentConfig(spec=geo.unit_square(2), region=geo.REGION_ALL,
+                            mode=RunMode.SLLN_TRACE, sizes=(2_000,),
+                            schedule=constant_k(1), replications=replications,
+                            base_seed=7, density=dens, sampler=sampler)
+
+
+@pytest.mark.parametrize("sampler", [Sampler.BINOMIAL, Sampler.POISSON])
+def test_custom_density_run_probes_once(monkeypatch, sampler):
+    # the 100k-point density check runs once per run, not once per draw,
+    # and the clouds are the ones an unchecked draw gives
+    dens = DensitySpec.custom(lambda p: (2.0 / 3.0) * (1.0 + p[:, 0]),
+                              sup_bound=4.0 / 3.0, f0=2.0 / 3.0, f1=2.0 / 3.0)
+    probes, clouds = [], []
+    probe = smp._density_probe
+
+    def counting(*args):
+        probes.append(args)
+        return probe(*args)
+
+    def recording(cloud, *args, **kw):
+        clouds.append(cloud)
+        return coverage_threshold(cloud, *args, **kw)
+
+    monkeypatch.setattr(smp, "_density_probe", counting)
+    monkeypatch.setattr(harness, "coverage_threshold", recording)
+    run_experiment(_tilted_square_cfg(dens, sampler, 3))
+    assert len(probes) == 1 and len(clouds) == 3
+    for rep, cloud in enumerate(clouds):
+        seed = np.random.SeedSequence(entropy=7, spawn_key=(0, rep))
+        want = (smp.poisson_sample(cloud.spec, dens, 2_000.0, seed)
+                if sampler is Sampler.POISSON
+                else density_sample(cloud.spec, dens, 2_000, seed))
+        assert cloud.points.tobytes() == want.points.tobytes()
+
+
+def test_bad_custom_density_fails_before_any_replication(monkeypatch):
+    dens = DensitySpec.custom(lambda p: np.full(len(p), 1.5), sup_bound=2.0,
+                              f0=1.5, f1=1.5)
+    draws = []
+    monkeypatch.setattr(harness, "_draw_cloud",
+                        lambda *a: draws.append(a) or pytest.fail("drew"))
+    with pytest.raises(smp.SamplingError, match="integrates"):
+        run_experiment(_tilted_square_cfg(dens, Sampler.BINOMIAL, 3))
+    assert draws == []
 
 
 def test_halved_h_shifts_within_transform_image():
