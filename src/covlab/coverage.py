@@ -118,15 +118,27 @@ def _certified_max(field, grid: EvalGrid, k: int, metric: Metric,
         raise CoverageError(f"target width {target} is below the supported "
                             "resolution")
     vals = field(grid.nodes)
-    # the largest values, ties to the lowest index, in grid order, so the
-    # argmax stays the first occurrence
-    seed = np.sort(np.argsort(-vals, kind="stable")[:_SEED_CELLS])
+    seed = _top_cells(vals, _SEED_CELLS)
     lo, _, arg = _branch_and_bound(field, grid.take(seed), vals[seed],
                                    target)
     lo, hi, arg = _branch_and_bound(field, grid, vals, target, lo, arg)
     return ThresholdEstimate(lo=lo, hi=max(hi, lo), h=target, k=k,
                              metric=metric,
                              argmax=tuple(float(v) for v in arg))
+
+
+def _top_cells(vals: np.ndarray, count: int) -> np.ndarray:
+    """Indices of the ``count`` largest values, ties to the lowest index,
+    in increasing order, so the first argmax is among them and stays the
+    first.  This is ``np.sort(np.argsort(-vals, kind="stable")[:count])``
+    without sorting all of ``vals``.
+    """
+    if len(vals) <= count:
+        return np.arange(len(vals))
+    kth = -np.partition(-vals, count - 1)[count - 1]  # count-th largest
+    above = np.flatnonzero(vals > kth)
+    tied = np.flatnonzero(vals == kth)[:count - len(above)]
+    return np.sort(np.concatenate([above, tied]))
 
 
 def _branch_and_bound(field, cells: EvalGrid, vals: np.ndarray,

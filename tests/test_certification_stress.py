@@ -439,3 +439,14 @@ def test_seeded_max_evaluates_fewer_nodes():
     lo, hi, oracle_evaluated = _unseeded_max(knn, grid, 1e-4)
     assert max(est.lo, lo) <= min(est.hi, hi) + 1e-12
     assert sum(evaluated) < oracle_evaluated
+
+
+def test_seed_cells_are_the_largest_ties_to_lowest_index():
+    rng = np.random.default_rng(91)
+    for n in (1, 5, 16, 17, 40, 3000):
+        for levels in (2, 7, None):  # heavy ties, some ties, none
+            vals = (rng.integers(0, levels, n).astype(float) if levels
+                    else rng.random(n))
+            for count in (1, 4, 16):
+                want = np.sort(np.argsort(-vals, kind="stable")[:count])
+                assert np.array_equal(cov._top_cells(vals, count), want)
