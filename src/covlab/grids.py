@@ -157,9 +157,7 @@ class _Domain:
                         for i in range(3))
             keep = np.flatnonzero(near2 <= self.size ** 2)
             lo, hi, rep = (_rows(a, keep) for a in (lo, hi, rep))
-        rad = self.radius(lo, hi, rep)
-        if self.slack:
-            rad += self.slack
+        rad = self.radius(lo, hi, rep) + self.slack
         x = self.ambient(rep)
         if self.kind == "ball":
             nrm = np.sqrt(sum(x[:, i] ** 2 for i in range(3)))
