@@ -339,11 +339,9 @@ def _draw_cloud(config: ExperimentConfig, size: float, size_idx: int, rep: int):
     seed = np.random.SeedSequence(entropy=config.base_seed,
                                   spawn_key=(size_idx, rep))
     if config.sampler is Sampler.POISSON:
-        return poisson_sample(config.spec, config.density, float(size), seed,
-                              checked=True)
+        return poisson_sample(config.spec, config.density, float(size), seed)
     if config.density.kind != "uniform":
-        return density_sample(config.spec, config.density, int(size), seed,
-                              checked=True)
+        return density_sample(config.spec, config.density, int(size), seed)
     return uniform_sample(config.spec, int(size), seed)
 
 
@@ -501,7 +499,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     t0 = time.monotonic()
     n_workers = _threads()
     parts = _MODE_PARTS[config.mode](config)
-    check_density(config.spec, config.density)  # once, for every draw below
+    check_density(config.spec, config.density)  # fail before any replication
     spec, region, metric = config.spec, config.region, config.metric
     rows: list[ReplicationRow] = []
     for si, size in enumerate(config.sizes):

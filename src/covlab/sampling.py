@@ -10,6 +10,7 @@ limit statistics are sensitive to any distributional error.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -156,12 +157,13 @@ def _density_probe(spec: ManifoldSpec, dens: DensitySpec) -> np.ndarray:
     return vals
 
 
+@functools.lru_cache(maxsize=8)
 def check_density(spec: ManifoldSpec, dens: DensitySpec) -> None:
     """Refuse a custom density that lacks f or sup_bound, is negative, is
     not normalised within 2%, or exceeds sup_bound on a fixed probe set.
 
-    A run calls this once before its first replication and then samples
-    with ``checked=True``.
+    Memoised on (spec, dens), so the probe runs once per density however
+    many clouds are drawn from it; a refusal raises and is not cached.
     """
     if dens.kind == "uniform":
         return
@@ -171,17 +173,12 @@ def check_density(spec: ManifoldSpec, dens: DensitySpec) -> None:
 
 
 def density_sample(spec: ManifoldSpec, dens: DensitySpec, n: int,
-                   seed, checked: bool = False) -> PointCloud:
-    """n i.i.d. points with law dens, by rejection from the uniform law.
-
-    ``checked=True`` skips :func:`check_density`, for a caller that has
-    already run it on ``dens``; the points are the same either way.
-    """
+                   seed) -> PointCloud:
+    """n i.i.d. points with law dens, by rejection from the uniform law."""
     if dens.kind == "uniform":
         cloud = uniform_sample(spec, n, seed)
         return cloud
-    if not checked:
-        check_density(spec, dens)
+    check_density(spec, dens)
     rng = _rng(seed)
     m_bound = float(dens.sup_bound)
     out: list[np.ndarray] = []
@@ -259,12 +256,11 @@ def poisson_count(rng: np.random.Generator, t: float) -> int:
 
 
 def poisson_sample(spec: ManifoldSpec, dens: DensitySpec, t: float,
-                   seed, checked: bool = False) -> PointCloud:
+                   seed) -> PointCloud:
     """Poisson process of intensity t * dens on A.
 
     Draws the count Z ~ Poisson(t) (CDF inversion for t <= 30, transformed
-    rejection beyond), then Z i.i.d. points from dens; ``checked`` is
-    passed on to :func:`density_sample`.
+    rejection beyond), then Z i.i.d. points from dens.
     """
     rng = _rng(seed)
     z = poisson_count(rng, t)
@@ -273,8 +269,7 @@ def poisson_sample(spec: ManifoldSpec, dens: DensitySpec, t: float,
         density = "uniform"
     else:
         # rejection against the same stream, reusing the binomial machinery
-        sub = density_sample(spec, dens, z, rng.integers(0, 2 ** 63 - 1),
-                             checked)
+        sub = density_sample(spec, dens, z, rng.integers(0, 2 ** 63 - 1))
         pts = sub.points
         density = "custom"
     return PointCloud(spec, pts, CloudOrigin("poisson", t, z), seed=seed,
