@@ -11,7 +11,7 @@ from .sampling import (CloudOrigin, DensitySpec, PointCloud, density_sample,
 from .grids import EvalGrid, build_grid
 from .coverage import (CoverageError, KnnField, ThresholdEstimate,
                        coverage_threshold, interior_threshold)
-from .limits import (LimitLaw, Regime, SllnMode, boundary_centering,
+from .limits import (LimitLaw, Regime, boundary_centering,
                      boundary_coefficient, boundary_law_cdf,
                      interior_centering, interior_coefficient,
                      interior_law_cdf, rate_function, rate_inverse,

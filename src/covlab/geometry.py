@@ -6,13 +6,21 @@ spherical cap).  For each of these we know the intrinsic distance, the
 volume, the surface measure of the boundary, and the distance-to-boundary
 function in closed form, so downstream statistics are not polluted by
 geometric discretization error.
+
+The shape table maps each family to a body of one of three kinds: a box
+(the square and the cube), a ball (the disk and the solid ball) or a cap
+on S^2 (the cap, and the sphere as the cap of radius pi).  The measures,
+membership and depth read that body, and an interior body is the same
+kind shrunk by delta.
 """
 
 from __future__ import annotations
 
 import math
+import functools
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -91,59 +99,24 @@ class RegionKind(str, Enum):
     INTERIOR_BODY = "interior_body"
 
 
-@dataclass(frozen=True)
-class ManifoldSpec:
-    """One catalog shape: intrinsic dimension d, ambient dimension m.
-
-    ``alpha`` is the polar half-angle and is only meaningful for
-    ``SPHERICAL_CAP``.
-    """
-
-    family: Family
-    d: int
-    m: int
-    alpha: float | None = None
-
-    def __post_init__(self):
-        if self.d < 2 or self.d > self.m:
-            raise GeometryError(f"need 2 <= d <= m, got d={self.d}, m={self.m}")
-        if self.family is Family.SPHERICAL_CAP:
-            if self.alpha is None or not (0.0 < self.alpha < math.pi):
-                raise GeometryError("spherical cap needs polar angle in (0, pi)")
-        elif self.alpha is not None:
-            raise GeometryError("alpha only applies to spherical_cap")
-
-    @property
-    def curved(self) -> bool:
-        return self.family in (Family.UNIT_SPHERE, Family.SPHERICAL_CAP)
-
-    def to_json(self) -> dict:
-        out = {"family": self.family.value}
-        if self.family is Family.UNIT_SQUARE and self.d != 2:
-            out["d"] = self.d
-        if self.alpha is not None:
-            out["alpha"] = self.alpha
-        return out
-
-    @staticmethod
-    def from_json(obj: dict) -> "ManifoldSpec":
-        check_keys(obj, {"family"}.union(*_SPEC_KEYS.values()), "spec")
-        fam = Family(obj.get("family"))
-        check_keys(obj, _SPEC_KEYS.get(fam, {"family"}), f"{fam.value} spec",
-                   required=("alpha",) if fam is Family.SPHERICAL_CAP else ())
-        if fam is Family.UNIT_SQUARE:
-            return unit_square(read_number(obj, "d", "spec", integral=True,
-                                           default=2))
-        if fam is Family.SPHERICAL_CAP:
-            return spherical_cap(read_number(obj, "alpha", "spec"))
-        return {Family.UNIT_DISK: unit_disk,
-                Family.SOLID_BALL: solid_ball,
-                Family.UNIT_SPHERE: unit_sphere}[fam]()
+# ---------------------------------------------------------------------------
+# the shape table
 
 
-# JSON keys of the families that take a parameter
-_SPEC_KEYS = {Family.UNIT_SQUARE: {"family", "d"},
-              Family.SPHERICAL_CAP: {"family", "alpha"}}
+class _Shape(NamedTuple):
+    kind: str             # "box", "ball" or "cap": see _Body
+    d: int | None         # intrinsic dimension; None: any d >= 2
+    m: int | None         # ambient dimension; None: m = d
+    size: float | None    # the body's size; None: the spec's alpha
+
+
+_SHAPES = {
+    Family.UNIT_SQUARE: _Shape("box", None, None, 1.0),
+    Family.UNIT_DISK: _Shape("ball", 2, 2, 1.0),
+    Family.SOLID_BALL: _Shape("ball", 3, 3, 1.0),
+    Family.UNIT_SPHERE: _Shape("cap", 2, 3, math.pi),
+    Family.SPHERICAL_CAP: _Shape("cap", 2, 3, None),
+}
 
 
 def unit_square(d: int = 2) -> ManifoldSpec:
@@ -168,6 +141,65 @@ def unit_sphere() -> ManifoldSpec:
 def spherical_cap(alpha: float) -> ManifoldSpec:
     """Cap {x in S^2 : polar angle <= alpha} around the north pole."""
     return ManifoldSpec(Family.SPHERICAL_CAP, d=2, m=3, alpha=alpha)
+
+
+# ---------------------------------------------------------------------------
+# specs
+
+
+@dataclass(frozen=True)
+class ManifoldSpec:
+    """One catalog shape: intrinsic dimension d, ambient dimension m, the
+    pair the shape table states for the family.
+
+    ``alpha`` is the polar half-angle and is only meaningful for
+    ``SPHERICAL_CAP``.
+    """
+
+    family: Family
+    d: int
+    m: int
+    alpha: float | None = None
+
+    def __post_init__(self):
+        shape = _SHAPES[self.family]
+        if self.d < 2:
+            raise GeometryError(f"need d >= 2, got d={self.d}")
+        want = (shape.d or self.d, shape.m or self.d)
+        if (self.d, self.m) != want:
+            raise GeometryError(f"{self.family.value} has (d, m) = {want}, "
+                                f"got ({self.d}, {self.m})")
+        if shape.size is None:
+            if self.alpha is None or not (0.0 < self.alpha < math.pi):
+                raise GeometryError("spherical cap needs polar angle in (0, pi)")
+        elif self.alpha is not None:
+            raise GeometryError("alpha only applies to spherical_cap")
+
+    @property
+    def curved(self) -> bool:
+        return _SHAPES[self.family].kind == "cap"
+
+    def to_json(self) -> dict:
+        out = {"family": self.family.value}
+        if _SHAPES[self.family].d is None and self.d != 2:
+            out["d"] = self.d
+        if self.alpha is not None:
+            out["alpha"] = self.alpha
+        return out
+
+    @staticmethod
+    def from_json(obj: dict) -> "ManifoldSpec":
+        check_keys(obj, {"family", "d", "alpha"}, "spec")
+        fam = Family(obj.get("family"))
+        shape = _SHAPES[fam]
+        # the square takes its d, the cap its alpha
+        keys = ({"family"} | ({"d"} if shape.d is None else set())
+                | ({"alpha"} if shape.size is None else set()))
+        check_keys(obj, keys, f"{fam.value} spec",
+                   required=sorted(keys & {"alpha"}))
+        d = shape.d or read_number(obj, "d", "spec", integral=True, default=2)
+        return ManifoldSpec(fam, d, shape.m or d,
+                            read_number(obj, "alpha", "spec"))
 
 
 @dataclass(frozen=True)
@@ -219,53 +251,126 @@ def interior_body(delta: float) -> RegionSpec:
 
 
 # ---------------------------------------------------------------------------
+# bodies
+
+
+# An interior body is refused as empty unless it keeps points this much
+# deeper than delta: the cell partitions of B pull their representatives
+# that far inside it (see grids).
+_INSET = 1e-9
+
+
+@dataclass(frozen=True)
+class _Body:
+    """A shape or an interior body, as one of three kinds.
+
+    * ``box``  -- [lo, lo + size]^d;
+    * ``ball`` -- radius ``size`` about the origin of R^d;
+    * ``cap``  -- polar radius ``size`` about the north pole of S^2; the
+      cap of radius pi is the whole sphere, which has no boundary.
+    """
+
+    kind: str
+    d: int
+    size: float
+    lo: float = 0.0
+
+    @property
+    def boundaryless(self) -> bool:
+        return self.kind == "cap" and self.size == math.pi
+
+    def shrunk(self, delta: float) -> "_Body":
+        """The points at depth >= delta: the same kind, delta smaller in
+        radius (2 delta on the box's side); the sphere stays whole."""
+        if self.boundaryless:
+            return self
+        if self.kind == "box":
+            return _Body("box", self.d, self.size - 2.0 * delta,
+                         self.lo + delta)
+        return _Body(self.kind, self.d, self.size - delta)
+
+    @property
+    def volume(self) -> float:
+        r = self.size
+        if self.kind == "box":
+            return r ** self.d
+        if self.kind == "cap":
+            return 2.0 * math.pi * (1.0 - math.cos(r))
+        return math.pi * r * r if self.d == 2 else 4.0 * math.pi * r ** 3 / 3.0
+
+    @property
+    def boundary(self) -> float:
+        r = self.size
+        if self.kind == "box":
+            return 2.0 * self.d * r ** (self.d - 1)
+        if self.kind == "cap":  # sin(pi) is 1.2e-16, not 0
+            return 0.0 if self.boundaryless else 2.0 * math.pi * math.sin(r)
+        return 2.0 * math.pi * r if self.d == 2 else 4.0 * math.pi * r * r
+
+    @property
+    def diameter(self) -> float:
+        if self.kind == "box":
+            return math.sqrt(self.d) * self.size
+        if self.kind == "cap":
+            return min(2.0 * self.size, math.pi)
+        return 2.0 * self.size
+
+    def contains(self, pts: np.ndarray) -> np.ndarray:
+        if self.kind == "box":
+            return np.all((pts >= self.lo) & (pts <= self.lo + self.size),
+                          axis=1)
+        nrm2 = np.einsum("ij,ij->i", pts, pts)
+        if self.kind == "ball":
+            return nrm2 <= self.size * self.size + ON_MANIFOLD_TOL
+        on_sphere = np.abs(np.sqrt(nrm2) - 1.0) <= ON_MANIFOLD_TOL
+        return on_sphere & (pts[:, 2] >= math.cos(self.size) - ON_MANIFOLD_TOL)
+
+    def depth(self, pts: np.ndarray) -> np.ndarray:
+        if self.kind == "box":
+            return np.minimum(pts.min(axis=1) - self.lo,
+                              self.lo + self.size - pts.max(axis=1))
+        if self.kind == "ball":
+            return self.size - np.linalg.norm(pts, axis=1)
+        if self.boundaryless:
+            return np.full(len(pts), NO_BOUNDARY)
+        return self.size - np.arccos(np.clip(pts[:, 2], -1.0, 1.0))
+
+
+@functools.lru_cache(maxsize=64)
+def _body(spec: ManifoldSpec, region: RegionSpec = REGION_ALL) -> _Body:
+    """The body of B, the region of the shape.
+
+    Raises :class:`GeometryError` for an interior body that is empty, or
+    that has no point ``_INSET`` deeper than delta.
+    """
+    shape = _SHAPES[spec.family]
+    body = _Body(shape.kind, spec.d,
+                 spec.alpha if shape.size is None else shape.size)
+    if region.kind is RegionKind.ALL:
+        return body
+    if body.shrunk(region.delta + _INSET).size <= 0.0:
+        raise GeometryError(f"interior_body(delta={region.delta}) is empty "
+                            f"or thinner than {_INSET}")
+    return body.shrunk(region.delta)
+
+
+# ---------------------------------------------------------------------------
 # measures
 
 
 def volume(spec: ManifoldSpec) -> float:
     """Riemannian volume of A (area for d=2 surfaces)."""
-    f = spec.family
-    if f is Family.UNIT_SQUARE:
-        return 1.0
-    if f is Family.UNIT_DISK:
-        return math.pi
-    if f is Family.SOLID_BALL:
-        return 4.0 * math.pi / 3.0
-    if f is Family.UNIT_SPHERE:
-        return 4.0 * math.pi
-    if f is Family.SPHERICAL_CAP:
-        return 2.0 * math.pi * (1.0 - math.cos(spec.alpha))
-    raise GeometryError(f"unknown family {f}")
+    return _body(spec).volume
 
 
 def boundary_measure(spec: ManifoldSpec) -> float:
     """Surface measure of the boundary of A; 0 for the sphere."""
-    f = spec.family
-    if f is Family.UNIT_SQUARE:
-        return 2.0 * spec.d
-    if f is Family.UNIT_DISK:
-        return 2.0 * math.pi
-    if f is Family.SOLID_BALL:
-        return 4.0 * math.pi
-    if f is Family.UNIT_SPHERE:
-        return 0.0
-    if f is Family.SPHERICAL_CAP:
-        return 2.0 * math.pi * math.sin(spec.alpha)
-    raise GeometryError(f"unknown family {f}")
+    return _body(spec).boundary
 
 
 def intrinsic_diameter(spec: ManifoldSpec) -> float:
     """Largest geodesic distance between two points of A."""
-    f = spec.family
-    if f is Family.UNIT_SQUARE:
-        return math.sqrt(spec.d)
-    if f in (Family.UNIT_DISK, Family.SOLID_BALL):
-        return 2.0
-    if f is Family.UNIT_SPHERE:
-        return math.pi
-    if f is Family.SPHERICAL_CAP:
-        return min(2.0 * spec.alpha, math.pi)
-    raise GeometryError(f"unknown family {f}")
+    return _body(spec).diameter
 
 
 # ---------------------------------------------------------------------------
@@ -274,17 +379,7 @@ def intrinsic_diameter(spec: ManifoldSpec) -> float:
 
 def contains_many(spec: ManifoldSpec, pts: np.ndarray) -> np.ndarray:
     """Exact membership of each row in A (1e-12 slack on curved families)."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    f = spec.family
-    if f is Family.UNIT_SQUARE:
-        return np.all((pts >= 0.0) & (pts <= 1.0), axis=1)
-    nrm2 = np.einsum("ij,ij->i", pts, pts)
-    if f in (Family.UNIT_DISK, Family.SOLID_BALL):
-        return nrm2 <= 1.0 + ON_MANIFOLD_TOL
-    on_sphere = np.abs(np.sqrt(nrm2) - 1.0) <= ON_MANIFOLD_TOL
-    if f is Family.UNIT_SPHERE:
-        return on_sphere
-    return on_sphere & (pts[:, 2] >= math.cos(spec.alpha) - ON_MANIFOLD_TOL)
+    return _body(spec).contains(np.atleast_2d(np.asarray(pts, dtype=float)))
 
 
 def dist_many(spec: ManifoldSpec, x: np.ndarray, pts: np.ndarray,
@@ -306,15 +401,7 @@ def chord_to_geodesic(chord) -> np.ndarray:
 
 def dist_to_boundary_many(spec: ManifoldSpec, pts: np.ndarray) -> np.ndarray:
     """Geodesic distance from each row to the boundary of A (inf on S^2)."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    f = spec.family
-    if f is Family.UNIT_SQUARE:
-        return np.minimum(pts.min(axis=1), (1.0 - pts).min(axis=1))
-    if f in (Family.UNIT_DISK, Family.SOLID_BALL):
-        return 1.0 - np.linalg.norm(pts, axis=1)
-    if f is Family.UNIT_SPHERE:
-        return np.full(len(pts), NO_BOUNDARY)
-    return spec.alpha - np.arccos(np.clip(pts[:, 2], -1.0, 1.0))
+    return _body(spec).depth(np.atleast_2d(np.asarray(pts, dtype=float)))
 
 
 # ---------------------------------------------------------------------------
@@ -330,37 +417,10 @@ def region_contains_many(spec: ManifoldSpec, region: RegionSpec,
     return inside & (dist_to_boundary_many(spec, pts) >= region.delta)
 
 
-def _interior_body_measures(spec: ManifoldSpec, delta: float) -> tuple[float, float]:
-    f = spec.family
-    if f is Family.UNIT_SQUARE:
-        side = 1.0 - 2.0 * delta
-        if side <= 0.0:
-            raise GeometryError(f"interior_body(delta={delta}) is empty")
-        return side ** spec.d, 0.0
-    if f is Family.UNIT_DISK:
-        r = 1.0 - delta
-        if r <= 0.0:
-            raise GeometryError(f"interior_body(delta={delta}) is empty")
-        return math.pi * r * r, 0.0
-    if f is Family.SOLID_BALL:
-        r = 1.0 - delta
-        if r <= 0.0:
-            raise GeometryError(f"interior_body(delta={delta}) is empty")
-        return 4.0 * math.pi * r ** 3 / 3.0, 0.0
-    if f is Family.UNIT_SPHERE:
-        # no boundary: the interior body is all of A, at any depth
-        return 4.0 * math.pi, 0.0
-    a = spec.alpha - delta
-    if a <= 0.0:
-        raise GeometryError(f"interior_body(delta={delta}) is empty")
-    return 2.0 * math.pi * (1.0 - math.cos(a)), 0.0
-
-
 def region_measures(spec: ManifoldSpec, region: RegionSpec) -> tuple[float, float]:
     """(volume of B, surface measure of B intersected with the boundary of A).
 
     Raises :class:`GeometryError` for an interior body that is empty.
     """
-    if region.kind is RegionKind.ALL:
-        return volume(spec), boundary_measure(spec)
-    return _interior_body_measures(spec, region.delta)
+    body = _body(spec, region)
+    return body.volume, body.boundary if region.kind is RegionKind.ALL else 0.0

@@ -5,14 +5,16 @@ in a parameter space of the shape, with a representative point p in B and
 a cover radius rho: every point of B in the cell lies within geodesic
 distance rho of p.  A cell splits into its 2^d children by halving every
 side of its box, so the children tile their parent exactly.  The parameter
-spaces are
+space is read from B's body, one of the three kinds of geometry's shape
+table:
 
-- the coordinates themselves on the square and cube;
-- the coordinates of the enclosing cube [-R, R]^3 on the solid ball: a
-  box that misses the ball is dropped, and a representative outside the
-  ball is projected onto it, which moves it no farther from any point of
-  the ball (projection onto a convex set is 1-Lipschitz);
-- radius x azimuth on the disk, polar angle x azimuth on the sphere and cap.
+- a box (the square and cube): its own coordinates;
+- a ball at d=3 (the solid ball): the coordinates of the enclosing cube
+  [-R, R]^3; a box that misses the ball is dropped, and a representative
+  outside the ball is projected onto it, which moves it no farther from
+  any point of the ball (projection onto a convex set is 1-Lipschitz);
+- a ball at d=2 (the disk): radius x azimuth; a cap (the cap, and the
+  sphere as the cap of radius pi): polar angle x azimuth.
 
 rho is the largest distance from the (unprojected) representative to a
 corner of the box.  That is exact on flat boxes, where the distance is
@@ -31,9 +33,10 @@ neighbours; its nodes are the
 representatives, so the corners, faces and rims of B are among them.
 Children take the centres of their boxes.
 
-For interior-body regions the representatives are pulled a hair (1e-9)
-inside the closed region so they satisfy the strict interior constraint;
-the slack is added to every cover radius.
+For interior-body regions the partition is that of the body shrunk by a
+further hair (1e-9), so the representatives satisfy the strict interior
+constraint; the slack is added to every cover radius.  Geometry refuses
+an interior body that has no point that far inside it.
 """
 
 from __future__ import annotations
@@ -45,16 +48,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (Family, ManifoldSpec, RegionKind, RegionSpec,
-                       chord_to_geodesic)
+from .geometry import (_INSET, ManifoldSpec, RegionKind, RegionSpec, _Body,
+                       _body, chord_to_geodesic)
 
 # most cells a start partition may have; guards --h and grid_h input
 NODE_CAP = 4_000_000
 
-# strict-interior pullback for interior_body grids
-_EDGE_EPS = 1e-9
 # smallest supported cover radius or bracket width
-MIN_RESOLUTION = 4.0 * _EDGE_EPS
+MIN_RESOLUTION = 4.0 * _INSET
 
 
 class GridError(ValueError):
@@ -98,23 +99,25 @@ def _rows(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Domain:
-    """Parameter space of one (family, region) pair.
+    """Parameter space of B's body, plus the ``slack`` its cover radii add.
 
-    ``kind`` is "box" ([lo, lo + size]^d), "ball" (radius size, boxes in
-    [-size, size]^3), "disk" (radius in [0, size]) or "sphere" (polar
-    angle in [0, size]); the polar kinds add the azimuth in [0, 2 pi].
+    A box is its own parameter space; a 3-d ball takes the enclosing cube
+    [-size, size]^3 and projects onto the ball; a 2-d body other than a
+    box (the disk and the cap) takes rings: radius (polar angle on the
+    cap) in [0, size] x azimuth in [0, 2 pi].
     """
 
-    kind: str
-    d: int
-    size: float
-    lo: float = 0.0
+    body: _Body
     slack: float = 0.0
 
+    @property
+    def rings(self) -> bool:
+        return self.body.kind != "box" and self.body.d == 2
+
     def ambient(self, q: np.ndarray) -> np.ndarray:
-        if self.kind in ("box", "ball"):
+        if not self.rings:
             return q
-        sphere = self.kind == "sphere"
+        sphere = self.body.kind == "cap"
         t, phi = q[:, 0], q[:, 1]
         c = np.sin(t) if sphere else t
         x = np.empty((len(t), 3 if sphere else 2))
@@ -134,11 +137,11 @@ class _Domain:
         ``dt^2 + c(t) c(t') (2 sin(gap/2))^2`` with dt = t - t' on the disk
         and 2 sin((t - t')/2) on the sphere, for t' at either end.
         """
-        if self.kind in ("box", "ball"):
+        if not self.rings:
             return np.sqrt(sum(np.maximum(rep[:, i] - lo[:, i],
                                           hi[:, i] - rep[:, i]) ** 2
-                               for i in range(self.d)))
-        sphere = self.kind == "sphere"
+                               for i in range(self.body.d)))
+        sphere = self.body.kind == "cap"
         t = rep[:, 0]
         gap = np.maximum(rep[:, 1] - lo[:, 1], hi[:, 1] - rep[:, 1])
         across = (2.0 * np.sin(0.5 * gap)) ** 2 * (np.sin(t) if sphere else t)
@@ -152,18 +155,20 @@ class _Domain:
               hi: np.ndarray, rep: np.ndarray, h: float | None = None
               ) -> EvalGrid:
         """Cells of the given boxes and parameter representatives."""
-        if self.kind == "ball":  # drop the boxes that miss the ball
+        size = self.body.size
+        cube = self.body.kind == "ball" and not self.rings
+        if cube:  # drop the boxes that miss the ball
             near2 = sum(np.clip(0.0, lo[:, i], hi[:, i]) ** 2
                         for i in range(3))
-            keep = np.flatnonzero(near2 <= self.size ** 2)
+            keep = np.flatnonzero(near2 <= size ** 2)
             lo, hi, rep = (_rows(a, keep) for a in (lo, hi, rep))
         rad = self.radius(lo, hi, rep) + self.slack
         x = self.ambient(rep)
-        if self.kind == "ball":
+        if cube:
             nrm = np.sqrt(sum(x[:, i] ** 2 for i in range(3)))
-            out = nrm > self.size
+            out = nrm > size
             x = x.copy()
-            x[out] *= (self.size / nrm[out])[:, None]
+            x[out] *= (size / nrm[out])[:, None]
         if h is None:
             h = float(rad.max(initial=0.0))
         return EvalGrid(spec, region, x, h, lo, hi, rad)
@@ -172,48 +177,35 @@ class _Domain:
 @functools.lru_cache(maxsize=64)
 def _domain(spec: ManifoldSpec, region: RegionSpec) -> _Domain:
     """The parameter space of B."""
-    fam = spec.family
-    if fam is Family.UNIT_SPHERE:  # no boundary: every region is the sphere
-        return _Domain("sphere", 2, math.pi)
-    delta = slack = 0.0
-    if region.kind is RegionKind.INTERIOR_BODY:
-        # every point of B lies within _EDGE_EPS * sqrt(d) of the shrunk
-        # domain, whose points are strictly inside B
-        delta = region.delta + _EDGE_EPS
-        slack = _EDGE_EPS * math.sqrt(spec.d)
-    if fam is Family.UNIT_SQUARE:
-        size = 1.0 - 2.0 * delta
-    elif fam is Family.SPHERICAL_CAP:
-        size = spec.alpha - delta
-    else:
-        size = 1.0 - delta
-    if size <= 0.0:
-        raise GridError(f"interior body delta={region.delta} empties the "
-                        f"{fam.value}")
-    kind = {Family.UNIT_SQUARE: "box", Family.SOLID_BALL: "ball",
-            Family.UNIT_DISK: "disk", Family.SPHERICAL_CAP: "sphere"}[fam]
-    return _Domain(kind, spec.d, size, delta, slack)
+    body = _body(spec, region)  # refuses an empty interior body
+    if region.kind is RegionKind.ALL or body.boundaryless:
+        return _Domain(body)
+    # every point of B lies within _INSET * sqrt(d) of the shrunk
+    # body, whose points are strictly inside B
+    return _Domain(_body(spec).shrunk(region.delta + _INSET),
+                   _INSET * math.sqrt(spec.d))
 
 
 def _start(dom: _Domain, h: float):
     """(box lo, box hi, representative) of the start partition at h."""
-    if dom.kind in ("box", "ball"):
-        lo, side = ((dom.lo, dom.size) if dom.kind == "box"
-                    else (-dom.size, 2.0 * dom.size))
-        n = max(1, math.ceil(side / (2.0 * h / math.sqrt(dom.d))))
-        _check_cap((n + 1) ** dom.d, h)
+    body = dom.body
+    if not dom.rings:
+        lo, side = ((body.lo, body.size) if body.kind == "box"
+                    else (-body.size, 2.0 * body.size))
+        n = max(1, math.ceil(side / (2.0 * h / math.sqrt(body.d))))
+        _check_cap((n + 1) ** body.d, h)
         s = side / n
         axis = lo + np.arange(n + 1) * s
         axis[-1] = lo + side  # exact upper face
         axes = (axis, np.maximum(axis - s / 2, lo),
                 np.minimum(axis + s / 2, lo + side))
         rep, box_lo, box_hi = (
-            np.array([m.ravel() for m in np.meshgrid(*(a,) * dom.d,
+            np.array([m.ravel() for m in np.meshgrid(*(a,) * body.d,
                                                      indexing="ij")]).T
             for a in axes)
         return box_lo, box_hi, rep
-    pos = np.linspace(0.0, dom.size, max(1, math.ceil(dom.size / h)) + 1)
-    circ = np.sin(pos) if dom.kind == "sphere" else pos
+    pos = np.linspace(0.0, body.size, max(1, math.ceil(body.size / h)) + 1)
+    circ = np.sin(pos) if body.kind == "cap" else pos
     # a ring off the axis gets two boxes at least, so no azimuth gap
     # exceeds pi/2 (see the module docstring)
     on_axis = (pos == 0.0) | (pos == math.pi)
@@ -227,7 +219,7 @@ def _start(dom: _Domain, h: float):
     half_a = math.pi / counts[ring]
     t = pos[ring]
     box_lo = np.array([np.maximum(t - half_t, 0.0), ang - half_a]).T
-    box_hi = np.array([np.minimum(t + half_t, dom.size), ang + half_a]).T
+    box_hi = np.array([np.minimum(t + half_t, body.size), ang + half_a]).T
     return box_lo, box_hi, np.array([t, ang]).T
 
 
@@ -274,11 +266,12 @@ def refine_nodes(centers: EvalGrid) -> EvalGrid:
     ball, children whose box misses the ball are dropped.
     """
     dom = _domain(centers.spec, centers.region)
-    bits = _child_bits(dom.d)
+    d = dom.body.d
+    bits = _child_bits(d)
     # (axis, cell, child) arrays, flattened to column-major (cell, child) rows
     lo, hi = centers.box_lo.T[:, :, None], centers.box_hi.T[:, :, None]
     mid = 0.5 * (lo + hi)
-    c_lo = np.where(bits, mid, lo).reshape(dom.d, -1).T
-    c_hi = np.where(bits, hi, mid).reshape(dom.d, -1).T
+    c_lo = np.where(bits, mid, lo).reshape(d, -1).T
+    c_hi = np.where(bits, hi, mid).reshape(d, -1).T
     return dom.cells(centers.spec, centers.region, c_lo, c_hi,
                      0.5 * (c_lo + c_hi))

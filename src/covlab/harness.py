@@ -42,7 +42,7 @@ from .coverage import coverage_threshold, interior_threshold
 from .geometry import (ConfigError, ManifoldSpec, Metric, RegionKind, RegionSpec,
                        check_keys, is_number, read_number)
 from .grids import build_grid
-from .limits import (LimitLaw, Regime, SllnMode, boundary_centering,
+from .limits import (LimitLaw, Regime, boundary_centering,
                      boundary_law_cdf, interior_centering, interior_law_cdf,
                      strong_law_limit, unit_ball_volume)
 from .sampling import (DensitySpec, check_density, density_sample,
@@ -295,7 +295,7 @@ def _predicted_radius(d: int, f0: float, f1: float | None, size: float,
                       k_n: int, beta: float | None) -> float:
     """Strong-law prediction of the threshold scale at this size."""
     theta = unit_ball_volume(d)
-    lim = strong_law_limit(d, beta, f0, f1, SllnMode.BOUNDARY)
+    lim = strong_law_limit(d, beta, f0, f1)
     scale = k_n if beta is None else math.log(size)
     return (lim * scale / (size * theta)) ** (1.0 / d)
 
@@ -450,7 +450,7 @@ def _slln_parts(config: ExperimentConfig) -> _ModeParts:
     theta = unit_ball_volume(d)
     f0, f1 = _density_floors(config)
     beta = sched.beta
-    reference = strong_law_limit(d, beta, f0, f1, SllnMode.BOUNDARY)
+    reference = strong_law_limit(d, beta, f0, f1)
     v_b, sv_b = geo.region_measures(spec, config.region)
     law = LimitLaw(regime=Regime.SLLN, d=d, k=max(1, sched.k_of(config.sizes[0])),
                    f0=f0, volume=v_b, boundary_area=sv_b, f1=f1, beta=beta)

@@ -26,11 +26,6 @@ class Regime(str, Enum):
     SLLN = "slln"
 
 
-class SllnMode(str, Enum):
-    BOUNDARY = "boundary"
-    INTERIOR = "interior"
-
-
 def unit_ball_volume(d: int) -> float:
     """Volume of the unit ball in R^d; equals 1 at d=0 by convention."""
     if d < 0 or int(d) != d:
@@ -226,14 +221,13 @@ def interior_law_cdf(law: LimitLaw, beta_stat):
 
 
 def strong_law_limit(d: int, beta: float | None, f0: float,
-                     f1: float | None = None,
-                     mode: SllnMode = SllnMode.BOUNDARY) -> float:
+                     f1: float | None = None) -> float:
     """Almost-sure limit of n theta_d R^d over k(n) (beta=None) or log n.
 
     ``beta`` is lim k(n)/log n; pass None for the k >> log n regime (the
     two regimes have genuinely different formulas, so no float infinity).
     ``f1=None`` encodes "B never meets the boundary": its reciprocal is
-    taken to be zero.  Interior mode drops the boundary term entirely.
+    taken to be zero, which drops the boundary term.
     """
     if d < 2:
         raise LimitsError("strong laws require d >= 2")
@@ -244,10 +238,6 @@ def strong_law_limit(d: int, beta: float | None, f0: float,
     if f1 is not None and f1 <= 0.0:
         raise LimitsError("f1 must be positive when supplied")
     inv_f1 = 0.0 if f1 is None else 1.0 / f1
-    if mode is SllnMode.INTERIOR:
-        if beta is None:
-            return 1.0 / f0
-        return rate_inverse(beta, 1.0) / f0
     if beta is None:
         return max(1.0 / f0, 2.0 * inv_f1)
     return max(rate_inverse(beta, 1.0) / f0,

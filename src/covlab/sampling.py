@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import Family, ManifoldSpec, contains_many, volume
+from .geometry import ManifoldSpec, _body, contains_many, volume
 
 class SamplingError(ValueError):
     pass
@@ -104,19 +104,16 @@ def _unit_directions(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
 def _uniform_points(spec: ManifoldSpec, rng: np.random.Generator,
                     n: int) -> np.ndarray:
     """n i.i.d. points with law = normalized Riemannian volume on A."""
-    f = spec.family
     if n == 0:
         return np.empty((0, spec.m))
-    if f is Family.UNIT_SQUARE:
-        return rng.random((n, spec.d))
-    if f is Family.UNIT_DISK:
-        r = np.sqrt(rng.random(n))
-        return r[:, None] * _unit_directions(rng, n, 2)
-    if f is Family.SOLID_BALL:
-        r = rng.random(n) ** (1.0 / 3.0)
-        return r[:, None] * _unit_directions(rng, n, 3)
-    # sphere / cap: azimuth uniform, cos(polar) uniform on [cos(alpha), 1]
-    cos_floor = -1.0 if f is Family.UNIT_SPHERE else math.cos(spec.alpha)
+    body = _body(spec)
+    if body.kind == "box":
+        return body.lo + body.size * rng.random((n, body.d))
+    if body.kind == "ball":
+        r = body.size * rng.random(n) ** (1.0 / body.d)
+        return r[:, None] * _unit_directions(rng, n, body.d)
+    # cap: azimuth uniform, cos(polar) uniform on [cos(size), 1]
+    cos_floor = math.cos(body.size)
     c = 1.0 - rng.random(n) * (1.0 - cos_floor)
     s = np.sqrt(np.clip(1.0 - c * c, 0.0, 1.0))
     phi = 2.0 * math.pi * rng.random(n)
@@ -210,57 +207,17 @@ def density_sample(spec: ManifoldSpec, dens: DensitySpec, n: int,
 # Poisson sample sizes
 
 
-def _poisson_inversion(rng: np.random.Generator, lam: float) -> int:
-    # sequential CDF search; fine up to lam ~ 30 in double precision
-    x = 0
-    p = math.exp(-lam)
-    s = p
-    u = rng.random()
-    while u > s:
-        x += 1
-        p *= lam / x
-        s += p
-        if x > 10_000_000:  # pragma: no cover - unreachable for lam <= 30
-            raise SamplingError("poisson inversion runaway")
-    return x
-
-
-def _poisson_ptrs(rng: np.random.Generator, lam: float) -> int:
-    # transformed rejection with squeeze; valid for lam >= 10
-    slam = math.sqrt(lam)
-    llam = math.log(lam)
-    b = 0.931 + 2.53 * slam
-    a = -0.059 + 0.02483 * b
-    inv_alpha = 1.1239 + 1.1328 / (b - 3.4)
-    v_r = 0.9277 - 3.6224 / (b - 2.0)
-    while True:
-        u = rng.random() - 0.5
-        v = rng.random()
-        us = 0.5 - abs(u)
-        k = int(math.floor((2.0 * a / us + b) * u + lam + 0.43))
-        if us >= 0.07 and v <= v_r:
-            return k
-        if k < 0 or (us < 0.013 and v > us):
-            continue
-        if (math.log(v) + math.log(inv_alpha) - math.log(a / (us * us) + b)
-                <= k * llam - lam - math.lgamma(k + 1.0)):
-            return k
-
-
 def poisson_count(rng: np.random.Generator, t: float) -> int:
     if t <= 0.0:
         raise SamplingError("poisson intensity must be > 0")
-    if t <= 30.0:
-        return _poisson_inversion(rng, t)
-    return _poisson_ptrs(rng, t)
+    return int(rng.poisson(t))
 
 
 def poisson_sample(spec: ManifoldSpec, dens: DensitySpec, t: float,
                    seed) -> PointCloud:
     """Poisson process of intensity t * dens on A.
 
-    Draws the count Z ~ Poisson(t) (CDF inversion for t <= 30, transformed
-    rejection beyond), then Z i.i.d. points from dens.
+    Draws the count Z ~ Poisson(t), then Z i.i.d. points from dens.
     """
     rng = _rng(seed)
     z = poisson_count(rng, t)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 from covlab import geometry as geo
+from covlab.grids import build_grid
 from covlab.sampling import uniform_sample
 from covlab.selftest import sampled_boundary_distance
 
@@ -136,11 +138,89 @@ def test_region_measures(all_families):
     assert v == pytest.approx(want) and sv == pytest.approx(2 * math.pi)
 
 
-def test_interior_body_empty_region_errors():
+def test_interior_body_empty_region_errors(all_families):
     with pytest.raises(geo.GeometryError):
         geo.region_measures(geo.unit_disk(), geo.interior_body(1.5))
     with pytest.raises(geo.GeometryError):
         geo.region_measures(geo.spherical_cap(0.5), geo.interior_body(0.6))
+    # region_measures and build_grid accept and refuse the same bodies, with
+    # the same error: a body is refused unless it has points 1e-9 deeper
+    # than delta, where the grid places its representatives
+    for name, inradius in (("disk", 1.0), ("cap", 1.1), ("square", 0.5),
+                           ("ball", 1.0)):
+        spec = all_families[name]
+        for gap in (1e-3, 2e-9):
+            region = geo.interior_body(inradius - gap)
+            assert geo.region_measures(spec, region)[0] >= 0.0
+            nodes = build_grid(spec, region, 0.1).nodes
+            assert len(nodes) and np.all(
+                geo.region_contains_many(spec, region, nodes)), (name, gap)
+        for gap in (5e-10, 0.0, -1e-3):
+            region = geo.interior_body(inradius - gap)
+            with pytest.raises(geo.GeometryError) as measured:
+                geo.region_measures(spec, region)
+            with pytest.raises(geo.GeometryError) as gridded:
+                build_grid(spec, region, 0.1)
+            assert str(gridded.value) == str(measured.value), (name, gap)
+    # the sphere has no boundary: every interior body is the whole sphere
+    sphere = all_families["sphere"]
+    whole = build_grid(sphere, geo.REGION_ALL, 0.1)
+    for delta in (0.2, 5.0):
+        region = geo.interior_body(delta)
+        assert geo.region_measures(sphere, region) == (4.0 * math.pi, 0.0)
+        grid = build_grid(sphere, region, 0.1)
+        assert np.array_equal(grid.nodes, whole.nodes)
+        assert np.array_equal(grid.rad, whole.rad)
+
+
+# volume, boundary_measure, intrinsic_diameter, region_measures on A and on
+# interior bodies at delta 0.05, 0.2 and 0.45, and the sha256 of
+# uniform_sample(spec, 64, 7).points, pinned before the shapes became bodies
+# of three kinds; no golden run reaches the ball or the cube
+PINNED = {
+    "square": (
+        1.0, 4.0, 1.4142135623730951, (1.0, 4.0), (0.81, 0.0), (0.36, 0.0),
+        (0.009999999999999995, 0.0),
+        "87eeb1ecd455fafa6800a909a52892eba3cb4b18ac9b8bc44bff198df58109a0"),
+    "cube": (
+        1.0, 6.0, 1.7320508075688772, (1.0, 6.0), (0.7290000000000001, 0.0),
+        (0.21599999999999997, 0.0), (0.0009999999999999994, 0.0),
+        "04802bcc57a5d3fe93b8eff762903843c404a99aed73d3f4ff9e0751daa7e1cb"),
+    "disk": (
+        3.141592653589793, 6.283185307179586, 2.0,
+        (3.141592653589793, 6.283185307179586), (2.8352873698647882, 0.0),
+        (2.0106192982974678, 0.0), (0.9503317777109126, 0.0),
+        "1f6f978b0134ef16b15389f3af6dc02dd9bbf1493afe2f9f5f60cf0d2ceb7b43"),
+    "ball": (
+        4.1887902047863905, 12.566370614359172, 2.0,
+        (4.1887902047863905, 12.566370614359172), (3.5913640018287314, 0.0),
+        (2.1446605848506324, 0.0), (0.696909970321336, 0.0),
+        "845b1b0f7ba9edb55636bba0b9a4d266ef9e57f9c40baeaf5b43a8ceb2484ff6"),
+    "sphere": (
+        12.566370614359172, 0.0, 3.141592653589793, (12.566370614359172, 0.0),
+        (12.566370614359172, 0.0), (12.566370614359172, 0.0),
+        (12.566370614359172, 0.0),
+        "63aa43c0696b4bb2cfd91cdbb6e25852adb3cf7df22a691c113c57ec3b8a4130"),
+    "cap": (
+        3.4331568216447517, 5.599620990388318, 2.2,
+        (3.4331568216447517, 5.599620990388318), (3.156854209788337, 0.0),
+        (2.3774946877449787, 0.0), (1.2812432808524454, 0.0),
+        "1b92e297b90df4174ce76d2d9b8521135f163ee9b1a55bf0bda553265b305f3e"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_measures_and_samples_pinned(all_families, name):
+    spec = all_families[name]
+    *want, digest = PINNED[name]
+    got = [geo.volume(spec), geo.boundary_measure(spec),
+           geo.intrinsic_diameter(spec),
+           geo.region_measures(spec, geo.REGION_ALL)]
+    got += [geo.region_measures(spec, geo.interior_body(delta))
+            for delta in (0.05, 0.2, 0.45)]
+    assert got == want
+    pts = uniform_sample(spec, 64, 7).points
+    assert hashlib.sha256(pts.tobytes()).hexdigest() == digest
 
 
 def test_spec_json_round_trip(all_families):
@@ -177,3 +257,8 @@ def test_invalid_specs():
         geo.unit_square(1)
     with pytest.raises(geo.GeometryError):
         geo.interior_body(-0.1)
+    # a (d, m) that the family does not have
+    with pytest.raises(geo.GeometryError):
+        geo.ManifoldSpec(geo.Family.UNIT_DISK, d=3, m=3)
+    with pytest.raises(geo.GeometryError):
+        geo.ManifoldSpec(geo.Family.UNIT_SPHERE, d=2, m=2)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from covlab import limits as lim
-from covlab.limits import LimitLaw, Regime, SllnMode
+from covlab.limits import LimitLaw, Regime
 
 
 def test_unit_ball_volume():
@@ -170,9 +170,9 @@ def test_strong_law_limits():
     # constant k: beta = 0
     assert lim.strong_law_limit(3, 0.0, 1.0, 1.0) == pytest.approx(4 / 3)
     assert lim.strong_law_limit(2, 0.0, 1.0, 1.0) == 1.0
-    # interior mode
-    assert lim.strong_law_limit(2, 0.0, 1.0, mode=SllnMode.INTERIOR) == 1.0
-    assert lim.strong_law_limit(2, None, 0.5, mode=SllnMode.INTERIOR) == 2.0
+    # f1=None: B never meets the boundary
+    assert lim.strong_law_limit(2, 0.0, 1.0) == 1.0
+    assert lim.strong_law_limit(2, None, 0.5) == 2.0
     # growing k uses the rate inverse
     b = 1.0
     want = max(lim.rate_inverse(b, 1.0), 2 * lim.rate_inverse(b, 0.5))
