@@ -72,18 +72,21 @@ def _write_cfg(tmp_path, **kw):
     return str(path)
 
 
-def test_weak_run_outputs_and_determinism(tmp_path, capsys):
+def test_weak_run_outputs_and_determinism(tmp_path, capsys, monkeypatch):
+    # a serial and a pooled run write the same result files; only
+    # run_meta.json tells them apart
     cfg = _write_cfg(tmp_path)
-    out1, out2 = str(tmp_path / "r1"), str(tmp_path / "r2")
-    assert main(["weak", "--config", cfg, "--out", out1]) == 0
-    assert main(["weak", "--config", cfg, "--out", out2]) == 0
-    rows1 = open(os.path.join(out1, "rows.csv"), "rb").read()
-    rows2 = open(os.path.join(out2, "rows.csv"), "rb").read()
-    assert rows1 == rows2
-    s1 = open(os.path.join(out1, "summary.json"), "rb").read()
-    s2 = open(os.path.join(out2, "summary.json"), "rb").read()
-    assert s1 == s2
-    assert os.path.exists(os.path.join(out1, "run_meta.json"))
+    out1, out2 = tmp_path / "r1", tmp_path / "r2"
+    monkeypatch.setenv("COVLAB_THREADS", "1")
+    assert main(["weak", "--config", cfg, "--out", str(out1)]) == 0
+    monkeypatch.setenv("COVLAB_THREADS", "2")
+    assert main(["weak", "--config", cfg, "--out", str(out2)]) == 0
+    for name in ("rows.csv", "summary.json"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    for out, workers in ((out1, 1), (out2, 2)):
+        meta = json.loads((out / "run_meta.json").read_text())
+        assert meta["workers"] == workers
+        assert meta["wall_clock_seconds"] > 0.0
 
 
 def test_weak_run_seed_override_changes_rows(tmp_path, capsys):

@@ -2,6 +2,8 @@ import importlib.util
 import json
 import math
 import pathlib
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -247,13 +249,18 @@ def test_custom_density_run_probes_once(monkeypatch, sampler):
     monkeypatch.setattr(smp, "_density_probe", counting)
     monkeypatch.setattr(harness, "coverage_threshold", recording)
     run_experiment(_tilted_square_cfg(dens, sampler, 3))
-    assert len(probes) == 1 and len(clouds) == 3
-    for rep, cloud in enumerate(clouds):
+    assert len(probes) == 1
+    # the pool may bracket the clouds in any order: match them as a set
+    got = sorted(cloud.points.tobytes() for cloud in clouds)
+    want = []
+    for rep in range(3):
         seed = np.random.SeedSequence(entropy=7, spawn_key=(0, rep))
-        want = (smp.poisson_sample(cloud.spec, dens, 2_000.0, seed)
-                if sampler is Sampler.POISSON
-                else density_sample(cloud.spec, dens, 2_000, seed))
-        assert cloud.points.tobytes() == want.points.tobytes()
+        want.append((smp.poisson_sample(clouds[0].spec, dens, 2_000.0, seed)
+                     if sampler is Sampler.POISSON
+                     else density_sample(clouds[0].spec, dens, 2_000, seed)
+                     ).points.tobytes())
+    assert len(set(want)) == 3
+    assert got == sorted(want)
 
 
 def test_bad_custom_density_fails_before_any_replication(monkeypatch):
@@ -413,13 +420,64 @@ def test_euclidean_metric_on_curved_family():
 
 
 def test_thread_pool_matches_serial(monkeypatch):
-    cfg = _disk_cfg(sizes=(64, 128), replications=6)
-    monkeypatch.delenv("COVLAB_THREADS", raising=False)
+    # 2 sizes x 5 replications: the one pool crosses the size boundary
+    # and ends on an uneven tail at any worker count
+    cfg = _disk_cfg(sizes=(64, 128), replications=5)
+    monkeypatch.setenv("COVLAB_THREADS", "1")
     serial = run_experiment(cfg)
+    assert serial.workers == 1
+    assert [(r.size, r.rep) for r in serial.rows] == [
+        (size, rep) for size in (64, 128) for rep in range(5)]
+    monkeypatch.delenv("COVLAB_THREADS")
+    default = run_experiment(cfg)
     monkeypatch.setenv("COVLAB_THREADS", "4")
-    pooled = run_experiment(cfg)
-    assert pooled.rows == serial.rows
-    assert pooled.summary_json() == serial.summary_json()
+    # more workers than cores, switching often: a shared cache or grid
+    # written by one replication would show in the others' rows
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        pooled = run_experiment(cfg)
+    finally:
+        sys.setswitchinterval(interval)
+    assert pooled.workers == 4
+    for other in (default, pooled):
+        assert other.rows == serial.rows
+        assert other.summary_json() == serial.summary_json()
+
+
+def test_default_worker_count(monkeypatch):
+    # unset COVLAB_THREADS means every core the process may run on
+    monkeypatch.delenv("COVLAB_THREADS", raising=False)
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 2, 5},
+                        raising=False)
+    assert harness._threads() == 3
+    monkeypatch.delattr(harness.os, "sched_getaffinity")
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 6)
+    assert harness._threads() == 6
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
+    assert harness._threads() == 1
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 6)
+    monkeypatch.setenv("COVLAB_THREADS", "1")
+    assert harness._threads() == 1
+
+
+def test_run_uses_at_most_one_worker_per_replication(monkeypatch):
+    monkeypatch.setenv("COVLAB_THREADS", "8")
+    assert run_experiment(_disk_cfg(sizes=(64,), replications=3)).workers == 3
+
+
+def test_pool_drops_unstarted_tasks_after_a_failure():
+    started = []
+
+    def task(i):
+        started.append(i)
+        if i == 0:
+            raise ValueError("replication 0 failed")
+        time.sleep(0.01)
+
+    with pytest.raises(ValueError, match="replication 0"):
+        harness._map_reps(task, list(range(200)), 2)
+    assert len(started) < 20
 
 
 def test_calibrate_pilot_tool_imports():
