@@ -1,14 +1,13 @@
 """Replicated coverage experiments against their limiting laws.
 
-One driver, :func:`run_experiment`, serves every run mode.  For each
-sample size it builds one start partition, whose cells are about the size
-of the predicted threshold, and plans the target bracket width.  It then
-draws M independent clouds per size from per-replication derived seeds,
-so replications are exchangeable: all of a run's replications go to one
-thread pool, and the rows are byte-identical at any worker count.  Each
-cloud gets a certified threshold bracket, and both bracket ends go
-through the mode's statistic.  A mode contributes only its validation,
-its limit law, its statistic and its summary:
+One driver, :func:`run_experiment`, serves every run mode.  It sweeps the
+sample sizes; for each it builds one start partition, whose cells are about
+the size of the predicted threshold, plans the target bracket width, and
+draws M independent clouds from per-replication derived seeds (so
+replications are exchangeable and can execute in any order or in
+parallel).  Each cloud gets a certified threshold bracket, and both
+bracket ends go through the mode's statistic.  A mode contributes only
+its validation, its limit law, its statistic and its summary:
 
 * ``weak_boundary`` -- the boundary centering, summarised by KS distances
   against the two-term weak limit;
@@ -338,9 +337,7 @@ def _threads() -> int:
 
 
 def _map_reps(fn, tasks, n_workers: int):
-    """``[fn(t) for t in tasks]`` on ``n_workers`` threads; after a
-    failure, ``map`` cancels the tasks not yet started."""
-    if n_workers == 1:
+    if n_workers == 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
     with ThreadPoolExecutor(max_workers=n_workers) as ex:
         return list(ex.map(fn, tasks))
@@ -502,21 +499,19 @@ _MODE_PARTS = {RunMode.WEAK_BOUNDARY: _weak_boundary_parts,
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run the experiment that ``config.mode`` names.
 
-    Validates the mode and builds its limit law, then plans every size:
-    its k, its start partition and its target width.  One pool of
-    ``COVLAB_THREADS`` workers (default: every usable core) then maps all
-    (size, replication) tasks: draw a cloud, bracket its threshold, push
-    both bracket ends through the mode's statistic.  Rows keep (size,
-    replication) order, and the mode's summary closes the run.
+    Validates the mode and builds its limit law, then for each size builds
+    the start partition, plans the target width, and maps the replications
+    over them on ``COVLAB_THREADS`` workers (default: every usable core):
+    draw a cloud, bracket its threshold, push both bracket ends through
+    the mode's statistic.  The mode's summary closes the run.
     """
     t0 = time.monotonic()
-    n_workers = _threads()
+    n_workers = min(_threads(), config.replications)
     parts = _MODE_PARTS[config.mode](config)
     check_density(config.spec, config.density)  # fail before any replication
     spec, region, metric = config.spec, config.region, config.metric
-    threshold = interior_threshold if parts.interior else coverage_threshold
-    plans = []
-    for size in config.sizes:
+    rows: list[ReplicationRow] = []
+    for si, size in enumerate(config.sizes):
         k = config.schedule.k_of(size)
         if config.grid_h is not None:
             h_start, h_target = config.grid_h, None
@@ -527,22 +522,20 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             h_start = min(r_bar, geo.intrinsic_diameter(spec) / 8.0)
             h_target = _plan_resolution(spec, config.mode, size, r_bar,
                                         parts.law.f0)
-        plans.append((size, k, build_grid(spec, region, h_start), h_target))
+        grid = build_grid(spec, region, h_start)
 
-    def one(task: tuple[int, int]) -> ReplicationRow:
-        si, rep = task
-        size, k, grid, h_target = plans[si]
-        cloud = _draw_cloud(config, size, si, rep)
-        est = threshold(cloud, grid, k, metric, refine_to=h_target)
-        return ReplicationRow(size=size, rep=rep, k=k, metric=metric.value,
-                              lo=est.lo, hi=est.hi, h=est.h,
-                              stat_lo=parts.statistic(est.lo, size, k),
-                              stat_hi=parts.statistic(est.hi, size, k))
+        def one(rep: int) -> ReplicationRow:
+            cloud = _draw_cloud(config, size, si, rep)
+            threshold = (interior_threshold if parts.interior
+                         else coverage_threshold)
+            est = threshold(cloud, grid, k, metric, refine_to=h_target)
+            return ReplicationRow(size=size, rep=rep, k=k, metric=metric.value,
+                                  lo=est.lo, hi=est.hi, h=est.h,
+                                  stat_lo=parts.statistic(est.lo, size, k),
+                                  stat_hi=parts.statistic(est.hi, size, k))
 
-    tasks = [(si, rep) for si in range(len(plans))
-             for rep in range(config.replications)]
-    n_workers = min(n_workers, len(tasks))
-    rows = _map_reps(one, tasks, n_workers)
+        rows.extend(_map_reps(one, list(range(config.replications)),
+                              n_workers))
     return ExperimentResult(config, parts.law.to_json(), rows,
                             parts.summarize(rows),
                             wall_clock=time.monotonic() - t0,
