@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 usage or error, 2 configuration refused.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -84,7 +85,9 @@ def _load_config(args, mode: RunMode) -> ExperimentConfig:
     with open(args.config) as fh:
         obj = json.load(fh)
     geo.check_keys(obj, CONFIG_KEYS, "config")
-    obj["mode"] = mode.value
+    if obj.setdefault("mode", mode.value) != mode.value:
+        raise ConfigError(f"config 'mode' is {obj['mode']!r}, but this "
+                          f"subcommand runs {mode.value!r}")
     if args.seed is not None:
         obj["base_seed"] = args.seed
     if args.reps is not None:
@@ -123,6 +126,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--d", default="2..5", help="dimension range, e.g. 2..5")
     c.add_argument("--k", default="1..4", help="multiplicity range, e.g. 1..4")
     c.add_argument("--out", default=None)
+    c.set_defaults(run=_cmd_constants)
 
     cv = sub.add_parser("cover", help="threshold estimate for a cloud CSV")
     cv.add_argument("--cloud", required=True)
@@ -136,6 +140,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="target bracket width: cells of the --h partition "
                          "are split by branch and bound until hi - lo is at "
                          "most this (default: the --h partition unrefined)")
+    cv.set_defaults(run=_cmd_cover)
 
     for name, mode in (("weak", RunMode.WEAK_BOUNDARY),
                        ("interior", RunMode.WEAK_INTERIOR),
@@ -148,10 +153,11 @@ def _build_parser() -> argparse.ArgumentParser:
         r.add_argument("--sizes", default=None, help="comma separated")
         r.add_argument("--metric", choices=["geodesic", "euclidean"],
                        default=None)
-        r.set_defaults(mode=mode)
+        r.set_defaults(run=functools.partial(_cmd_run, mode=mode))
 
     st = sub.add_parser("selftest", help="run the invariant suites")
     st.add_argument("--fast", action="store_true")
+    st.set_defaults(run=_cmd_selftest)
     return p
 
 
@@ -165,16 +171,7 @@ def main(argv=None) -> int:
         parser.print_usage()
         return 1
     try:
-        if args.command == "constants":
-            return _cmd_constants(args)
-        if args.command == "cover":
-            return _cmd_cover(args)
-        if args.command in ("weak", "interior", "slln"):
-            return _cmd_run(args, args.mode)
-        if args.command == "selftest":
-            return _cmd_selftest(args)
-        parser.print_usage()
-        return 1
+        return args.run(args)
     except ConfigRefused as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 2

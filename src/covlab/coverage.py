@@ -19,6 +19,7 @@ cells are set aside at once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,6 +116,9 @@ def _certified_max(field, grid: EvalGrid, k: int, metric: Metric,
     most start cells at once.  Its bracket [best, max bound over the cells
     set aside] has width <= the target.
     """
+    if refine_to is not None and not math.isfinite(refine_to):
+        raise CoverageError(f"target width {refine_to} is not a finite "
+                            "number")
     target = grid.h if refine_to is None else min(refine_to, grid.h)
     if target <= MIN_RESOLUTION:
         raise CoverageError(f"target width {target} is below the supported "
@@ -168,6 +172,16 @@ def _branch_and_bound(field, cells: EvalGrid, vals: np.ndarray,
     return lo, hi, arg
 
 
+def _knn_field(cloud: PointCloud, grid: EvalGrid, k: int,
+               metric: Metric) -> KnnField:
+    """The cloud's k-NN field on the grid's shape, which must be the
+    shape the cloud was drawn on."""
+    if cloud.spec != grid.spec:
+        raise CoverageError(f"the cloud is on {cloud.spec.to_json()} but "
+                            f"the grid is on {grid.spec.to_json()}")
+    return KnnField(grid.spec, cloud.points, k, metric)
+
+
 def coverage_threshold(cloud: PointCloud, grid: EvalGrid, k: int,
                        metric: Metric, refine_to: float | None = None
                        ) -> ThresholdEstimate:
@@ -175,10 +189,11 @@ def coverage_threshold(cloud: PointCloud, grid: EvalGrid, k: int,
 
     The threshold is the max over B of the k-NN distance field; the bracket
     is narrowed to a width of ``refine_to`` when it is given, and is at
-    most ``grid.h`` wide otherwise.
+    most ``grid.h`` wide otherwise.  The cloud must lie on the grid's
+    shape.
     """
-    field = KnnField(cloud.spec, cloud.points, k, metric)
-    return _certified_max(field, grid, k, metric, refine_to)
+    return _certified_max(_knn_field(cloud, grid, k, metric), grid, k,
+                          metric, refine_to)
 
 
 def interior_threshold(cloud: PointCloud, grid: EvalGrid, k: int,
@@ -192,11 +207,11 @@ def interior_threshold(cloud: PointCloud, grid: EvalGrid, k: int,
     distance field, so the threshold is the max over B of min(f, depth).
     Both terms are 1-Lipschitz, so the branch and bound of
     :func:`coverage_threshold` carries over unchanged.  The depth is taken
-    on ``grid.spec``; on a boundaryless shape it is infinite and the
-    result equals the plain coverage threshold.
+    on the grid's shape, which must be the cloud's; on a boundaryless shape
+    it is infinite and the result equals the plain coverage threshold.
     """
     spec = grid.spec
-    knn = KnnField(spec, cloud.points, k, metric)
+    knn = _knn_field(cloud, grid, k, metric)
 
     def deep_field(nodes: np.ndarray) -> np.ndarray:
         return np.minimum(knn(nodes), dist_to_boundary_many(spec, nodes))

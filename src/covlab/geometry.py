@@ -59,21 +59,29 @@ def check_keys(obj: dict, known, what: str, required=()) -> None:
 
 
 def is_number(value) -> bool:
-    """True for a JSON number: an int or a float, but not a bool."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """True for a finite JSON number: an int or a float, but not a bool,
+    NaN, an infinity (Python's json reads the NaN and Infinity literals)
+    or an int beyond the float range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def read_number(obj: dict, key: str, what: str, integral: bool = False,
                 default=None):
     """``obj[key]`` as a float, or as an int when ``integral``; ``default``
     when the key is absent.  Raises :class:`ConfigError` for anything but
-    a JSON number (a string, a bool, null), and for a fractional value
-    where an integer is needed."""
+    a finite JSON number (a string, a bool, null, NaN, an infinity), and
+    for a fractional value where an integer is needed."""
     if key not in obj:
         return default
     value = obj[key]
     if not is_number(value):
-        raise ConfigError(f"{what} {key!r} must be a number, got {value!r}")
+        raise ConfigError(f"{what} {key!r} must be a finite number, got "
+                          f"{value!r}")
     if not integral:
         return float(value)
     if not float(value).is_integer():

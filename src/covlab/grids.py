@@ -235,11 +235,13 @@ def build_grid(spec: ManifoldSpec, region: RegionSpec, h: float) -> EvalGrid:
 
     The driver builds one per sample size; tests and benchmarks use it as
     the full-partition oracle at h.  Raises :class:`GridError` when h is
-    not above ``MIN_RESOLUTION``, or when the partition would need more
-    than ``NODE_CAP`` cells (the message reports the count needed).
+    not a finite number above ``MIN_RESOLUTION``, or when the partition
+    would need more than ``NODE_CAP`` cells (the message reports the count
+    needed).
     """
-    if h <= 0.0:
-        raise GridError("covering radius h must be > 0")
+    if not (math.isfinite(h) and h > 0.0):
+        raise GridError(f"covering radius h must be a finite number > 0, "
+                        f"got {h}")
     if h <= MIN_RESOLUTION:
         raise GridError(f"h={h} is below the supported resolution")
     dom = _domain(spec, region)

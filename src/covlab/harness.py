@@ -2,17 +2,18 @@
 
 One driver, :func:`run_experiment`, serves every run mode.  It sweeps the
 sample sizes; for each it builds one start partition, whose cells are about
-the size of the predicted threshold, plans the target bracket width, and
-draws M independent clouds from per-replication derived seeds (so
-replications are exchangeable and can execute in any order or in
-parallel).  Each cloud gets a certified threshold bracket, and both
-bracket ends go through the mode's statistic.  A mode contributes only
-its validation, its limit law, its statistic and its summary:
+the size of the threshold the strong-law limit predicts, takes the mode's
+target bracket width, and draws M independent clouds from per-replication
+derived seeds (so replications are exchangeable and can execute in any
+order or in parallel).  Each cloud gets a certified threshold bracket, and
+both bracket ends go through the mode's statistic.  A mode contributes
+only its validation, its limit law, its statistic, its target width and
+its summary, built in one place:
 
 * ``weak_boundary`` -- the boundary centering, summarised by KS distances
   against the two-term weak limit;
 * ``weak_interior`` -- the interior threshold and centering, against the
-  interior weak limit;
+  interior weak limit (one builder serves both weak modes);
 * ``slln_trace`` -- the ratio n theta_d r^d / denom, summarised by
   per-size medians against the strong-law limit.
 
@@ -196,10 +197,12 @@ class ExperimentConfig:
                    required=("spec", "mode", "sizes", "k", "replications"))
         sizes = obj["sizes"]
         if not isinstance(sizes, list) or not all(map(is_number, sizes)):
-            raise ConfigError(f"sizes must be a list of numbers, got {sizes!r}")
+            raise ConfigError(f"sizes must be a list of finite numbers, got "
+                              f"{sizes!r}")
         grid_h = obj.get("grid_h")
         if grid_h is not None and not is_number(grid_h):
-            raise ConfigError(f"grid_h must be a number or null, got {grid_h!r}")
+            raise ConfigError(f"grid_h must be a finite number or null, got "
+                              f"{grid_h!r}")
         density = obj.get("density", {"kind": "uniform"})
         check_keys(density, {"kind"}, "density")
         if density.get("kind", "uniform") != "uniform":
@@ -294,28 +297,11 @@ def ks_distance(samples, cdf) -> float:
 # grid planning
 
 
-def _predicted_radius(d: int, f0: float, f1: float | None, size: float,
-                      k_n: int, beta: float | None) -> float:
-    """Strong-law prediction of the threshold scale at this size."""
-    theta = unit_ball_volume(d)
-    lim = strong_law_limit(d, beta, f0, f1)
+def _predicted_radius(d: int, limit: float, size: float, k_n: int,
+                      beta: float | None) -> float:
+    """Threshold scale at this size that the strong-law ``limit`` predicts."""
     scale = k_n if beta is None else math.log(size)
-    return (lim * scale / (size * theta)) ** (1.0 / d)
-
-
-def _plan_resolution(spec: ManifoldSpec, mode: RunMode, size: float,
-                     r_bar: float, f0: float) -> float:
-    """Target bracket width at one size, given the predicted threshold."""
-    d = spec.d
-    deriv_boundary = (0.5 * size * unit_ball_volume(d) * f0 * d
-                      * max(r_bar, 1e-12) ** (d - 1))
-    if mode is RunMode.WEAK_BOUNDARY:
-        h_target = ZETA_IMAGE / deriv_boundary
-    elif mode is RunMode.WEAK_INTERIOR:
-        h_target = ZETA_IMAGE / (2.0 * deriv_boundary)
-    else:
-        h_target = SLLN_REL_IMAGE * r_bar
-    return min(max(h_target, 1e-7), geo.intrinsic_diameter(spec) / 8.0)
+    return (limit * scale / (size * unit_ball_volume(d))) ** (1.0 / d)
 
 
 def _threads() -> int:
@@ -393,57 +379,61 @@ class _ModeParts:
     """What one run mode adds to the shared driver :func:`run_experiment`."""
 
     law: LimitLaw
-    plan_f1: float | None   # boundary density floor the grid planner assumes
+    limit: float            # strong-law limit the start cells are sized from
     interior: bool          # threshold is the max of min(k-NN field, depth)
+    width: Callable[[float, float], float]   # target width at (size, r_bar)
     statistic: Callable[[float, float, int], float]   # (radius, size, k)
     summarize: Callable[[list], dict]
 
 
-def _require_uniform(config: ExperimentConfig, which: str) -> None:
-    if config.density.kind != "uniform":
-        raise ConfigError(f"the {which} weak limit holds for the uniform density")
+def _weak_parts(config: ExperimentConfig) -> _ModeParts:
+    """Coverage threshold against a weak limit, boundary or interior.
 
-
-def _weak_boundary_parts(config: ExperimentConfig) -> _ModeParts:
-    """Full-region coverage threshold against the two-term weak limit.
-
-    Refuses configurations whose limit law is degenerate (target region
-    carrying no boundary mass while (d, k) != (2, 1)).
+    The boundary mode centres the full-region threshold against the
+    two-term limit, and refuses configurations whose law is degenerate
+    (target region carrying no boundary mass while (d, k) != (2, 1)).  The
+    interior mode centres the certified max of min(k-NN field, depth)
+    against the interior limit; an interior-body region already avoids the
+    boundary, so its plain threshold is used directly.  The centering and
+    the CDF are looked up when the run starts, so the benchmark's hooks on
+    them take effect.
     """
-    _require_uniform(config, "boundary")
+    boundary = config.mode is RunMode.WEAK_BOUNDARY
+    if config.density.kind != "uniform":
+        raise ConfigError(f"the {'boundary' if boundary else 'interior'} "
+                          "weak limit holds for the uniform density")
     spec, d, k = config.spec, config.spec.d, config.schedule.k_of(config.sizes[0])
     f0, f1 = _density_floors(config)
     v_b, sv_b = geo.region_measures(spec, config.region)
-    if sv_b == 0.0 and not (d == 2 and k == 1):
-        raise ConfigRefused(
-            f"with d={d}, k={k} and a region carrying no boundary mass the "
-            "limit law is degenerate (identically 1); use the interior mode")
-    law = LimitLaw(regime=Regime.WEAK_BOUNDARY, d=d, k=k, f0=f0, volume=v_b,
-                   boundary_area=sv_b)
+    if boundary:
+        if sv_b == 0.0 and not (d == 2 and k == 1):
+            raise ConfigRefused(
+                f"with d={d}, k={k} and a region carrying no boundary mass "
+                "the limit law is degenerate (identically 1); use the "
+                "interior mode")
+        law = LimitLaw(regime=Regime.WEAK_BOUNDARY, d=d, k=k, f0=f0,
+                       volume=v_b, boundary_area=sv_b)
+        centering, cdf, zeta = boundary_centering, boundary_law_cdf, ZETA_IMAGE
+    else:
+        law = LimitLaw(regime=Regime.WEAK_INTERIOR, d=d, k=k, f0=f0,
+                       volume=v_b)
+        centering, cdf, zeta = (interior_centering, interior_law_cdf,
+                                ZETA_IMAGE / 2.0)
+        f1 = None   # the start cells are sized without the boundary term
+
+    def width(size: float, r_bar: float) -> float:
+        # zeta over the boundary centering's derivative at r_bar
+        deriv = (0.5 * size * unit_ball_volume(d) * f0 * d
+                 * max(r_bar, 1e-12) ** (d - 1))
+        return zeta / deriv
+
     return _ModeParts(
-        law, f1, False,
-        lambda r, size, k: float(boundary_centering(r, float(size), d, k, f0)),
+        law, strong_law_limit(d, config.schedule.beta, f0, f1),
+        not boundary and config.region.kind is not RegionKind.INTERIOR_BODY,
+        width,
+        lambda r, size, k: float(centering(r, float(size), d, k, f0)),
         lambda rows: _summarize_weak(rows, config.sizes,
-                                     lambda z: boundary_law_cdf(law, z)))
-
-
-def _weak_interior_parts(config: ExperimentConfig) -> _ModeParts:
-    """Interior coverage threshold against the interior weak limit.
-
-    For the full region the threshold is the certified max of min(k-NN
-    field, depth); an interior-body region already avoids the boundary, so
-    its plain threshold is used directly.
-    """
-    _require_uniform(config, "interior")
-    spec, d, k = config.spec, config.spec.d, config.schedule.k_of(config.sizes[0])
-    f0, _ = _density_floors(config)
-    v_b, _ = geo.region_measures(spec, config.region)
-    law = LimitLaw(regime=Regime.WEAK_INTERIOR, d=d, k=k, f0=f0, volume=v_b)
-    return _ModeParts(
-        law, None, config.region.kind is not RegionKind.INTERIOR_BODY,
-        lambda r, size, k: float(interior_centering(r, float(size), d, k, f0)),
-        lambda rows: _summarize_weak(rows, config.sizes,
-                                     lambda b: interior_law_cdf(law, b)))
+                                     lambda z: cdf(law, z)))
 
 
 def _slln_parts(config: ExperimentConfig) -> _ModeParts:
@@ -488,11 +478,13 @@ def _slln_parts(config: ExperimentConfig) -> _ModeParts:
                 "beta": "infinity" if beta is None else beta,
                 "per_size": per_size}
 
-    return _ModeParts(law, f1, False, ratio, summarize)
+    return _ModeParts(law, reference, False,
+                      lambda size, r_bar: SLLN_REL_IMAGE * r_bar, ratio,
+                      summarize)
 
 
-_MODE_PARTS = {RunMode.WEAK_BOUNDARY: _weak_boundary_parts,
-               RunMode.WEAK_INTERIOR: _weak_interior_parts,
+_MODE_PARTS = {RunMode.WEAK_BOUNDARY: _weak_parts,
+               RunMode.WEAK_INTERIOR: _weak_parts,
                RunMode.SLLN_TRACE: _slln_parts}
 
 
@@ -517,11 +509,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             h_start, h_target = config.grid_h, None
         else:
             # start from cells about the size of the predicted threshold
-            r_bar = _predicted_radius(spec.d, parts.law.f0, parts.plan_f1,
-                                      size, k, config.schedule.beta)
-            h_start = min(r_bar, geo.intrinsic_diameter(spec) / 8.0)
-            h_target = _plan_resolution(spec, config.mode, size, r_bar,
-                                        parts.law.f0)
+            r_bar = _predicted_radius(spec.d, parts.limit, size, k,
+                                      config.schedule.beta)
+            h_max = geo.intrinsic_diameter(spec) / 8.0
+            h_start = min(r_bar, h_max)
+            h_target = min(max(parts.width(size, r_bar), 1e-7), h_max)
         grid = build_grid(spec, region, h_start)
 
         def one(rep: int) -> ReplicationRow:

@@ -20,6 +20,13 @@ def test_constants_table(capsys):
     assert table["c_d"]["3"] == pytest.approx(3 * math.pi ** 2 / 32)
 
 
+def test_constants_out_writes_what_it_prints(tmp_path, capsys):
+    path = tmp_path / "constants.json"
+    assert main(["constants", "--d", "2..3", "--k", "1..2",
+                 "--out", str(path)]) == 0
+    assert path.read_text() == capsys.readouterr().out
+
+
 def test_cover_subcommand(tmp_path, capsys):
     cloud = uniform_sample(geo.unit_disk(), 150, 3)
     path = str(tmp_path / "pts.csv")
@@ -46,6 +53,46 @@ def test_cover_with_region_and_refinement(tmp_path, capsys):
     assert est["metric"] == "euclidean"
     # the argmax node respects the interior constraint
     assert np.hypot(*est["argmax"]) <= 0.8 + 1e-9
+
+
+@pytest.mark.parametrize("token,spec", [
+    ("square", geo.unit_square(2)),
+    ("square:3", geo.unit_square(3)),
+    ("ball", geo.solid_ball()),
+    ("sphere", geo.unit_sphere()),
+    ("cap:1.0", geo.spherical_cap(1.0)),
+    ('{"family": "spherical_cap", "alpha": 0.7}', geo.spherical_cap(0.7)),
+    ("torus", None),
+], ids=["square", "square3", "ball", "sphere", "cap", "json", "unknown"])
+def test_cover_spec_tokens(tmp_path, capsys, token, spec):
+    path = str(tmp_path / "pts.csv")
+    save_cloud_csv(uniform_sample(spec or geo.unit_disk(), 150, 5), path)
+    rc = main(["cover", "--cloud", path, "--spec", token, "--h", "0.1"])
+    out, err = capsys.readouterr()
+    if spec is None:
+        assert rc == 1 and "unknown spec 'torus'" in err and out == ""
+        return
+    assert rc == 0
+    est = json.loads(out)
+    assert 0.0 < est["lo"] <= est["hi"] <= est["lo"] + 0.1
+    assert len(est["argmax"]) == spec.m
+
+
+@pytest.mark.parametrize("flags,needle", [
+    (["--h", "inf"], "h must be a finite number > 0, got inf"),
+    (["--h", "nan"], "h must be a finite number > 0, got nan"),
+    (["--h", "0.1", "--refine-to", "inf"], "target width inf is not a finite"),
+    (["--h", "0.1", "--refine-to", "nan"], "target width nan is not a finite"),
+], ids=["h_inf", "h_nan", "target_inf", "target_nan"])
+def test_cover_non_finite_h_or_target_exit_1(tmp_path, capsys, flags, needle):
+    # an infinite h or a NaN target would print "h": Infinity or NaN,
+    # which is not JSON
+    path = str(tmp_path / "pts.csv")
+    save_cloud_csv(uniform_sample(geo.unit_disk(), 150, 3), path)
+    assert main(["cover", "--cloud", path, "--spec", "disk", *flags]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and needle in err
 
 
 def test_cover_rejects_outside_points(tmp_path, capsys):
@@ -147,40 +194,61 @@ def test_unknown_nested_config_key_exit_1(tmp_path, capsys, key, value, bad):
     (lambda d: {**d, "spec": "disk"}, "spec must be a JSON object"),
     (lambda d: {**d, "region": [1]}, "region must be a JSON object"),
     (lambda d: [d], "config must be a JSON object"),
-    (lambda d: {**d, "sizes": "100"}, "sizes must be a list of numbers"),
-    (lambda d: {**d, "sizes": [64, "128"]}, "sizes must be a list of numbers"),
+    (lambda d: {**d, "sizes": "100"},
+     "sizes must be a list of finite numbers"),
+    (lambda d: {**d, "sizes": [64, "128"]},
+     "sizes must be a list of finite numbers"),
     (lambda d: {**d, "region": {"kind": "interior_body"}}, "'delta'"),
     # the geodesic_ball region kind is gone: no grid could evaluate it
     (lambda d: {**d, "region": {"kind": "geodesic_ball"}},
      "unknown region kind 'geodesic_ball'"),
     (lambda d: {**d, "spec": {"family": "spherical_cap"}}, "'alpha'"),
-    (lambda d: {**d, "grid_h": "0.1"}, "grid_h must be a number"),
+    (lambda d: {**d, "grid_h": "0.1"}, "grid_h must be a finite number"),
     (lambda d: {**d, "replications": 2.7}, "'replications' must be an integer"),
-    (lambda d: {**d, "replications": "3"}, "'replications' must be a number"),
-    (lambda d: {**d, "replications": True}, "'replications' must be a number"),
+    (lambda d: {**d, "replications": "3"},
+     "'replications' must be a finite number"),
+    (lambda d: {**d, "replications": True},
+     "'replications' must be a finite number"),
     (lambda d: {**d, "base_seed": 1.9}, "'base_seed' must be an integer"),
     (lambda d: {**d, "spec": {"family": "unit_square", "d": 2.5}},
      "'d' must be an integer"),
     (lambda d: {**d, "spec": {"family": "spherical_cap", "alpha": "1.0"}},
-     "'alpha' must be a number"),
+     "'alpha' must be a finite number"),
     (lambda d: {**d, "k": {"kind": "constant", "k": "2"}},
-     "'k' must be a number"),
+     "'k' must be a finite number"),
     (lambda d: {**d, "k": {"kind": "constant", "k": 1.5}},
      "'k' must be an integer"),
     (lambda d: {**d, "region": {"kind": "interior_body", "delta": "0.2"}},
-     "'delta' must be a number"),
+     "'delta' must be a finite number"),
     (lambda d: {**d, "k": {"kind": "beta_log", "beta": "1"}},
-     "'beta' must be a number"),
+     "'beta' must be a finite number"),
     (lambda d: {**d, "k": {"kind": "power", "p": True}},
-     "'p' must be a number"),
+     "'p' must be a finite number"),
     (lambda d: {**d, "sizes": [1000.5]},
      "binomial size 1000.5 is not a whole number"),
+    # json reads the NaN and Infinity literals; an infinite grid_h would
+    # run and write rows with h=inf
+    (lambda d: {**d, "grid_h": math.inf}, "grid_h must be a finite number"),
+    (lambda d: {**d, "sizes": [64, math.inf]},
+     "sizes must be a list of finite numbers"),
+    (lambda d: {**d, "replications": math.nan},
+     "'replications' must be a finite number"),
+    (lambda d: {**d, "region": {"kind": "interior_body", "delta": math.nan}},
+     "'delta' must be a finite number"),
+    (lambda d: {**d, "spec": {"family": "spherical_cap", "alpha": math.inf}},
+     "'alpha' must be a finite number"),
+    (lambda d: {**d, "k": {"kind": "beta_log", "beta": math.nan}},
+     "'beta' must be a finite number"),
+    # an int beyond the float range must not escape as an OverflowError
+    (lambda d: {**d, "base_seed": 10 ** 400},
+     "'base_seed' must be a finite number"),
 ], ids=["no_sizes", "k_int", "spec_str", "region_list", "top_list",
         "sizes_str", "sizes_entry_str", "body_no_delta", "ball_no_center",
         "cap_no_alpha", "grid_h_str", "reps_fraction", "reps_str",
         "reps_bool", "seed_fraction", "square_d_fraction", "alpha_str",
         "k_str", "k_fraction", "delta_str", "beta_str", "p_bool",
-        "binomial_size_fraction"])
+        "binomial_size_fraction", "grid_h_inf", "size_inf", "reps_nan",
+        "delta_nan", "alpha_inf", "beta_nan", "seed_beyond_float"])
 def test_malformed_config_exit_1(tmp_path, capsys, edit, needle):
     cfg = _write_cfg(tmp_path)
     with open(cfg) as fh:
@@ -191,6 +259,21 @@ def test_malformed_config_exit_1(tmp_path, capsys, edit, needle):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and needle in err
     assert not os.path.exists(tmp_path / "x")
+
+
+@pytest.mark.parametrize("value,rc", [("slln_trace", 1), ("weak_interior", 1),
+                                      ("weak_boundary", 0)])
+def test_config_mode_must_match_subcommand(tmp_path, capsys, value, rc):
+    cfg = _write_cfg(tmp_path, mode=value)
+    out = tmp_path / "x"
+    assert main(["weak", "--config", cfg, "--out", str(out)]) == rc
+    if rc:
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(value) in err
+        assert "'weak_boundary'" in err and not os.path.exists(out)
+    else:
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["config"]["mode"] == "weak_boundary"
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-2"])

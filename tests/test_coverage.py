@@ -156,6 +156,41 @@ def test_target_width_below_resolution_refused():
                            refine_to=1e-9)
 
 
+@pytest.mark.parametrize("h", [math.inf, math.nan])
+def test_non_finite_h_refused(h):
+    with pytest.raises(GridError, match=f"finite number > 0, got {h}"):
+        build_grid(geo.unit_disk(), geo.REGION_ALL, h)
+
+
+@pytest.mark.parametrize("threshold", [coverage_threshold, interior_threshold])
+@pytest.mark.parametrize("refine_to", [math.inf, math.nan])
+def test_non_finite_target_width_refused(threshold, refine_to):
+    disk = geo.unit_disk()
+    grid = build_grid(disk, geo.REGION_ALL, 0.1)
+    with pytest.raises(CoverageError,
+                       match=f"target width {refine_to} is not a finite"):
+        threshold(make_cloud(disk, [[0.0, 0.0]]), grid, 1, GEO,
+                  refine_to=refine_to)
+
+
+@pytest.mark.parametrize("threshold", [coverage_threshold, interior_threshold])
+@pytest.mark.parametrize("cloud_spec,grid_spec", [
+    (geo.unit_disk(), geo.unit_square(2)),
+    (geo.spherical_cap(0.5), geo.unit_sphere()),
+    (geo.solid_ball(), geo.unit_disk()),
+], ids=["disk_on_square", "cap_on_sphere", "ball_on_disk"])
+def test_cloud_on_another_shape_refused(threshold, cloud_spec, grid_spec):
+    # unchecked, the disk cloud gives a bracket on the square's field and
+    # the ball cloud fails inside the kd-tree query
+    cloud = uniform_sample(cloud_spec, 200, 1)
+    grid = build_grid(grid_spec, geo.REGION_ALL, 0.1)
+    with pytest.raises(CoverageError) as err:
+        threshold(cloud, grid, 1, GEO)
+    msg = str(err.value)
+    assert str(cloud_spec.to_json()) in msg
+    assert str(grid_spec.to_json()) in msg
+
+
 def test_threshold_interval_vs_fine_grid():
     rng = np.random.default_rng(20)
     specs = [geo.unit_disk(), geo.unit_square(2), geo.spherical_cap(1.3)]
