@@ -24,11 +24,28 @@ from .limits import (boundary_coefficient, interior_coefficient,
 from .sampling import load_cloud_csv
 
 
-def _parse_range(text: str) -> list[int]:
+def _number(token: str, what: str, integral: bool = False):
+    """``token`` read as a JSON number, the rule a config's numbers follow.
+
+    Raises :class:`ConfigError` quoting the token when it is not a finite
+    number, or, with ``integral``, not a whole one.
+    """
+    try:
+        value = json.loads(token)
+    except ValueError:
+        value = None
+    if not geo.is_number(value) or (integral
+                                    and not float(value).is_integer()):
+        kind = "an integer" if integral else "a finite number"
+        raise ConfigError(f"{what}: {token!r} is not {kind}")
+    return int(value) if integral else value
+
+
+def _parse_range(text: str, what: str) -> list[int]:
     if ".." in text:
-        a, b = text.split("..", 1)
-        return list(range(int(a), int(b) + 1))
-    return [int(v) for v in text.split(",") if v]
+        a, b = (_number(v, what, integral=True) for v in text.split("..", 1))
+        return list(range(a, b + 1))
+    return [_number(v, what, integral=True) for v in text.split(",") if v]
 
 
 def _parse_spec(token: str) -> geo.ManifoldSpec:
@@ -38,7 +55,8 @@ def _parse_spec(token: str) -> geo.ManifoldSpec:
     if tok in ("square", "unit_square"):
         return geo.unit_square(2)
     if tok.startswith("square:"):
-        return geo.unit_square(int(tok.split(":", 1)[1]))
+        return geo.unit_square(_number(tok.split(":", 1)[1],
+                                       f"spec {token!r}", integral=True))
     if tok in ("disk", "unit_disk"):
         return geo.unit_disk()
     if tok in ("ball", "solid_ball"):
@@ -46,14 +64,15 @@ def _parse_spec(token: str) -> geo.ManifoldSpec:
     if tok in ("sphere", "unit_sphere"):
         return geo.unit_sphere()
     if tok.startswith("cap:"):
-        return geo.spherical_cap(float(tok.split(":", 1)[1]))
+        return geo.spherical_cap(_number(tok.split(":", 1)[1],
+                                         f"spec {token!r}"))
     raise ConfigError(f"unknown spec {token!r}; try disk, square, square:3, "
                       "ball, sphere, cap:ALPHA or a JSON object")
 
 
 def _cmd_constants(args) -> int:
-    dims = _parse_range(args.d)
-    ks = _parse_range(args.k)
+    dims = _parse_range(args.d, "--d")
+    ks = _parse_range(args.k, "--k")
     table = {
         "theta_d": {str(d): unit_ball_volume(d) for d in dims},
         "c_d": {str(d): interior_coefficient(d) for d in dims if d >= 1},
@@ -93,7 +112,8 @@ def _load_config(args, mode: RunMode) -> ExperimentConfig:
     if args.reps is not None:
         obj["replications"] = args.reps
     if args.sizes is not None:
-        obj["sizes"] = [int(s) for s in args.sizes.split(",") if s]
+        obj["sizes"] = [_number(s, "--sizes") for s in args.sizes.split(",")
+                        if s]
     if args.metric is not None:
         obj["metric"] = args.metric
     return ExperimentConfig.from_json(obj)

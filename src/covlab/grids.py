@@ -87,7 +87,8 @@ class EvalGrid:
         """The cells selected by a boolean mask or an index array."""
         idx = np.flatnonzero(mask) if mask.dtype == bool else mask
         rad = self.rad.take(idx)
-        return EvalGrid(self.spec, self.region, self.nodes[idx],
+        return EvalGrid(self.spec, self.region,
+                        self.nodes.take(idx, axis=0),
                         float(rad.max(initial=0.0)), _rows(self.box_lo, idx),
                         _rows(self.box_hi, idx), rad)
 

@@ -7,7 +7,14 @@ one of them fails here, not only when the benchmark runs.
 
 import pathlib
 
+import numpy as np
+import pytest
+
 import covlab
+from covlab import coverage
+from covlab import geometry as geo
+from covlab.grids import build_grid
+from covlab.sampling import uniform_sample
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -31,3 +38,34 @@ def test_package_exports_the_check_uses():
     for name in ("ManifoldSpec", "uniform_sample", "build_grid", "REGION_ALL",
                  "Family"):
         assert hasattr(covlab, name), name
+
+
+@pytest.mark.parametrize("threshold", [coverage.coverage_threshold,
+                                       coverage.interior_threshold])
+@pytest.mark.parametrize("spec", [geo.unit_square(2), geo.spherical_cap(1.0)],
+                         ids=["square", "cap"])
+def test_one_tree_build_per_threshold_call(monkeypatch, threshold, spec):
+    """The benchmark's ``coverage.tree`` span wraps
+    ``covlab.coverage.cKDTree``, so that name must build the one tree of
+    each threshold call.  On box shapes the tree is built on a sorted copy
+    of the cloud; the sort runs before ``cKDTree`` is called, outside the
+    ``coverage.tree`` span, so its time lands in ``coverage.self_s``.
+    """
+    built = []
+    real = coverage.cKDTree
+
+    def counting(points, **kwargs):
+        built.append(points)
+        return real(points, **kwargs)
+
+    monkeypatch.setattr(coverage, "cKDTree", counting)
+    cloud = uniform_sample(spec, 400, 3)
+    grid = build_grid(spec, geo.REGION_ALL, 0.1)
+    for calls in (1, 2):
+        threshold(cloud, grid, 2, geo.Metric.GEODESIC, refine_to=0.01)
+        assert len(built) == calls
+    for points in built:
+        # the span gets the whole cloud, sorted on the square
+        assert points.shape == cloud.points.shape
+        assert np.array_equal(np.sort(points, axis=0),
+                              np.sort(cloud.points, axis=0))

@@ -347,3 +347,58 @@ def test_sizes_and_reps_overrides(tmp_path, capsys):
                  "--out", out]) == 0
     rows = open(os.path.join(out, "rows.csv")).read().strip().splitlines()
     assert len(rows) == 1 + 4  # header + 2 sizes x 2 reps
+
+
+def test_sizes_override_reads_numbers_as_a_config_does(tmp_path, capsys):
+    # "1e3" is the config number 1000.0: it runs n=1000 and writes the
+    # rows and results "1000" writes; only the config echo keeps 1000.0
+    cfg = _write_cfg(tmp_path, replications=2)
+    for token in ("1000", "1e3"):
+        assert main(["weak", "--config", cfg, "--sizes", token,
+                     "--out", str(tmp_path / token)]) == 0
+    assert ((tmp_path / "1e3" / "rows.csv").read_bytes()
+            == (tmp_path / "1000" / "rows.csv").read_bytes())
+    rows = (tmp_path / "1e3" / "rows.csv").read_text().splitlines()
+    assert [r.split(",")[0] for r in rows[1:]] == ["1000", "1000"]
+    s1e3, s1000 = (json.loads((tmp_path / t / "summary.json").read_text())
+                   for t in ("1e3", "1000"))
+    assert s1e3.pop("config")["sizes"] == [1000.0]
+    assert s1000.pop("config")["sizes"] == [1000]
+    assert s1e3 == s1000
+
+
+def test_sizes_override_takes_a_fractional_poisson_intensity(tmp_path,
+                                                             capsys):
+    out = tmp_path / "o"
+    cfg = _write_cfg(tmp_path, sampler="poisson", replications=1)
+    assert main(["weak", "--config", cfg, "--sizes", "100.5",
+                 "--out", str(out)]) == 0
+    rows = (out / "rows.csv").read_text().splitlines()
+    assert rows[1].split(",")[0] == "100.5"
+    # a binomial run still needs a whole number of points
+    cfg = _write_cfg(tmp_path, replications=1)
+    assert main(["weak", "--config", cfg, "--sizes", "100.5",
+                 "--out", str(tmp_path / "b")]) == 1
+    assert "binomial size 100.5 is not a whole number" in (
+        capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("argv,needle", [
+    (["weak", "--sizes", "1e3,abc"], "--sizes: 'abc' is not a finite number"),
+    (["cover", "--spec", "square:abc"],
+     "spec 'square:abc': 'abc' is not an integer"),
+    (["cover", "--spec", "cap:abc"],
+     "spec 'cap:abc': 'abc' is not a finite number"),
+    (["constants", "--d", "2..x"], "--d: 'x' is not an integer"),
+], ids=["sizes", "square_dim", "cap_angle", "constants_range"])
+def test_bad_number_token_exit_1_names_it(tmp_path, capsys, argv, needle):
+    path = str(tmp_path / "pts.csv")
+    save_cloud_csv(uniform_sample(geo.unit_disk(), 150, 5), path)
+    out = tmp_path / "x"
+    extra = {"weak": ["--config", _write_cfg(tmp_path), "--out", str(out)],
+             "cover": ["--cloud", path, "--h", "0.1"],
+             "constants": ["--out", str(out)]}
+    assert main([*argv, *extra[argv[0]]]) == 1
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err.startswith("error: ") and needle in err
+    assert not out.exists()

@@ -5,9 +5,9 @@ and ``summary.json`` that run wrote when it was pinned.  Speedups and
 refactors must reproduce those bytes exactly.  The runs cover every mode
 of the experiment driver: weak boundary runs (disk, Poisson disk, a cap
 with the Euclidean metric on a fixed grid), strong-law traces (beta_log
-and power schedules) and interior runs (a boundaryless sphere, an
-interior-body region, and the refined max of min(k-NN field, depth) over
-a whole cap).
+and power schedules on the square, beta_log on the cube, the one 3-D
+box) and interior runs (a boundaryless sphere, an interior-body region,
+and the refined max of min(k-NN field, depth) over a whole cap).
 """
 
 import os
@@ -26,7 +26,8 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden")
                                       ("interior_cap_k2", "interior"),
                                       ("weak_disk_poisson", "weak"),
                                       ("weak_cap_euclid_gridh", "weak"),
-                                      ("slln_square_power", "slln")])
+                                      ("slln_square_power", "slln"),
+                                      ("slln_cube", "slln")])
 def test_outputs_match_golden_bytes(tmp_path, capsys, run, mode):
     src = os.path.join(GOLDEN, run)
     out = str(tmp_path / run)
