@@ -6,7 +6,7 @@ from .geometry import (Family, ManifoldSpec, Metric, RegionKind, RegionSpec,
                        intrinsic_diameter, region_measures, solid_ball,
                        spherical_cap, unit_disk, unit_sphere, unit_square,
                        volume)
-from .sampling import (CloudOrigin, DensitySpec, PointCloud, density_sample,
+from .sampling import (DensitySpec, PointCloud, density_sample,
                        poisson_sample, save_cloud_csv, uniform_sample)
 from .grids import EvalGrid, build_grid
 from .coverage import (CoverageError, KnnField, ThresholdEstimate,

@@ -44,8 +44,12 @@ def _number(token: str, what: str, integral: bool = False):
 def _parse_range(text: str, what: str) -> list[int]:
     if ".." in text:
         a, b = (_number(v, what, integral=True) for v in text.split("..", 1))
-        return list(range(a, b + 1))
-    return [_number(v, what, integral=True) for v in text.split(",") if v]
+        values = list(range(a, b + 1))
+    else:
+        values = [_number(v, what, integral=True) for v in text.split(",") if v]
+    if not values:
+        raise ConfigError(f"{what}: {text!r} selects no values")
+    return values
 
 
 def _parse_spec(token: str) -> geo.ManifoldSpec:

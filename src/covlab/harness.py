@@ -33,7 +33,7 @@ import os
 import time
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from enum import Enum
 
 import numpy as np
@@ -166,6 +166,9 @@ class ExperimentConfig:
             if self.sampler is Sampler.BINOMIAL and not float(s).is_integer():
                 raise ConfigError(f"binomial size {s} is not a whole number "
                                   "of points")
+        # a whole size is an int in every output, the config echo included
+        object.__setattr__(self, "sizes", tuple(
+            int(s) if float(s).is_integer() else float(s) for s in self.sizes))
         if self.replications < 1:
             raise ConfigError("need replications >= 1")
         if self.grid_h is not None and self.grid_h <= 0:
@@ -226,7 +229,9 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ReplicationRow:
-    size: float
+    """One line of ``rows.csv``: the header is the field names."""
+
+    size: int | float
     rep: int
     k: int
     metric: str
@@ -249,12 +254,8 @@ class ExperimentResult:
     def write_rows_csv(self, path: str) -> None:
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
-            w.writerow(["size", "rep", "k", "metric", "lo", "hi", "h",
-                        "stat_lo", "stat_hi"])
-            for r in self.rows:
-                w.writerow([_num(r.size), r.rep, r.k, r.metric, repr(r.lo),
-                            repr(r.hi), repr(r.h), repr(r.stat_lo),
-                            repr(r.stat_hi)])
+            w.writerow([f.name for f in fields(ReplicationRow)])
+            w.writerows(map(astuple, self.rows))
 
     def summary_json(self) -> str:
         doc = {"config": self.config.to_json(), "law": self.law,
@@ -273,11 +274,6 @@ class ExperimentResult:
             json.dump({"wall_clock_seconds": self.wall_clock,
                        "workers": self.workers}, fh, indent=2)
             fh.write("\n")
-
-
-def _num(x):
-    xi = int(x)
-    return xi if xi == x else repr(float(x))
 
 
 def ks_distance(samples, cdf) -> float:
@@ -362,7 +358,7 @@ def _summarize_weak(rows: list, sizes, cdf) -> dict:
         stats_hi = np.array([r.stat_hi for r in rows if r.size == size])
         order = np.argsort(stats_lo, kind="stable")
         qs = [0.05, 0.25, 0.5, 0.75, 0.95]
-        out[str(_num(size))] = {
+        out[str(size)] = {
             "replications": int(len(stats_lo)),
             "ks_lo": ks_distance(stats_lo, cdf),
             "ks_hi": ks_distance(stats_hi, cdf),
@@ -466,7 +462,7 @@ def _slln_parts(config: ExperimentConfig) -> _ModeParts:
         for size in config.sizes:
             ratios = np.array([r.stat_lo for r in rows if r.size == size])
             ratios_hi = np.array([r.stat_hi for r in rows if r.size == size])
-            per_size[str(_num(size))] = {
+            per_size[str(size)] = {
                 "k": sched.k_of(size),
                 "median_lo": float(np.median(ratios)),
                 "median_hi": float(np.median(ratios_hi)),

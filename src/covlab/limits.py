@@ -79,7 +79,11 @@ def rate_function(t) -> float | np.ndarray:
     return out
 
 
-def rate_inverse(a: float, x: float, tol: float = 1e-12, max_iter: int = 200) -> float:
+_RATE_INVERSE_TOL = 1e-12      # rate_inverse's bisection stops at this width
+_RATE_INVERSE_MAX_ITER = 200   # or fails after this many halvings
+
+
+def rate_inverse(a: float, x: float) -> float:
     """Unique y >= a with y * rate_function(a/y) = x.
 
     The map y -> y - a - a*log(y/a) is 0 at y=a and strictly increasing,
@@ -99,13 +103,13 @@ def rate_inverse(a: float, x: float, tol: float = 1e-12, max_iter: int = 200) ->
     while g(hi) < x:
         hi *= 2.0
     lo = a
-    for _ in range(max_iter):
+    for _ in range(_RATE_INVERSE_MAX_ITER):
         mid = 0.5 * (lo + hi)
         if g(mid) < x:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= tol:
+        if hi - lo <= _RATE_INVERSE_TOL:
             return 0.5 * (lo + hi)
     raise LimitsError(f"rate_inverse failed to converge for a={a}, x={x}")
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import functools
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -55,26 +54,12 @@ class DensitySpec:
         return DensitySpec(kind="custom", f=f, sup_bound=sup_bound, f0=f0, f1=f1)
 
 
-@dataclass(frozen=True)
-class CloudOrigin:
-    kind: str                 # "binomial" | "poisson"
-    requested: float          # n for binomial, intensity t for poisson
-    realized: int             # number of points actually in the cloud
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "requested": self.requested,
-                "realized": self.realized}
-
-
 @dataclass
 class PointCloud:
-    """A finite sample in A with its provenance."""
+    """A finite sample in A: the shape it lies on and its points."""
 
     spec: ManifoldSpec
     points: np.ndarray                 # (n, m)
-    origin: CloudOrigin
-    seed: object = None
-    density: str = "uniform"
 
     def __len__(self) -> int:
         return len(self.points)
@@ -124,9 +109,7 @@ def uniform_sample(spec: ManifoldSpec, n: int, seed) -> PointCloud:
     """n uniform points on A, deterministic given the seed."""
     if n < 0:
         raise SamplingError("sample size must be >= 0")
-    rng = _rng(seed)
-    pts = _uniform_points(spec, rng, n)
-    return PointCloud(spec, pts, CloudOrigin("binomial", n, n), seed=seed)
+    return PointCloud(spec, _uniform_points(spec, _rng(seed), n))
 
 
 # fixed probe stream for the normalization / infimum checks of custom
@@ -173,8 +156,7 @@ def density_sample(spec: ManifoldSpec, dens: DensitySpec, n: int,
                    seed) -> PointCloud:
     """n i.i.d. points with law dens, by rejection from the uniform law."""
     if dens.kind == "uniform":
-        cloud = uniform_sample(spec, n, seed)
-        return cloud
+        return uniform_sample(spec, n, seed)
     check_density(spec, dens)
     rng = _rng(seed)
     m_bound = float(dens.sup_bound)
@@ -199,8 +181,7 @@ def density_sample(spec: ManifoldSpec, dens: DensitySpec, n: int,
         out.append(acc)
         got += len(acc)
     pts = np.concatenate(out) if out else np.empty((0, spec.m))
-    return PointCloud(spec, pts, CloudOrigin("binomial", n, n), seed=seed,
-                      density="custom")
+    return PointCloud(spec, pts)
 
 
 # ---------------------------------------------------------------------------
@@ -222,15 +203,9 @@ def poisson_sample(spec: ManifoldSpec, dens: DensitySpec, t: float,
     rng = _rng(seed)
     z = poisson_count(rng, t)
     if dens.kind == "uniform":
-        pts = _uniform_points(spec, rng, z)
-        density = "uniform"
-    else:
-        # rejection against the same stream, reusing the binomial machinery
-        sub = density_sample(spec, dens, z, rng.integers(0, 2 ** 63 - 1))
-        pts = sub.points
-        density = "custom"
-    return PointCloud(spec, pts, CloudOrigin("poisson", t, z), seed=seed,
-                      density=density)
+        return PointCloud(spec, _uniform_points(spec, rng, z))
+    # rejection against the same stream, reusing the binomial machinery
+    return density_sample(spec, dens, z, rng.integers(0, 2 ** 63 - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -238,29 +213,11 @@ def poisson_sample(spec: ManifoldSpec, dens: DensitySpec, t: float,
 
 
 def save_cloud_csv(cloud: PointCloud, path: str) -> None:
-    """Write `idx,x1..xm` rows plus a JSON sidecar with the provenance."""
-    m = cloud.points.shape[1] if len(cloud) else cloud.spec.m
+    """Write the `idx,x1..xm` rows that :func:`load_cloud_csv` reads."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["idx"] + [f"x{i + 1}" for i in range(m)])
-        for i, p in enumerate(cloud.points):
-            w.writerow([i] + [repr(float(v)) for v in p])
-    sidecar = {
-        "spec": cloud.spec.to_json(),
-        "density": cloud.density,
-        "seed": _seed_json(cloud.seed),
-        "origin": cloud.origin.to_json(),
-    }
-    with open(path + ".json", "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-
-
-def _seed_json(seed):
-    if isinstance(seed, np.random.SeedSequence):
-        return {"entropy": seed.entropy, "spawn_key": list(seed.spawn_key)}
-    if isinstance(seed, (tuple, list)):
-        return list(seed)
-    return seed
+        w.writerow(["idx"] + [f"x{i + 1}" for i in range(cloud.spec.m)])
+        w.writerows([i, *p] for i, p in enumerate(cloud.points.tolist()))
 
 
 def load_cloud_csv(path: str, spec: ManifoldSpec) -> PointCloud:
@@ -278,7 +235,7 @@ def load_cloud_csv(path: str, spec: ManifoldSpec) -> PointCloud:
         bad = int(np.argmin(ok))
         raise SamplingError(f"cloud point {bad} lies outside the shape: "
                             f"{pts[bad].tolist()}")
-    return PointCloud(spec, pts, CloudOrigin("binomial", len(pts), len(pts)))
+    return PointCloud(spec, pts)
 
 
 def _is_float(tok: str) -> bool:

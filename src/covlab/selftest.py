@@ -13,7 +13,7 @@ import numpy as np
 from . import geometry as geo
 from .coverage import KnnField, coverage_threshold
 from .grids import build_grid
-from .sampling import CloudOrigin, PointCloud, uniform_sample
+from .sampling import PointCloud, uniform_sample
 
 _FAMILIES = {
     "square": geo.unit_square(2),
@@ -197,8 +197,7 @@ def _check_monotonicity(n_cases: int):
         n = int(rng.integers(5, 60))
         cloud = uniform_sample(spec, n, int(rng.integers(2 ** 31)))
         extra = uniform_sample(spec, n + 10, int(rng.integers(2 ** 31)))
-        bigger = PointCloud(spec, np.vstack([cloud.points, extra.points]),
-                            CloudOrigin("binomial", 2 * n + 10, 2 * n + 10))
+        bigger = PointCloud(spec, np.vstack([cloud.points, extra.points]))
         for metric in (geo.Metric.GEODESIC, geo.Metric.EUCLIDEAN):
             e1 = coverage_threshold(cloud, grid, 1, metric)
             e2 = coverage_threshold(bigger, grid, 1, metric)

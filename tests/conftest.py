@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from covlab import geometry as geo
-from covlab.sampling import CloudOrigin, PointCloud, uniform_sample
+from covlab.sampling import PointCloud, uniform_sample
 
 
 def make_cloud(spec, pts) -> PointCloud:
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    return PointCloud(spec, pts, CloudOrigin("binomial", len(pts), len(pts)))
+    return PointCloud(spec, pts)
 
 
 def random_cloud(spec, n, seed) -> PointCloud:

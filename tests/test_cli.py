@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -141,8 +142,8 @@ def test_weak_run_seed_override_changes_rows(tmp_path, capsys):
     out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
     assert main(["weak", "--config", cfg, "--out", out1]) == 0
     assert main(["weak", "--config", cfg, "--seed", "99", "--out", out2]) == 0
-    assert (open(os.path.join(out1, "rows.csv")).read()
-            != open(os.path.join(out2, "rows.csv")).read())
+    assert ((tmp_path / "a" / "rows.csv").read_bytes()
+            != (tmp_path / "b" / "rows.csv").read_bytes())
 
 
 def test_summary_config_echo_round_trips(tmp_path, capsys):
@@ -150,7 +151,7 @@ def test_summary_config_echo_round_trips(tmp_path, capsys):
     cfg = _write_cfg(tmp_path)
     out = str(tmp_path / "r")
     assert main(["weak", "--config", cfg, "--out", out]) == 0
-    doc = json.loads(open(os.path.join(out, "summary.json")).read())
+    doc = json.loads((tmp_path / "r" / "summary.json").read_text())
     echoed = ExperimentConfig.from_json(doc["config"])
     assert echoed.to_json() == doc["config"]
 
@@ -163,7 +164,7 @@ def test_interior_and_slln_subcommands(tmp_path, capsys):
                        sizes=[64, 256])
     out2 = str(tmp_path / "rs")
     assert main(["slln", "--config", cfg_s, "--out", out2]) == 0
-    summary = json.loads(open(os.path.join(out2, "summary.json")).read())
+    summary = json.loads((tmp_path / "rs" / "summary.json").read_text())
     assert "reference" in summary["summary"]
 
 
@@ -314,8 +315,8 @@ def test_weak_run_at_the_size_cap(tmp_path, capsys, family, size, reps):
 
 def test_readme_example_config_loads():
     from covlab.harness import ExperimentConfig
-    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
-    text = open(readme).read()
+    readme = pathlib.Path(__file__).parent.parent / "README.md"
+    text = readme.read_text()
     block = text.split("Example experiment config:", 1)[1]
     block = block.split("```json", 1)[1].split("```", 1)[0]
     doc = {**json.loads(block), "mode": "weak_boundary"}
@@ -345,26 +346,24 @@ def test_sizes_and_reps_overrides(tmp_path, capsys):
     out = str(tmp_path / "o")
     assert main(["weak", "--config", cfg, "--reps", "2", "--sizes", "64,128",
                  "--out", out]) == 0
-    rows = open(os.path.join(out, "rows.csv")).read().strip().splitlines()
+    rows = (tmp_path / "o" / "rows.csv").read_text().strip().splitlines()
     assert len(rows) == 1 + 4  # header + 2 sizes x 2 reps
 
 
 def test_sizes_override_reads_numbers_as_a_config_does(tmp_path, capsys):
     # "1e3" is the config number 1000.0: it runs n=1000 and writes the
-    # rows and results "1000" writes; only the config echo keeps 1000.0
+    # bytes "1000" writes, the config echo included
     cfg = _write_cfg(tmp_path, replications=2)
     for token in ("1000", "1e3"):
         assert main(["weak", "--config", cfg, "--sizes", token,
                      "--out", str(tmp_path / token)]) == 0
-    assert ((tmp_path / "1e3" / "rows.csv").read_bytes()
-            == (tmp_path / "1000" / "rows.csv").read_bytes())
+    for name in ("rows.csv", "summary.json"):
+        assert ((tmp_path / "1e3" / name).read_bytes()
+                == (tmp_path / "1000" / name).read_bytes())
     rows = (tmp_path / "1e3" / "rows.csv").read_text().splitlines()
     assert [r.split(",")[0] for r in rows[1:]] == ["1000", "1000"]
-    s1e3, s1000 = (json.loads((tmp_path / t / "summary.json").read_text())
-                   for t in ("1e3", "1000"))
-    assert s1e3.pop("config")["sizes"] == [1000.0]
-    assert s1000.pop("config")["sizes"] == [1000]
-    assert s1e3 == s1000
+    summary = json.loads((tmp_path / "1e3" / "summary.json").read_text())
+    assert summary["config"]["sizes"] == [1000]
 
 
 def test_sizes_override_takes_a_fractional_poisson_intensity(tmp_path,
@@ -390,7 +389,11 @@ def test_sizes_override_takes_a_fractional_poisson_intensity(tmp_path,
     (["cover", "--spec", "cap:abc"],
      "spec 'cap:abc': 'abc' is not a finite number"),
     (["constants", "--d", "2..x"], "--d: 'x' is not an integer"),
-], ids=["sizes", "square_dim", "cap_angle", "constants_range"])
+    # a range that selects nothing would print empty tables
+    (["constants", "--d", "5..2", "--k", "3..1"], "--d: '5..2' selects no"),
+    (["constants", "--d", ""], "--d: '' selects no values"),
+], ids=["sizes", "square_dim", "cap_angle", "constants_range",
+        "constants_reversed_range", "constants_empty_list"])
 def test_bad_number_token_exit_1_names_it(tmp_path, capsys, argv, needle):
     path = str(tmp_path / "pts.csv")
     save_cloud_csv(uniform_sample(geo.unit_disk(), 150, 5), path)

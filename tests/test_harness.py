@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import json
 import math
@@ -185,6 +186,36 @@ def test_run_determinism_byte_identical(tmp_path):
     b.write_rows_csv(str(pb))
     assert pa.read_bytes() == pb.read_bytes()
     assert a.summary_json() == b.summary_json()
+
+
+def test_whole_float_size_writes_what_the_int_size_writes(tmp_path):
+    # a Python-API size 1e3 is written as 1000 in every result file, the
+    # config echo included
+    outs = []
+    for name, size in (("float", 1e3), ("int", 1000)):
+        res = run_experiment(_disk_cfg(sizes=(size,), replications=2))
+        out = tmp_path / name
+        out.mkdir()
+        res.write_rows_csv(str(out / "rows.csv"))
+        res.write_summary_json(str(out / "summary.json"))
+        res.write_meta_json(str(out / "run_meta.json"))
+        outs.append(out)
+    a, b = outs
+    for name in ("rows.csv", "summary.json"):
+        assert (a / name).read_bytes() == (b / name).read_bytes()
+    assert (json.loads((a / "run_meta.json").read_text()).keys()
+            == json.loads((b / "run_meta.json").read_text()).keys())
+    summary = json.loads((a / "summary.json").read_text())
+    assert summary["config"]["sizes"] == [1000]
+
+
+def test_rows_csv_header_is_the_row_fields(tmp_path):
+    res = run_experiment(_disk_cfg(replications=1))
+    path = tmp_path / "rows.csv"
+    res.write_rows_csv(str(path))
+    header = path.read_text().splitlines()[0].split(",")
+    assert header == [f.name
+                      for f in dataclasses.fields(harness.ReplicationRow)]
 
 
 def test_refusal_degenerate_law():
