@@ -2,7 +2,7 @@
 
 Subcommands: ``constants`` (closed-form constant tables), ``cover`` (one
 threshold estimate for a cloud file), ``weak`` / ``interior`` / ``slln``
-(experiment runs from a JSON config), ``selftest`` (fast invariant sweep).
+(experiment runs from a JSON config).
 Exit codes: 0 success, 1 usage or error, 2 configuration refused.
 """
 
@@ -136,11 +136,6 @@ def _cmd_run(args, mode: RunMode) -> int:
     return 0
 
 
-def _cmd_selftest(args) -> int:
-    from .selftest import run_selftest
-    return run_selftest(fast=args.fast)
-
-
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="covlab",
                                 description="coverage-threshold laboratory")
@@ -178,10 +173,6 @@ def _build_parser() -> argparse.ArgumentParser:
         r.add_argument("--metric", choices=["geodesic", "euclidean"],
                        default=None)
         r.set_defaults(run=functools.partial(_cmd_run, mode=mode))
-
-    st = sub.add_parser("selftest", help="run the invariant suites")
-    st.add_argument("--fast", action="store_true")
-    st.set_defaults(run=_cmd_selftest)
     return p
 
 

@@ -87,29 +87,35 @@ class KSchedule:
     """
 
     kind: str
-    value: float
+    value: int | float
 
     def __post_init__(self):
         if self.kind not in _SCHEDULE_KEYS:
             raise ConfigError(f"unknown k schedule kind {self.kind!r}")
+        if not is_number(self.value):
+            raise ConfigError(f"{self.kind} k schedule needs a finite number, "
+                              f"got {self.value!r}")
         if self.kind == "constant" and (self.value < 1 or int(self.value) != self.value):
             raise ConfigError("constant schedule needs integer k >= 1")
         if self.kind == "beta_log" and self.value <= 0:
             raise ConfigError("beta_log schedule needs beta > 0")
         if self.kind == "power" and not (0.0 < self.value < 1.0):
             raise ConfigError("power schedule needs 0 < p < 1")
+        # one spelling per value, in every output: a constant k is an int
+        object.__setattr__(self, "value", int(self.value)
+                           if self.kind == "constant" else float(self.value))
 
     @property
     def beta(self) -> float | None:
         if self.kind == "constant":
             return 0.0
         if self.kind == "beta_log":
-            return float(self.value)
+            return self.value
         return None
 
     def k_of(self, n: float) -> int:
         if self.kind == "constant":
-            return int(self.value)
+            return self.value
         if self.kind == "beta_log":
             return max(1, math.ceil(self.value * math.log(n)))
         return math.ceil(n ** self.value)
@@ -125,8 +131,8 @@ class KSchedule:
             raise ConfigError(f"unknown k schedule kind {kind!r}")
         key = _SCHEDULE_KEYS[kind]
         check_keys(obj, {"kind", key}, f"{kind} k schedule", required=(key,))
-        return KSchedule(kind, float(read_number(
-            obj, key, f"{kind} k schedule", integral=kind == "constant")))
+        return KSchedule(kind, read_number(obj, key, f"{kind} k schedule",
+                                           integral=kind == "constant"))
 
 
 def constant_k(k: int) -> KSchedule:

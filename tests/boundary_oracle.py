@@ -1,60 +1,16 @@
-"""Fast invariant sweep behind `covlab selftest`.
+"""Independent boundary-distance oracle for the geometry tests.
 
-Each check is independent and seeded; a failure prints the exception and
-the sweep keeps going, so one run reports every broken invariant at once.
+``sampled_boundary_distance`` finds the distance from a point to a shape's
+boundary by scanning quasi-uniform boundary samples and resampling around
+the running argmin, without the closed forms of
+``geometry.dist_to_boundary_many`` that it checks.
 """
-
-from __future__ import annotations
 
 import math
 
 import numpy as np
 
-from . import geometry as geo
-from .coverage import KnnField, coverage_threshold
-from .grids import build_grid
-from .sampling import PointCloud, uniform_sample
-
-_FAMILIES = {
-    "square": geo.unit_square(2),
-    "disk": geo.unit_disk(),
-    "ball": geo.solid_ball(),
-    "sphere": geo.unit_sphere(),
-    "cap": geo.spherical_cap(1.1),
-}
-
-
-def _check_triangle(n_triples: int):
-    rng = np.random.default_rng(20240601)
-    for name, spec in _FAMILIES.items():
-        pts = uniform_sample(spec, 3 * n_triples, int(rng.integers(2 ** 31))).points
-        a, b, c = pts[0::3], pts[1::3], pts[2::3]
-        for metric in (geo.Metric.GEODESIC, geo.Metric.EUCLIDEAN):
-            ab = _pairdist(spec, a, b, metric)
-            bc = _pairdist(spec, b, c, metric)
-            ac = _pairdist(spec, a, c, metric)
-            assert np.all(ac <= ab + bc + 1e-10), f"triangle fails on {name}"
-        ge = _pairdist(spec, a, b, geo.Metric.GEODESIC)
-        eu = _pairdist(spec, a, b, geo.Metric.EUCLIDEAN)
-        assert np.all(eu <= ge + 1e-12), f"metric domination fails on {name}"
-
-
-def _pairdist(spec, xs, ys, metric):
-    if spec.curved and metric is geo.Metric.GEODESIC:
-        dots = np.clip(np.einsum("ij,ij->i", xs, ys), -1.0, 1.0)
-        return np.arccos(dots)
-    return np.linalg.norm(xs - ys, axis=1)
-
-
-def _check_boundary_distance():
-    for name, spec in _FAMILIES.items():
-        if geo.boundary_measure(spec) == 0.0:
-            continue
-        pts = uniform_sample(spec, 40, 5).points
-        got = geo.dist_to_boundary_many(spec, pts)
-        for p, g in zip(pts, got):
-            want = sampled_boundary_distance(spec, p)
-            assert abs(want - g) < 1e-3, f"{name}: dtb {g} vs sampled {want}"
+from covlab import geometry as geo
 
 
 def boundary_points(spec, n: int) -> np.ndarray:
@@ -173,70 +129,3 @@ def sampled_boundary_distance(spec, x, n: int = 10_000, rounds: int = 3,
             arg = cand[i]
         scale /= 8.0
     return best
-
-
-def _check_knn_oracle():
-    spec = _FAMILIES["disk"]
-    cloud = uniform_sample(spec, 100, 31)
-    rng = np.random.default_rng(13)
-    xs = np.concatenate([uniform_sample(spec, 1, int(rng.integers(2 ** 31)))
-                         .points for _ in range(20)])
-    d = np.sort([geo.dist_many(spec, x, cloud.points, geo.Metric.GEODESIC)
-                 for x in xs], axis=1)
-    for k in (1, 3, 7):
-        field = KnnField(spec, cloud.points, k, geo.Metric.GEODESIC)
-        assert np.all(np.abs(field(xs) - d[:, k - 1]) < 1e-12)
-
-
-def _check_monotonicity(n_cases: int):
-    rng = np.random.default_rng(11)
-    specs = [_FAMILIES["disk"], _FAMILIES["square"], _FAMILIES["cap"]]
-    for i in range(n_cases):
-        spec = specs[i % 3]
-        grid = build_grid(spec, geo.REGION_ALL, 0.2)
-        n = int(rng.integers(5, 60))
-        cloud = uniform_sample(spec, n, int(rng.integers(2 ** 31)))
-        extra = uniform_sample(spec, n + 10, int(rng.integers(2 ** 31)))
-        bigger = PointCloud(spec, np.vstack([cloud.points, extra.points]))
-        for metric in (geo.Metric.GEODESIC, geo.Metric.EUCLIDEAN):
-            e1 = coverage_threshold(cloud, grid, 1, metric)
-            e2 = coverage_threshold(bigger, grid, 1, metric)
-            assert e2.lo <= e1.lo + 1e-12, "adding points raised the threshold"
-            e3 = coverage_threshold(cloud, grid, min(3, n), metric)
-            assert e3.lo >= e1.lo - 1e-12, "larger k lowered the threshold"
-        eg = coverage_threshold(cloud, grid, 1, geo.Metric.GEODESIC)
-        ee = coverage_threshold(cloud, grid, 1, geo.Metric.EUCLIDEAN)
-        assert ee.lo <= eg.lo + 1e-12
-
-
-def _check_lipschitz():
-    spec = _FAMILIES["cap"]
-    cloud = uniform_sample(spec, 200, 17)
-    field = KnnField(spec, cloud.points, 2, geo.Metric.GEODESIC)
-    xs = uniform_sample(spec, 80, 23).points
-    ys = uniform_sample(spec, 80, 29).points
-    fx, fy = field(xs), field(ys)
-    d = _pairdist(spec, xs, ys, geo.Metric.GEODESIC)
-    assert np.all(np.abs(fx - fy) <= d + 1e-10)
-
-
-def run_selftest(fast: bool = False) -> int:
-    n_triples = 2_000 if fast else 10_000
-    n_cases = 20 if fast else 60
-    checks = [
-        ("triangle_and_domination", lambda: _check_triangle(n_triples)),
-        ("boundary_distance", _check_boundary_distance),
-        ("knn_oracle", _check_knn_oracle),
-        ("monotonicity", lambda: _check_monotonicity(n_cases)),
-        ("knn_lipschitz", _check_lipschitz),
-    ]
-    failures = 0
-    for name, fn in checks:
-        try:
-            fn()
-            print(f"ok   {name}")
-        except Exception as exc:  # noqa: BLE001 - report and continue
-            failures += 1
-            print(f"FAIL {name}: {exc}")
-    print(f"{len(checks) - failures}/{len(checks)} checks passed")
-    return 0 if failures == 0 else 1

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from covlab import geometry as geo
-from covlab.cli import main
+from covlab.cli import _build_parser, main
 from covlab.sampling import save_cloud_csv, uniform_sample
 
 
@@ -324,6 +325,16 @@ def test_readme_example_config_loads():
     assert cfg.to_json()["grid_h"] is None
 
 
+def test_readme_cli_block_names_every_subcommand():
+    readme = pathlib.Path(__file__).parent.parent / "README.md"
+    blocks = readme.read_text().split("```")[1::2]
+    named = {line.split()[1] for block in blocks
+             for line in block.splitlines() if line.startswith("covlab ")}
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert named == set(sub.choices)
+
+
 def test_refusal_exit_code_2(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, region={"kind": "interior_body", "delta": 0.3},
                      k={"kind": "constant", "k": 2})
@@ -333,12 +344,7 @@ def test_refusal_exit_code_2(tmp_path, capsys):
 def test_unknown_subcommand_exit_1(capsys):
     assert main(["frobnicate"]) == 1
     assert main([]) == 1
-
-
-def test_selftest_subcommand(capsys):
-    assert main(["selftest", "--fast"]) == 0
-    out = capsys.readouterr().out
-    assert "checks passed" in out and "FAIL" not in out
+    assert main(["selftest"]) == 1
 
 
 def test_sizes_and_reps_overrides(tmp_path, capsys):

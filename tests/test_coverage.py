@@ -232,19 +232,21 @@ def test_refinement_matches_fine_grid():
         assert refined.lo >= fine.lo - target  # refinement found the peak
 
 
-def test_monotonicity_properties():
+@pytest.mark.parametrize("metric", [GEO, EUC], ids=["geo", "euc"])
+@pytest.mark.parametrize("name", ["disk", "square", "cap"])
+def test_monotonicity_properties(name, metric, all_families):
     rng = np.random.default_rng(40)
-    disk = geo.unit_disk()
-    grid = build_grid(disk, geo.REGION_ALL, 0.15)
+    spec = all_families[name]
+    grid = build_grid(spec, geo.REGION_ALL, 0.15)
     for _ in range(25):
         n = int(rng.integers(4, 80))
-        cloud = uniform_sample(disk, n, int(rng.integers(2 ** 31)))
-        extra = uniform_sample(disk, 15, int(rng.integers(2 ** 31)))
-        bigger = make_cloud(disk, np.vstack([cloud.points, extra.points]))
-        e1 = coverage_threshold(cloud, grid, 1, GEO)
-        e2 = coverage_threshold(bigger, grid, 1, GEO)
+        cloud = uniform_sample(spec, n, int(rng.integers(2 ** 31)))
+        extra = uniform_sample(spec, 15, int(rng.integers(2 ** 31)))
+        bigger = make_cloud(spec, np.vstack([cloud.points, extra.points]))
+        e1 = coverage_threshold(cloud, grid, 1, metric)
+        e2 = coverage_threshold(bigger, grid, 1, metric)
         assert e2.lo <= e1.lo + 1e-12 and e2.hi <= e1.hi + 1e-12
-        ek = coverage_threshold(cloud, grid, min(3, n), GEO)
+        ek = coverage_threshold(cloud, grid, min(3, n), metric)
         assert ek.lo >= e1.lo - 1e-12
 
 
@@ -259,14 +261,16 @@ def test_metric_ordering_on_curved():
         assert ee.lo < eg.lo  # strictly smaller on a curved family
 
 
-def test_knn_field_lipschitz():
-    disk = geo.unit_disk()
-    cloud = uniform_sample(disk, 150, 3)
-    field = KnnField(disk, cloud.points, 2, GEO)
-    xs = uniform_sample(disk, 300, 4).points
-    ys = uniform_sample(disk, 300, 5).points
+@pytest.mark.parametrize("name", ["disk", "cap"])
+def test_knn_field_lipschitz(name, all_families):
+    spec = all_families[name]
+    cloud = uniform_sample(spec, 150, 3)
+    field = KnnField(spec, cloud.points, 2, GEO)
+    xs = uniform_sample(spec, 300, 4).points
+    ys = uniform_sample(spec, 300, 5).points
     gap = np.abs(field(xs) - field(ys))
-    d = np.linalg.norm(xs - ys, axis=1)
+    d = np.array([geo.dist_many(spec, x, y[None], GEO)[0]
+                  for x, y in zip(xs, ys)])
     assert np.all(gap <= d + 1e-10)
 
 

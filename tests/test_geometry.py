@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from boundary_oracle import sampled_boundary_distance
 from covlab import geometry as geo
 from covlab.grids import build_grid
 from covlab.sampling import uniform_sample
-from covlab.selftest import sampled_boundary_distance
 
 GEO = geo.Metric.GEODESIC
 EUC = geo.Metric.EUCLIDEAN
@@ -84,6 +84,9 @@ def test_metric_domination_and_triangle(all_families):
         dac = _pair(spec, a, c, GEO)
         assert np.all(dac <= dab + dbc + 1e-10), name
         eab = _pair(spec, a, b, EUC)
+        ebc = _pair(spec, b, c, EUC)
+        eac = _pair(spec, a, c, EUC)
+        assert np.all(eac <= eab + ebc + 1e-10), name
         assert np.all(eab <= dab + 1e-12), name
         if not spec.curved:
             assert np.allclose(eab, dab), name

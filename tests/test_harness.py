@@ -73,6 +73,10 @@ def test_kschedule_kinds():
         KSchedule("power", 1.0)
     with pytest.raises(ConfigError):
         KSchedule("constant", 0)
+    for kind in ("constant", "beta_log", "power"):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ConfigError, match="finite number"):
+                KSchedule(kind, bad)
 
 
 @pytest.mark.parametrize("obj,bad", [
@@ -207,6 +211,20 @@ def test_whole_float_size_writes_what_the_int_size_writes(tmp_path):
             == json.loads((b / "run_meta.json").read_text()).keys())
     summary = json.loads((a / "summary.json").read_text())
     assert summary["config"]["sizes"] == [1000]
+
+
+def test_json_and_python_schedules_write_the_same_summary(tmp_path):
+    # a config file's k and the Python API's k have one spelling in the echo
+    slln = dict(spec=geo.unit_square(2), mode=RunMode.SLLN_TRACE,
+                sizes=(64, 128))
+    for api, doc_k, kw in (
+            (constant_k(1), {"kind": "constant", "k": 1}, {}),
+            (KSchedule("constant", 1.0), {"kind": "constant", "k": 1}, {}),
+            (KSchedule("beta_log", 1), {"kind": "beta_log", "beta": 1}, slln)):
+        cfg = _disk_cfg(schedule=api, replications=2, **kw)
+        doc = json.loads(json.dumps({**cfg.to_json(), "k": doc_k}))
+        got = run_experiment(ExperimentConfig.from_json(doc))
+        assert run_experiment(cfg).summary_json() == got.summary_json()
 
 
 def test_rows_csv_header_is_the_row_fields(tmp_path):
