@@ -15,6 +15,19 @@ is at most the target wide.  The best value is seeded by a first search
 over the start cells of largest value alone, so the whole start
 partition is weighed against a value close to the max, and most of its
 cells are set aside at once.
+
+Most children of a split cell are set aside as soon as they are
+evaluated, and their parent's k nearest samples already prove it before
+they are queried.  Those k samples are k distinct points of the cloud, so
+the k-th neighbour distance f(c) at a child c is at most u(c), the largest
+distance from c to them (chord, then geodesic where the field is; the
+interior field min(f, depth) is below f too).  A child with u(c) < lo and
+u(c) + rho_c <= min(lo + target, hi), for the lo and hi held before its
+level, has f(c) < lo, so it moves neither lo nor the argmax; its bound
+f(c) + rho_c is within lo + target, so it is not split; and the bound is
+at most hi, so it does not raise hi.  Such a child is skipped unqueried,
+and every bracket keeps its bits.  u carries a relative margin of 1e-12
+for the rounding by which the tree's distances and numpy's may differ.
 """
 
 from __future__ import annotations
@@ -33,6 +46,14 @@ from .sampling import PointCloud
 
 # start cells that seed the lower bound before the whole partition is seen
 _SEED_CELLS = 16
+
+# fewest children a level tests for skipping: on smaller batches the test's
+# numpy calls, which hold the GIL, cost more than the queries they save
+_SKIP_MIN_CHILDREN = 256
+
+# relative margin on a child's distance to its parent's nearest samples,
+# for the rounding by which cKDTree's distances and numpy's may differ
+_REACH_MARGIN = 1e-12
 
 
 class CoverageError(ValueError):
@@ -70,6 +91,8 @@ class KnnField:
     On curved families the tree works in chord (ambient) distance, which
     is monotone in the great-circle distance, so the k-th neighbor is the
     same point; geodesic values are recovered with 2*asin(chord/2).
+    ``nearest`` holds the rows of the last call's k nearest samples, an
+    (N, k) index array that :meth:`reach` reads.
     """
 
     def __init__(self, spec: ManifoldSpec, points: np.ndarray, k: int,
@@ -99,20 +122,43 @@ class KnnField:
         # and the cap.  The k-th distances do not depend on the row order,
         # so every bracket keeps its bits.
         if _body(spec).kind == "box":
-            self._tree = cKDTree(_bucket_sorted(points), balanced_tree=False,
+            self._points = _bucket_sorted(points)
+            self._tree = cKDTree(self._points, balanced_tree=False,
                                  leafsize=32, compact_nodes=False)
         else:
+            self._points = points
             self._tree = cKDTree(points, balanced_tree=False, leafsize=32)
+        self.nearest = np.empty((0, k), dtype=np.intp)
 
     def __call__(self, nodes: np.ndarray) -> np.ndarray:
         nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
         if len(nodes) == 0:
+            self.nearest = np.empty((0, self.k), dtype=np.intp)
             return np.empty(0)
-        chord = self._tree.query(nodes, k=self.k)[0]
+        chord, near = self._tree.query(nodes, k=self.k)
+        self.nearest = near.reshape(len(nodes), self.k)
         chord = chord[:, -1] if self.k > 1 else np.ravel(chord)
+        return self._metric(chord)
+
+    def _metric(self, chord: np.ndarray) -> np.ndarray:
         if self.spec.curved and self.metric is Metric.GEODESIC:
             return chord_to_geodesic(chord)
         return chord
+
+    def reach(self, nodes: np.ndarray, near: np.ndarray) -> np.ndarray:
+        """Largest distance from each node to its row of samples ``near``
+        (rows as in ``nearest``), an upper bound on the field there.  The
+        chord is raised by ``_REACH_MARGIN`` before it is turned geodesic,
+        so the bound holds against the tree's own rounding.
+        """
+        far = np.zeros(len(nodes))
+        for col in near.T:
+            diff = self._points.take(col, axis=0)
+            diff -= nodes
+            np.maximum(far, np.einsum("ij,ij->i", diff, diff), out=far)
+        np.sqrt(far, out=far)
+        far *= 1.0 + _REACH_MARGIN
+        return self._metric(far)
 
 
 def _bucket_sorted(points: np.ndarray) -> np.ndarray:
@@ -139,20 +185,20 @@ def _bucket_sorted(points: np.ndarray) -> np.ndarray:
     return points.take(np.argsort(key, kind="stable"), axis=0)
 
 
-def _certified_max(field, grid: EvalGrid, k: int, metric: Metric,
-                   refine_to: float | None) -> ThresholdEstimate:
-    """Certified bracket for the max over B of a 1-Lipschitz field.
+def _certified_max(knn: KnnField, grid: EvalGrid, refine_to: float | None,
+                   deep: bool = False) -> ThresholdEstimate:
+    """Certified bracket for the max over B of the k-NN field ``knn``, or
+    of min(knn, depth) when ``deep``; both are 1-Lipschitz.
 
-    ``field`` maps an (N, m) node array to N values.  The target width is
-    ``refine_to`` or, without it, ``grid.h`` (then no cell is split).  The
-    field is evaluated once on the cells of ``grid``; the branch and bound
-    then runs twice.  The first run explores only the ``_SEED_CELLS``
-    cells of largest value, and keeps its best value and argmax: a field
-    value at a point of B, so a lower bound that sits near the final max
-    before the whole partition is seen.  The second run starts from that
-    value on the whole partition, reusing its values, so it sets aside
-    most start cells at once.  Its bracket [best, max bound over the cells
-    set aside] has width <= the target.
+    The target width is ``refine_to`` or, without it, ``grid.h`` (then no
+    cell is split).  The field is evaluated once on the cells of ``grid``;
+    the branch and bound then runs twice.  The first run explores only the
+    ``_SEED_CELLS`` cells of largest value, and keeps its best value and
+    argmax: a field value at a point of B, so a lower bound that sits near
+    the final max before the whole partition is seen.  The second run
+    starts from that value on the whole partition, reusing its values, so
+    it sets aside most start cells at once.  Its bracket [best, max bound
+    over the cells set aside] has width <= the target.
     """
     if refine_to is not None and not math.isfinite(refine_to):
         raise CoverageError(f"target width {refine_to} is not a finite "
@@ -161,14 +207,23 @@ def _certified_max(field, grid: EvalGrid, k: int, metric: Metric,
     if target <= MIN_RESOLUTION:
         raise CoverageError(f"target width {target} is below the supported "
                             "resolution")
-    vals = field(grid.nodes)
+    vals, near = _evaluate(knn, grid.nodes, deep)
     seed = _top_cells(vals, _SEED_CELLS)
-    lo, _, arg = _branch_and_bound(field, grid.take(seed), vals[seed],
-                                   target)
-    lo, hi, arg = _branch_and_bound(field, grid, vals, target, lo, arg)
-    return ThresholdEstimate(lo=lo, hi=max(hi, lo), h=target, k=k,
-                             metric=metric,
+    lo, _, arg = _branch_and_bound(knn, deep, grid.take(seed), vals[seed],
+                                   near[seed], target)
+    lo, hi, arg = _branch_and_bound(knn, deep, grid, vals, near, target, lo,
+                                    arg)
+    return ThresholdEstimate(lo=lo, hi=max(hi, lo), h=target, k=knn.k,
+                             metric=knn.metric,
                              argmax=tuple(float(v) for v in arg))
+
+
+def _evaluate(knn: KnnField, nodes: np.ndarray, deep: bool):
+    """(field values, rows of the k nearest samples) at ``nodes``."""
+    vals = knn(nodes)
+    if deep:
+        vals = np.minimum(vals, dist_to_boundary_many(knn.spec, nodes))
+    return vals, knn.nearest
 
 
 def _top_cells(vals: np.ndarray, count: int) -> np.ndarray:
@@ -185,15 +240,21 @@ def _top_cells(vals: np.ndarray, count: int) -> np.ndarray:
     return np.sort(np.concatenate([above, tied]))
 
 
-def _branch_and_bound(field, cells: EvalGrid, vals: np.ndarray,
-                      target: float, lo: float = -np.inf, arg=None):
+def _branch_and_bound(knn: KnnField, deep: bool, cells: EvalGrid,
+                      vals: np.ndarray, near: np.ndarray, target: float,
+                      lo: float = -np.inf, arg=None):
     """(lo, hi, argmax) of the branch and bound over ``cells``.
 
-    ``vals`` are the field values at the cells' representatives, and
-    ``lo`` (attained at ``arg``) is a field value already found in B.
-    Each level splits only the cells whose bound f(p) + rho exceeds the
-    best value so far plus ``target``, and evaluates their children in one
-    batch; hi is the largest bound set aside.
+    ``vals`` are the field values at the cells' representatives, ``near``
+    the rows of their k nearest samples, and ``lo`` (attained at ``arg``)
+    is a field value already found in B.  Each level splits only the cells
+    whose bound f(p) + rho exceeds the best value so far plus ``target``,
+    and evaluates their children in one batch; hi is the largest bound set
+    aside.  A batch of ``_SKIP_MIN_CHILDREN`` children or more first drops
+    each child c whose distance u(c) to its parent's k nearest samples
+    proves it set aside: u(c) < lo and u(c) + rho_c <= min(lo + target,
+    hi).  Since f(c) <= u(c), such a child would change neither lo, the
+    argmax nor hi, and would not be split (see the module docstring).
     """
     hi = -np.inf
     while len(cells):
@@ -205,8 +266,14 @@ def _branch_and_bound(field, cells: EvalGrid, vals: np.ndarray,
         hi = max(hi, float(bound.max(where=~split, initial=-np.inf)))
         if not split.any():
             break
+        near = near[split]
         cells = refine_nodes(centers=cells.take(split))
-        vals = field(cells.nodes)
+        if len(cells) >= _SKIP_MIN_CHILDREN:
+            u = knn.reach(cells.nodes, near.take(cells.parent, axis=0))
+            skip = u < lo
+            skip &= u + cells.rad <= min(lo + target, hi)
+            cells = cells.take(~skip)
+        vals, near = _evaluate(knn, cells.nodes, deep)
     return lo, hi, arg
 
 
@@ -230,8 +297,8 @@ def coverage_threshold(cloud: PointCloud, grid: EvalGrid, k: int,
     most ``grid.h`` wide otherwise.  The cloud must lie on the grid's
     shape.
     """
-    return _certified_max(_knn_field(cloud, grid, k, metric), grid, k,
-                          metric, refine_to)
+    return _certified_max(_knn_field(cloud, grid, k, metric), grid,
+                          refine_to)
 
 
 def interior_threshold(cloud: PointCloud, grid: EvalGrid, k: int,
@@ -248,10 +315,5 @@ def interior_threshold(cloud: PointCloud, grid: EvalGrid, k: int,
     on the grid's shape, which must be the cloud's; on a boundaryless shape
     it is infinite and the result equals the plain coverage threshold.
     """
-    spec = grid.spec
-    knn = _knn_field(cloud, grid, k, metric)
-
-    def deep_field(nodes: np.ndarray) -> np.ndarray:
-        return np.minimum(knn(nodes), dist_to_boundary_many(spec, nodes))
-
-    return _certified_max(deep_field, grid, k, metric, refine_to)
+    return _certified_max(_knn_field(cloud, grid, k, metric), grid,
+                          refine_to, deep=True)

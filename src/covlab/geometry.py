@@ -17,6 +17,7 @@ kind shrunk by delta.
 from __future__ import annotations
 
 import math
+import numbers
 import functools
 from dataclasses import dataclass
 from enum import Enum
@@ -59,10 +60,11 @@ def check_keys(obj: dict, known, what: str, required=()) -> None:
 
 
 def is_number(value) -> bool:
-    """True for a finite JSON number: an int or a float, but not a bool,
-    NaN, an infinity (Python's json reads the NaN and Infinity literals)
-    or an int beyond the float range."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    """True for a finite JSON number: an int or a float (or another real
+    number, such as a numpy scalar), but not a bool, NaN, an infinity
+    (Python's json reads the NaN and Infinity literals) or an int beyond
+    the float range."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         return False
     try:
         return math.isfinite(value)

@@ -69,7 +69,9 @@ class EvalGrid:
     Row i is the parameter box ``[box_lo[i], box_hi[i]]`` with
     representative ``nodes[i]`` (ambient coordinates) and cover radius
     ``rad[i] <= h``.  The boxes are stored column-major, so that the
-    per-axis arithmetic runs on contiguous columns.
+    per-axis arithmetic runs on contiguous columns.  ``parent[i]`` is the
+    row, among the cells that :func:`refine_nodes` split, whose box holds
+    cell i's box; a start partition has no parents.
     """
 
     spec: ManifoldSpec
@@ -79,6 +81,7 @@ class EvalGrid:
     box_lo: np.ndarray    # (N, d) parameter box lower corners
     box_hi: np.ndarray    # (N, d) parameter box upper corners
     rad: np.ndarray       # (N,) certified cover radii
+    parent: np.ndarray | None = None  # (N,) row of each cell's parent
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -87,10 +90,11 @@ class EvalGrid:
         """The cells selected by a boolean mask or an index array."""
         idx = np.flatnonzero(mask) if mask.dtype == bool else mask
         rad = self.rad.take(idx)
+        parent = None if self.parent is None else self.parent.take(idx)
         return EvalGrid(self.spec, self.region,
                         self.nodes.take(idx, axis=0),
                         float(rad.max(initial=0.0)), _rows(self.box_lo, idx),
-                        _rows(self.box_hi, idx), rad)
+                        _rows(self.box_hi, idx), rad, parent)
 
 
 def _rows(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -153,9 +157,10 @@ class _Domain:
         return chord_to_geodesic(chord) if sphere else chord
 
     def cells(self, spec: ManifoldSpec, region: RegionSpec, lo: np.ndarray,
-              hi: np.ndarray, rep: np.ndarray, h: float | None = None
-              ) -> EvalGrid:
-        """Cells of the given boxes and parameter representatives."""
+              hi: np.ndarray, rep: np.ndarray, h: float | None = None,
+              parent: np.ndarray | None = None) -> EvalGrid:
+        """Cells of the given boxes and parameter representatives, each
+        with the ``parent`` row given for it."""
         size = self.body.size
         cube = self.body.kind == "ball" and not self.rings
         if cube:  # drop the boxes that miss the ball
@@ -163,6 +168,8 @@ class _Domain:
                         for i in range(3))
             keep = np.flatnonzero(near2 <= size ** 2)
             lo, hi, rep = (_rows(a, keep) for a in (lo, hi, rep))
+            if parent is not None:
+                parent = parent.take(keep)
         rad = self.radius(lo, hi, rep) + self.slack
         x = self.ambient(rep)
         if cube:
@@ -172,7 +179,7 @@ class _Domain:
             x[out] *= (size / nrm[out])[:, None]
         if h is None:
             h = float(rad.max(initial=0.0))
-        return EvalGrid(spec, region, x, h, lo, hi, rad)
+        return EvalGrid(spec, region, x, h, lo, hi, rad, parent)
 
 
 @functools.lru_cache(maxsize=64)
@@ -266,7 +273,8 @@ def refine_nodes(centers: EvalGrid) -> EvalGrid:
     """The children of the given cells: each box halved along every side.
 
     Children take the centres of their boxes as representatives; on the
-    ball, children whose box misses the ball are dropped.
+    ball, children whose box misses the ball are dropped.  Each child's
+    ``parent`` is its row in ``centers``.
     """
     dom = _domain(centers.spec, centers.region)
     d = dom.body.d
@@ -277,4 +285,5 @@ def refine_nodes(centers: EvalGrid) -> EvalGrid:
     c_lo = np.where(bits, mid, lo).reshape(d, -1).T
     c_hi = np.where(bits, hi, mid).reshape(d, -1).T
     return dom.cells(centers.spec, centers.region, c_lo, c_hi,
-                     0.5 * (c_lo + c_hi))
+                     0.5 * (c_lo + c_hi),
+                     parent=np.arange(len(centers)).repeat(2 ** d))

@@ -164,6 +164,9 @@ class ExperimentConfig:
             raise ConfigError("need at least one size")
         cap = MAX_SIZE[min(self.spec.d, 3)]
         for s in self.sizes:
+            if not is_number(s):
+                raise ConfigError(f"config 'sizes' must hold finite numbers, "
+                                  f"got {s!r}")
             if s < 16:
                 raise ConfigError(f"sizes must be >= 16 (loglog guard), got {s}")
             if s > cap:
@@ -175,6 +178,12 @@ class ExperimentConfig:
         # a whole size is an int in every output, the config echo included
         object.__setattr__(self, "sizes", tuple(
             int(s) if float(s).is_integer() else float(s) for s in self.sizes))
+        for key in ("replications", "base_seed"):
+            value = getattr(self, key)
+            if not (is_number(value) and float(value).is_integer()):
+                raise ConfigError(f"config {key!r} must be an integer, got "
+                                  f"{value!r}")
+            object.__setattr__(self, key, int(value))
         if self.replications < 1:
             raise ConfigError("need replications >= 1")
         if self.grid_h is not None and self.grid_h <= 0:

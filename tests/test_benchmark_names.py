@@ -69,3 +69,39 @@ def test_one_tree_build_per_threshold_call(monkeypatch, threshold, spec):
         assert points.shape == cloud.points.shape
         assert np.array_equal(np.sort(points, axis=0),
                               np.sort(cloud.points, axis=0))
+
+
+@pytest.mark.parametrize("threshold", [coverage.coverage_threshold,
+                                       coverage.interior_threshold])
+@pytest.mark.parametrize("spec", [geo.unit_square(2), geo.spherical_cap(1.0)],
+                         ids=["square", "cap"])
+def test_query_hook_counts_the_nodes_the_tree_answers(monkeypatch, threshold,
+                                                      spec):
+    """The benchmark's ``coverage.query_nodes`` is ``len(out)`` summed over
+    ``KnnField.__call__``.  The children that the branch and bound skips
+    are bounded from their parent's neighbours, never queried, so every
+    ``cKDTree.query`` must go through that call and ask for its nodes."""
+    asked, counted = [], []
+
+    class Tree(coverage.cKDTree):
+        def query(self, x, *args, **kwargs):
+            asked.append(len(x))
+            return super().query(x, *args, **kwargs)
+
+    real = coverage.KnnField.__call__
+
+    def counting(self, nodes):
+        out = real(self, nodes)
+        counted.append(len(out))
+        return out
+
+    monkeypatch.setattr(coverage, "cKDTree", Tree)
+    monkeypatch.setattr(coverage.KnnField, "__call__", counting)
+    cloud = uniform_sample(spec, 5000, 17)
+    grid = build_grid(spec, geo.REGION_ALL, 0.03)
+    for gate in (coverage._SKIP_MIN_CHILDREN, 0):
+        monkeypatch.setattr(coverage, "_SKIP_MIN_CHILDREN", gate)
+        asked.clear()
+        counted.clear()
+        threshold(cloud, grid, 2, geo.Metric.GEODESIC, refine_to=3e-4)
+        assert asked == counted and sum(counted) > len(grid)

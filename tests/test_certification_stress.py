@@ -396,6 +396,21 @@ def _unseeded_max(field, grid, target):
     return lo, max(hi, lo), evaluated
 
 
+def _count_queries(monkeypatch) -> list:
+    """Nodes of every ``KnnField`` call from here on, one entry a call,
+    counted as the benchmark's ``coverage.query`` hook counts them."""
+    queried = []
+    real = KnnField.__call__
+
+    def counting(self, nodes):
+        out = real(self, nodes)
+        queried.append(len(out))
+        return out
+
+    monkeypatch.setattr(KnnField, "__call__", counting)
+    return queried
+
+
 @pytest.mark.parametrize("metric", [GEO, EUC], ids=["geo", "euc"])
 @pytest.mark.parametrize("k", [1, 3])
 @pytest.mark.parametrize("fam,reg", PRUNE_CASES,
@@ -422,23 +437,27 @@ def test_seeded_bracket_meets_the_unseeded_one(all_families, fam, reg, k,
         assert field(np.array([est.argmax]))[0] == est.lo
 
 
-def test_seeded_max_evaluates_fewer_nodes():
+def test_seeded_max_evaluates_fewer_nodes(monkeypatch):
     # a square cloud whose start partition is split almost whole when the
     # lower bound is only the best start cell
     square = geo.unit_square(2)
     cloud = uniform_sample(square, 20_000, 2718)
     grid = build_grid(square, geo.REGION_ALL, 0.02)
-    knn = KnnField(square, cloud.points, 1, GEO)
-    evaluated = []
-
-    def counting(nodes):
-        evaluated.append(len(nodes))
-        return knn(nodes)
-
-    est = cov._certified_max(counting, grid, 1, GEO, 1e-4)
-    lo, hi, oracle_evaluated = _unseeded_max(knn, grid, 1e-4)
+    queried = _count_queries(monkeypatch)
+    est = cov._certified_max(KnnField(square, cloud.points, 1, GEO), grid,
+                             1e-4)
+    evaluated = sum(queried)
+    lo, hi, oracle_evaluated = _unseeded_max(
+        KnnField(square, cloud.points, 1, GEO), grid, 1e-4)
     assert max(est.lo, lo) <= min(est.hi, hi) + 1e-12
-    assert sum(evaluated) < oracle_evaluated
+    assert evaluated < oracle_evaluated
+    # the children skipped by their parent's nearest samples are work saved
+    monkeypatch.setattr(cov, "_SKIP_MIN_CHILDREN", math.inf)
+    queried.clear()
+    unskipped = cov._certified_max(KnnField(square, cloud.points, 1, GEO),
+                                   grid, 1e-4)
+    assert _bits(unskipped) == _bits(est)
+    assert evaluated < sum(queried)
 
 
 def test_seed_cells_are_the_largest_ties_to_lowest_index():
@@ -450,3 +469,73 @@ def test_seed_cells_are_the_largest_ties_to_lowest_index():
             for count in (1, 4, 16):
                 want = np.sort(np.argsort(-vals, kind="stable")[:count])
                 assert np.array_equal(cov._top_cells(vals, count), want)
+
+
+# ---------------------------------------------------------------------------
+# children skipped unqueried, by their parent's k nearest samples
+
+
+def _skip_on_and_off(monkeypatch, cloud, region, k, metric, h, target):
+    """Both thresholds with the skip tested on every level, and on none:
+    the brackets agree bit for bit, argmax included, and the skip queries
+    no more nodes.  Returns the nodes queried (skip on, skip off)."""
+    grid = build_grid(cloud.spec, region, h)
+    queried = _count_queries(monkeypatch)
+    totals = []
+    for gate in (0, math.inf):
+        monkeypatch.setattr(cov, "_SKIP_MIN_CHILDREN", gate)
+        queried.clear()
+        brackets = [_bits(threshold(cloud, grid, k, metric, refine_to=target))
+                    for threshold in (coverage_threshold, interior_threshold)]
+        totals.append((brackets, sum(queried)))
+    (skip_bits, skip_nodes), (full_bits, full_nodes) = totals
+    assert skip_bits == full_bits
+    assert skip_nodes <= full_nodes
+    return skip_nodes, full_nodes
+
+
+SHAPES = ("square", "cube", "disk", "ball", "sphere", "cap")
+
+
+@pytest.mark.parametrize("metric", [GEO, EUC], ids=["geo", "euc"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("fam", SHAPES)
+def test_skipped_children_keep_the_bracket_bits(monkeypatch, all_families,
+                                                 fam, k, metric):
+    spec = all_families[fam]
+    h = _prune_h(spec)
+    cloud = uniform_sample(spec, 300, 90 * SHAPES.index(fam) + k)
+    for target in (h / 4.0, h / 50.0):
+        skip_nodes, full_nodes = _skip_on_and_off(
+            monkeypatch, cloud, geo.REGION_ALL, k, metric, h, target)
+    # at the finer target the skip has children to set aside
+    assert skip_nodes < full_nodes
+
+
+def _tight_cluster(spec, base):
+    """``base`` shrunk a thousandfold towards its first point, along
+    segments (great circles on the cap) that stay in the shape."""
+    pts = base[0] + 1e-3 * (base - base[0])
+    if spec.curved:
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    return pts
+
+
+@pytest.mark.parametrize("spec", [geo.unit_square(2), geo.unit_disk(),
+                                  geo.spherical_cap(1.1), geo.solid_ball()],
+                         ids=["square", "disk", "cap", "ball"])
+def test_skipped_children_keep_the_bits_on_adversarial_clouds(monkeypatch,
+                                                              spec):
+    # duplicated points, n == k, a cluster near one corner, points on the
+    # boundary (from _adversarial_clouds), and one tight cluster
+    rng = np.random.default_rng(4048 + spec.m)
+    h = _prune_h(spec)
+    clouds = list(_adversarial_clouds(spec, rng))
+    base = uniform_sample(spec, 40, int(rng.integers(2 ** 31))).points
+    clouds.append((_tight_cluster(spec, base), 3))
+    for pts, k in clouds:
+        cloud = make_cloud(spec, pts)
+        for metric in (GEO, EUC):
+            for region in (geo.REGION_ALL, geo.interior_body(0.2)):
+                _skip_on_and_off(monkeypatch, cloud, region, k, metric, h,
+                                 h / 50.0)

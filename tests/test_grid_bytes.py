@@ -69,8 +69,8 @@ def _volume(lo, hi):
                          ids=[_case_id(*c) for c in CASES])
 def test_refine_window_is_exact_subgrid(all_families, fam, reg, h):
     # a window of cells, the first one on the axis, pole or corner of its
-    # family, split twice; every child box lies in its parent's, the
-    # children's parameter volumes add up to the parent's (the ball's
+    # family, split twice; every child box lies in its parent's, which is
+    # the child's ``parent`` row, the children's parameter volumes add up to the parent's (the ball's
     # dropped children aside), and no two children overlap
     spec, region = all_families[fam], REGIONS[reg]
     grid = build_grid(spec, region, h)
@@ -92,6 +92,7 @@ def test_refine_window_is_exact_subgrid(all_families, fam, reg, h):
                   & (kids.box_hi[:, None] <= parents.box_hi[None])).all(-1)
         assert np.all(inside.sum(axis=1) == 1)
         owner = np.argmax(inside, axis=1)
+        assert np.array_equal(kids.parent, owner)  # the ball's dropped too
         assert np.all(np.bincount(owner) <= 2 ** d)
         vol = np.bincount(owner, _volume(kids.box_lo, kids.box_hi),
                           minlength=len(parents))

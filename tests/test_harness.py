@@ -123,6 +123,23 @@ def test_config_validation():
     assert ExperimentConfig.from_json(doc).sizes == (1000.5,)
 
 
+@pytest.mark.parametrize("key,value,sampler", [
+    ("replications", 2.5, Sampler.BINOMIAL),
+    ("base_seed", 1.5, Sampler.BINOMIAL),
+    ("sizes", (math.nan,), Sampler.POISSON),
+], ids=["replications", "base_seed", "nan-size"])
+def test_python_config_refuses_what_would_fail_mid_run(key, value, sampler):
+    # the Python API gets the number rules of a config file, at construction
+    with pytest.raises(ConfigError, match=f"config '{key}' must"):
+        _disk_cfg(sampler=sampler, **{key: value})
+
+
+def test_python_config_whole_counts_are_ints():
+    cfg = _disk_cfg(replications=3.0, base_seed=np.int64(7))
+    assert (type(cfg.replications), type(cfg.base_seed)) == (int, int)
+    assert cfg == _disk_cfg(replications=3, base_seed=7)
+
+
 def test_config_json_round_trip():
     cfg = _disk_cfg(sizes=(64, 128), sampler=Sampler.POISSON,
                     metric=geo.Metric.EUCLIDEAN, grid_h=0.05)
