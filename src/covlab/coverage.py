@@ -38,8 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geometry import (ManifoldSpec, Metric, _body, chord_to_geodesic,
-                       dist_to_boundary_many)
+from .geometry import (ManifoldSpec, Metric, _body, check_number,
+                       chord_to_geodesic, dist_to_boundary_many)
 from .grids import MIN_RESOLUTION, EvalGrid, refine_nodes
 from .sampling import PointCloud
 
@@ -98,6 +98,7 @@ class KnnField:
     def __init__(self, spec: ManifoldSpec, points: np.ndarray, k: int,
                  metric: Metric):
         points = np.atleast_2d(np.asarray(points, dtype=float))
+        k = check_number(k, "k", integral=True)
         if k < 1:
             raise CoverageError(f"k must be >= 1, got {k}")
         if len(points) < k:

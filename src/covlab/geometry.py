@@ -72,22 +72,17 @@ def is_number(value) -> bool:
         return False
 
 
-def read_number(obj: dict, key: str, what: str, integral: bool = False,
-                default=None):
-    """``obj[key]`` as a float, or as an int when ``integral``; ``default``
-    when the key is absent.  Raises :class:`ConfigError` for anything but
-    a finite JSON number (a string, a bool, null, NaN, an infinity), and
-    for a fractional value where an integer is needed."""
-    if key not in obj:
-        return default
-    value = obj[key]
+def check_number(value, what: str, integral: bool = False):
+    """``value`` as a float, or as an int when ``integral``.  Raises
+    :class:`ConfigError` naming ``what`` for anything but a finite number
+    (a string, a bool, None, NaN, an infinity), and for a fractional value
+    where an integer is needed."""
     if not is_number(value):
-        raise ConfigError(f"{what} {key!r} must be a finite number, got "
-                          f"{value!r}")
+        raise ConfigError(f"{what} must be a finite number, got {value!r}")
     if not integral:
         return float(value)
     if not float(value).is_integer():
-        raise ConfigError(f"{what} {key!r} must be an integer, got {value!r}")
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
     return int(value)
 
 
@@ -172,6 +167,10 @@ class ManifoldSpec:
     alpha: float | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "family", Family(self.family))
+        for key in ("d", "m"):
+            object.__setattr__(self, key, check_number(
+                getattr(self, key), f"spec {key!r}", integral=True))
         shape = _SHAPES[self.family]
         if self.d < 2:
             raise GeometryError(f"need d >= 2, got d={self.d}")
@@ -180,7 +179,9 @@ class ManifoldSpec:
             raise GeometryError(f"{self.family.value} has (d, m) = {want}, "
                                 f"got ({self.d}, {self.m})")
         if shape.size is None:
-            if self.alpha is None or not (0.0 < self.alpha < math.pi):
+            object.__setattr__(self, "alpha", check_number(self.alpha,
+                                                           "spec 'alpha'"))
+            if not 0.0 < self.alpha < math.pi:
                 raise GeometryError("spherical cap needs polar angle in (0, pi)")
         elif self.alpha is not None:
             raise GeometryError("alpha only applies to spherical_cap")
@@ -200,16 +201,14 @@ class ManifoldSpec:
     @staticmethod
     def from_json(obj: dict) -> "ManifoldSpec":
         check_keys(obj, {"family", "d", "alpha"}, "spec")
-        fam = Family(obj.get("family"))
-        shape = _SHAPES[fam]
+        fam = obj.get("family")
+        shape = _SHAPES[Family(fam)]
         # the square takes its d, the cap its alpha
         keys = ({"family"} | ({"d"} if shape.d is None else set())
                 | ({"alpha"} if shape.size is None else set()))
-        check_keys(obj, keys, f"{fam.value} spec",
-                   required=sorted(keys & {"alpha"}))
-        d = shape.d or read_number(obj, "d", "spec", integral=True, default=2)
-        return ManifoldSpec(fam, d, shape.m or d,
-                            read_number(obj, "alpha", "spec"))
+        check_keys(obj, keys, f"{fam} spec", required=sorted(keys & {"alpha"}))
+        d = shape.d or obj.get("d", 2)
+        return ManifoldSpec(fam, d, shape.m or d, obj.get("alpha"))
 
 
 @dataclass(frozen=True)
@@ -224,9 +223,20 @@ class RegionSpec:
     delta: float | None = None
 
     def __post_init__(self):
-        if self.kind is RegionKind.INTERIOR_BODY:
-            if self.delta is None or self.delta <= 0:
-                raise GeometryError("interior_body needs delta > 0")
+        if self.kind not in list(RegionKind):  # compared, not hashed
+            known = ", ".join(kind.value for kind in RegionKind)
+            raise ConfigError(f"unknown region kind {self.kind!r}; known "
+                              f"kinds: {known}")
+        object.__setattr__(self, "kind", RegionKind(self.kind))
+        if self.kind is RegionKind.ALL:
+            if self.delta is not None:
+                raise ConfigError(f"region 'delta' applies to interior_body "
+                                  f"only, got {self.delta!r} on an all region")
+            return
+        object.__setattr__(self, "delta", check_number(self.delta,
+                                                       "region 'delta'"))
+        if self.delta <= 0:
+            raise GeometryError("interior_body needs delta > 0")
 
     def to_json(self) -> dict:
         out: dict = {"kind": self.kind.value}
@@ -236,22 +246,11 @@ class RegionSpec:
 
     @staticmethod
     def from_json(obj: dict) -> "RegionSpec":
-        check_keys(obj, set().union(*_REGION_KEYS.values()), "region")
-        kind = obj.get("kind")
-        if not isinstance(kind, str) or kind not in _REGION_KEYS:
-            raise ConfigError(f"unknown region kind {kind!r}; known kinds: "
-                              f"{', '.join(sorted(_REGION_KEYS))}")
-        check_keys(obj, _REGION_KEYS[kind], f"{kind} region",
-                   required=sorted(_REGION_KEYS[kind]))
-        if kind == RegionKind.INTERIOR_BODY:
-            return RegionSpec(RegionKind.INTERIOR_BODY,
-                              delta=read_number(obj, "delta", "region"))
-        return REGION_ALL
+        check_keys(obj, {"kind", "delta"}, "region")
+        if obj.get("kind") == RegionKind.ALL.value:
+            check_keys(obj, {"kind"}, "all region")
+        return RegionSpec(obj.get("kind"), obj.get("delta"))
 
-
-# JSON keys of each region kind
-_REGION_KEYS = {RegionKind.ALL.value: {"kind"},
-                RegionKind.INTERIOR_BODY.value: {"kind", "delta"}}
 
 REGION_ALL = RegionSpec(RegionKind.ALL)
 

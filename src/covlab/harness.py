@@ -41,7 +41,7 @@ import numpy as np
 from . import geometry as geo
 from .coverage import coverage_threshold, interior_threshold
 from .geometry import (ConfigError, ManifoldSpec, Metric, RegionKind, RegionSpec,
-                       check_keys, is_number, read_number)
+                       check_keys, check_number, is_number)
 from .grids import build_grid
 from .limits import (LimitLaw, Regime, boundary_centering,
                      boundary_law_cdf, interior_centering, interior_law_cdf,
@@ -90,20 +90,18 @@ class KSchedule:
     value: int | float
 
     def __post_init__(self):
-        if self.kind not in _SCHEDULE_KEYS:
+        if self.kind not in list(_SCHEDULE_KEYS):  # compared, not hashed
             raise ConfigError(f"unknown k schedule kind {self.kind!r}")
-        if not is_number(self.value):
-            raise ConfigError(f"{self.kind} k schedule needs a finite number, "
-                              f"got {self.value!r}")
-        if self.kind == "constant" and (self.value < 1 or int(self.value) != self.value):
+        # one spelling per value, in every output: a constant k is an int
+        what = f"{self.kind} k schedule {_SCHEDULE_KEYS[self.kind]!r}"
+        object.__setattr__(self, "value", check_number(
+            self.value, what, integral=self.kind == "constant"))
+        if self.kind == "constant" and self.value < 1:
             raise ConfigError("constant schedule needs integer k >= 1")
         if self.kind == "beta_log" and self.value <= 0:
             raise ConfigError("beta_log schedule needs beta > 0")
         if self.kind == "power" and not (0.0 < self.value < 1.0):
             raise ConfigError("power schedule needs 0 < p < 1")
-        # one spelling per value, in every output: a constant k is an int
-        object.__setattr__(self, "value", int(self.value)
-                           if self.kind == "constant" else float(self.value))
 
     @property
     def beta(self) -> float | None:
@@ -127,12 +125,11 @@ class KSchedule:
     def from_json(obj: dict) -> "KSchedule":
         check_keys(obj, {"kind", *_SCHEDULE_KEYS.values()}, "k schedule")
         kind = obj.get("kind")
-        if kind not in _SCHEDULE_KEYS:
-            raise ConfigError(f"unknown k schedule kind {kind!r}")
-        key = _SCHEDULE_KEYS[kind]
-        check_keys(obj, {"kind", key}, f"{kind} k schedule", required=(key,))
-        return KSchedule(kind, read_number(obj, key, f"{kind} k schedule",
-                                           integral=kind == "constant"))
+        key = _SCHEDULE_KEYS.get(kind) if isinstance(kind, str) else None
+        if key is not None:
+            check_keys(obj, {"kind", key}, f"{kind} k schedule",
+                       required=(key,))
+        return KSchedule(kind, obj.get(key))
 
 
 def constant_k(k: int) -> KSchedule:
@@ -160,14 +157,14 @@ class ExperimentConfig:
     density: DensitySpec = field(default_factory=DensitySpec.uniform)
 
     def __post_init__(self):
+        for key, kind in (("mode", RunMode), ("metric", Metric),
+                          ("sampler", Sampler)):
+            object.__setattr__(self, key, kind(getattr(self, key)))
         if not self.sizes:
             raise ConfigError("need at least one size")
         cap = MAX_SIZE[min(self.spec.d, 3)]
         for s in self.sizes:
-            if not is_number(s):
-                raise ConfigError(f"config 'sizes' must hold finite numbers, "
-                                  f"got {s!r}")
-            if s < 16:
+            if check_number(s, "config 'sizes'") < 16:
                 raise ConfigError(f"sizes must be >= 16 (loglog guard), got {s}")
             if s > cap:
                 raise ConfigError(f"size {s} exceeds the desk-scale cap {cap} "
@@ -179,15 +176,15 @@ class ExperimentConfig:
         object.__setattr__(self, "sizes", tuple(
             int(s) if float(s).is_integer() else float(s) for s in self.sizes))
         for key in ("replications", "base_seed"):
-            value = getattr(self, key)
-            if not (is_number(value) and float(value).is_integer()):
-                raise ConfigError(f"config {key!r} must be an integer, got "
-                                  f"{value!r}")
-            object.__setattr__(self, key, int(value))
+            object.__setattr__(self, key, check_number(
+                getattr(self, key), f"config {key!r}", integral=True))
         if self.replications < 1:
             raise ConfigError("need replications >= 1")
-        if self.grid_h is not None and self.grid_h <= 0:
-            raise ConfigError("grid_h must be > 0 when given")
+        if self.grid_h is not None:
+            object.__setattr__(self, "grid_h", check_number(self.grid_h,
+                                                            "grid_h"))
+            if self.grid_h <= 0:
+                raise ConfigError("grid_h must be > 0 when given")
         if self.mode is RunMode.SLLN_TRACE:
             if list(self.sizes) != sorted(set(self.sizes)):
                 raise ConfigError("slln_trace sizes must be strictly increasing")
@@ -217,10 +214,6 @@ class ExperimentConfig:
         if not isinstance(sizes, list) or not all(map(is_number, sizes)):
             raise ConfigError(f"sizes must be a list of finite numbers, got "
                               f"{sizes!r}")
-        grid_h = obj.get("grid_h")
-        if grid_h is not None and not is_number(grid_h):
-            raise ConfigError(f"grid_h must be a finite number or null, got "
-                              f"{grid_h!r}")
         density = obj.get("density", {"kind": "uniform"})
         check_keys(density, {"kind"}, "density")
         if density.get("kind", "uniform") != "uniform":
@@ -229,17 +222,11 @@ class ExperimentConfig:
         return ExperimentConfig(
             spec=ManifoldSpec.from_json(obj["spec"]),
             region=RegionSpec.from_json(obj.get("region", {"kind": "all"})),
-            mode=RunMode(obj["mode"]),
-            metric=Metric(obj.get("metric", "geodesic")),
-            sampler=Sampler(obj.get("sampler", "binomial")),
             sizes=tuple(sizes),
             schedule=KSchedule.from_json(obj["k"]),
-            replications=read_number(obj, "replications", "config",
-                                     integral=True),
-            grid_h=grid_h,
-            base_seed=read_number(obj, "base_seed", "config", integral=True,
-                                  default=0),
-        )
+            **{key: obj[key] for key in ("mode", "metric", "sampler",
+                                         "replications", "grid_h", "base_seed")
+               if key in obj})
 
 
 @dataclass(frozen=True)

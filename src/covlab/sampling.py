@@ -17,7 +17,8 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import ManifoldSpec, _body, contains_many, volume
+from .geometry import (ManifoldSpec, _body, check_number, contains_many,
+                       volume)
 
 class SamplingError(ValueError):
     pass
@@ -42,6 +43,18 @@ class DensitySpec:
     f0: float | None = None
     f1: float | None = None
 
+    def __post_init__(self):
+        for key in ("sup_bound", "f0", "f1"):
+            value = getattr(self, key)
+            if value is None:
+                continue
+            if check_number(value, f"density {key!r}") <= 0.0:
+                raise SamplingError(f"density {key!r} must be > 0, got "
+                                    f"{value!r}")
+        if self.kind != "uniform" and (self.f is None
+                                       or self.sup_bound is None):
+            raise SamplingError("custom density needs f and sup_bound")
+
     @staticmethod
     def uniform() -> "DensitySpec":
         return DensitySpec(kind="uniform")
@@ -49,8 +62,6 @@ class DensitySpec:
     @staticmethod
     def custom(f, sup_bound: float, f0: float | None = None,
                f1: float | None = None) -> "DensitySpec":
-        if sup_bound <= 0.0:
-            raise SamplingError("sup_bound must be positive")
         return DensitySpec(kind="custom", f=f, sup_bound=sup_bound, f0=f0, f1=f1)
 
 
@@ -139,17 +150,14 @@ def _density_probe(spec: ManifoldSpec, dens: DensitySpec) -> np.ndarray:
 
 @functools.lru_cache(maxsize=8)
 def check_density(spec: ManifoldSpec, dens: DensitySpec) -> None:
-    """Refuse a custom density that lacks f or sup_bound, is negative, is
-    not normalised within 2%, or exceeds sup_bound on a fixed probe set.
+    """Refuse a custom density that is negative, is not normalised within
+    2%, or exceeds sup_bound on a fixed probe set.
 
     Memoised on (spec, dens), so the probe runs once per density however
     many clouds are drawn from it; a refusal raises and is not cached.
     """
-    if dens.kind == "uniform":
-        return
-    if dens.f is None or dens.sup_bound is None:
-        raise SamplingError("custom density needs f and sup_bound")
-    _density_probe(spec, dens)
+    if dens.kind != "uniform":
+        _density_probe(spec, dens)
 
 
 def density_sample(spec: ManifoldSpec, dens: DensitySpec, n: int,

@@ -174,6 +174,25 @@ def test_non_finite_target_width_refused(threshold, refine_to):
 
 
 @pytest.mark.parametrize("threshold", [coverage_threshold, interior_threshold])
+@pytest.mark.parametrize("k", [2.0, np.int64(2), 1.5, True, math.nan])
+def test_threshold_k_is_a_whole_number(monkeypatch, threshold, k):
+    # a whole k runs as the int k; any other value is refused before a
+    # tree is built, where cKDTree.query raised a TypeError
+    disk = geo.unit_disk()
+    cloud = uniform_sample(disk, 200, 1)
+    grid = build_grid(disk, geo.REGION_ALL, 0.1)
+    if k != 2:
+        monkeypatch.setattr("covlab.coverage.cKDTree",
+                            lambda *a, **kw: pytest.fail("built a tree"))
+        with pytest.raises(geo.ConfigError, match="k must be an? "):
+            threshold(cloud, grid, k, GEO)
+        return
+    est = threshold(cloud, grid, k, GEO)
+    assert type(est.k) is int
+    assert est.to_json() == threshold(cloud, grid, 2, GEO).to_json()
+
+
+@pytest.mark.parametrize("threshold", [coverage_threshold, interior_threshold])
 @pytest.mark.parametrize("cloud_spec,grid_spec", [
     (geo.unit_disk(), geo.unit_square(2)),
     (geo.spherical_cap(0.5), geo.unit_sphere()),

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from scipy.integrate import quad
 
 from boundary_oracle import sampled_boundary_distance
 from covlab import geometry as geo
+from covlab import grids
 from covlab.grids import build_grid
 from covlab.sampling import uniform_sample
 
@@ -227,9 +229,11 @@ def test_measures_and_samples_pinned(all_families, name):
 
 
 def test_spec_json_round_trip(all_families):
-    for spec in all_families.values():
+    # the Python API may spell a family or a kind as its JSON string
+    for spec in [*all_families.values(), geo.ManifoldSpec("unit_disk", 2, 2)]:
         assert geo.ManifoldSpec.from_json(spec.to_json()) == spec
-    for region in (geo.REGION_ALL, geo.interior_body(0.2)):
+    for region in (geo.REGION_ALL, geo.interior_body(0.2),
+                   geo.RegionSpec("interior_body", 0.2)):
         assert geo.RegionSpec.from_json(region.to_json()) == region
 
 
@@ -265,3 +269,39 @@ def test_invalid_specs():
         geo.ManifoldSpec(geo.Family.UNIT_DISK, d=3, m=3)
     with pytest.raises(geo.GeometryError):
         geo.ManifoldSpec(geo.Family.UNIT_SPHERE, d=2, m=2)
+    # a string kind gets the delta check too; -5 gave the disk a volume of
+    # 113.1
+    with pytest.raises(geo.GeometryError):
+        geo.RegionSpec("interior_body", -5.0)
+    # each would be accepted and then fail mid-run, or run at a value that
+    # was never asked for (a bool as 1.0)
+    for build, needle in [
+            (lambda: geo.unit_square(2.5), "spec 'd' must be an integer"),
+            (lambda: geo.spherical_cap(True), "spec 'alpha' must be a finite"),
+            (lambda: geo.interior_body(math.nan), "'delta' must be a finite"),
+            (lambda: geo.interior_body(True), "'delta' must be a finite"),
+            # to_json would write what from_json refuses
+            (lambda: geo.RegionSpec(geo.RegionKind.ALL, 0.2),
+             "'delta' applies to interior_body only"),
+            # a file names a delta only on an interior_body region
+            (lambda: geo.RegionSpec.from_json({"kind": "all", "delta": None}),
+             "unknown all region key")]:
+        with pytest.raises(geo.ConfigError, match=needle):
+            build()
+
+
+@pytest.mark.parametrize("first,second", [(3.0, 3), (3, 3.0)])
+def test_whole_float_d_is_the_int_d(first, second):
+    # the specs are one key of the shape caches, so the first one built
+    # must not leave a float d there for the other
+    geo._body.cache_clear()
+    grids._domain.cache_clear()
+    a, b = geo.unit_square(first), geo.unit_square(second)
+    for spec in (a, b):
+        assert json.dumps(spec.to_json()) == ('{"family": "unit_square", '
+                                              '"d": 3}')
+    ga = build_grid(a, geo.REGION_ALL, 0.2)
+    gb = build_grid(b, geo.REGION_ALL, 0.2)
+    assert ga.nodes.tobytes() == gb.nodes.tobytes()
+    assert ga.nodes.tobytes() == build_grid(
+        geo.unit_square(3), geo.REGION_ALL, 0.2).nodes.tobytes()

@@ -123,15 +123,77 @@ def test_config_validation():
     assert ExperimentConfig.from_json(doc).sizes == (1000.5,)
 
 
-@pytest.mark.parametrize("key,value,sampler", [
-    ("replications", 2.5, Sampler.BINOMIAL),
-    ("base_seed", 1.5, Sampler.BINOMIAL),
-    ("sizes", (math.nan,), Sampler.POISSON),
-], ids=["replications", "base_seed", "nan-size"])
-def test_python_config_refuses_what_would_fail_mid_run(key, value, sampler):
+@pytest.mark.parametrize("key,value,sampler,needle", [
+    ("replications", 2.5, Sampler.BINOMIAL, "config 'replications' must"),
+    ("base_seed", 1.5, Sampler.BINOMIAL, "config 'base_seed' must"),
+    ("sizes", (math.nan,), Sampler.POISSON, "config 'sizes' must"),
+    ("grid_h", math.nan, Sampler.BINOMIAL, "grid_h must be a finite number"),
+    ("grid_h", math.inf, Sampler.BINOMIAL, "grid_h must be a finite number"),
+    ("grid_h", True, Sampler.BINOMIAL, "grid_h must be a finite number"),
+], ids=["replications", "base_seed", "nan-size", "nan-grid_h", "inf-grid_h",
+        "bool-grid_h"])
+def test_python_config_refuses_what_would_fail_mid_run(key, value, sampler,
+                                                       needle):
     # the Python API gets the number rules of a config file, at construction
-    with pytest.raises(ConfigError, match=f"config '{key}' must"):
+    with pytest.raises(ConfigError, match=needle):
         _disk_cfg(sampler=sampler, **{key: value})
+
+
+@pytest.mark.parametrize("key,value,bad", [
+    ("replications", 2.7, lambda: _disk_cfg(replications=2.7)),
+    ("replications", "3", lambda: _disk_cfg(replications="3")),
+    ("replications", True, lambda: _disk_cfg(replications=True)),
+    ("replications", math.nan, lambda: _disk_cfg(replications=math.nan)),
+    ("base_seed", 1.9, lambda: _disk_cfg(base_seed=1.9)),
+    ("base_seed", 10 ** 400, lambda: _disk_cfg(base_seed=10 ** 400)),
+    ("grid_h", "0.1", lambda: _disk_cfg(grid_h="0.1")),
+    ("grid_h", math.inf, lambda: _disk_cfg(grid_h=math.inf)),
+    ("sizes", [1000.5], lambda: _disk_cfg(sizes=(1000.5,))),
+    ("spec", {"family": "unit_square", "d": 2.5},
+     lambda: geo.unit_square(2.5)),
+    ("spec", {"family": "spherical_cap", "alpha": "1.0"},
+     lambda: geo.spherical_cap("1.0")),
+    ("spec", {"family": "spherical_cap", "alpha": math.inf},
+     lambda: geo.spherical_cap(math.inf)),
+    ("k", {"kind": "constant", "k": "2"}, lambda: constant_k("2")),
+    ("k", {"kind": "constant", "k": 1.5}, lambda: constant_k(1.5)),
+    ("k", {"kind": "beta_log", "beta": "1"},
+     lambda: KSchedule("beta_log", "1")),
+    ("k", {"kind": "beta_log", "beta": math.nan},
+     lambda: KSchedule("beta_log", math.nan)),
+    ("k", {"kind": "power", "p": True}, lambda: KSchedule("power", True)),
+    ("region", {"kind": "interior_body", "delta": "0.2"},
+     lambda: geo.interior_body("0.2")),
+    ("region", {"kind": "interior_body", "delta": math.nan},
+     lambda: geo.interior_body(math.nan)),
+], ids=["reps_fraction", "reps_str", "reps_bool", "reps_nan", "seed_fraction",
+        "seed_beyond_float", "grid_h_str", "grid_h_inf",
+        "binomial_size_fraction", "square_d_fraction", "alpha_str",
+        "alpha_inf", "k_str", "k_fraction", "beta_str", "beta_nan", "p_bool",
+        "delta_str", "delta_nan"])
+def test_python_config_refused_like_the_config_file(key, value, bad):
+    # the bad values of the CLI's malformed-config table that a Python
+    # caller can pass too: the same rule refuses both, in the same words
+    with pytest.raises(ValueError) as from_file:
+        ExperimentConfig.from_json({**_disk_cfg().to_json(), key: value})
+    with pytest.raises(type(from_file.value)) as from_api:
+        bad()
+    assert str(from_api.value) == str(from_file.value)
+
+
+@pytest.mark.parametrize("key,value,schedule", [
+    ("sampler", Sampler.POISSON, constant_k(1)),
+    ("metric", geo.Metric.EUCLIDEAN, constant_k(1)),
+    ("mode", RunMode.SLLN_TRACE, KSchedule("beta_log", 1.0)),
+])
+def test_python_config_takes_the_json_spelling(key, value, schedule):
+    # a string once drew binomial clouds for "poisson", failed mid-run for
+    # a metric, and was refused as a weak mode for "slln_trace"
+    named = _disk_cfg(schedule=schedule, replications=2,
+                      **{key: value.value})
+    assert getattr(named, key) is value
+    want = _disk_cfg(schedule=schedule, replications=2, **{key: value})
+    assert run_experiment(named).rows == run_experiment(want).rows
 
 
 def test_python_config_whole_counts_are_ints():

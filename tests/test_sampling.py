@@ -120,6 +120,25 @@ def test_custom_density_sup_violation():
         smp.density_sample(spec, dens, 1000, 3)
 
 
+@pytest.mark.parametrize("kw,needle", [
+    ({"sup_bound": math.nan}, "'sup_bound' must be a finite number"),
+    ({"sup_bound": 0.0}, "'sup_bound' must be > 0"),
+    ({"sup_bound": True}, "'sup_bound' must be a finite number"),
+    ({"f0": math.nan}, "'f0' must be a finite number"),
+    ({"f1": -1.0}, "'f1' must be > 0"),
+    ({"f": None}, "needs f and sup_bound"),
+    ({"sup_bound": None}, "needs f and sup_bound"),
+], ids=["sup_nan", "sup_zero", "sup_bool", "f0_nan", "f1_negative", "no_f",
+        "no_sup"])
+def test_density_spec_refuses_bad_values(kw, needle):
+    # refused where the spec is built, not by the first draw or run: a NaN
+    # f0 surfaced as a NaN grid radius
+    args = {"kind": "custom", "f": lambda p: np.ones(len(p)),
+            "sup_bound": 1.0, **kw}
+    with pytest.raises(ValueError, match=needle):
+        smp.DensitySpec(**args)
+
+
 def test_custom_density_normalization_check():
     spec = geo.unit_square(2)
     dens = smp.DensitySpec.custom(lambda p: np.full(len(p), 1.5), sup_bound=2.0)
