@@ -28,17 +28,41 @@ f(c) + rho_c is within lo + target, so it is not split; and the bound is
 at most hi, so it does not raise hi.  Such a child is skipped unqueried,
 and every bracket keeps its bits.  u carries a relative margin of 1e-12
 for the rounding by which the tree's distances and numpy's may differ.
+
+The main run does not evaluate the seed cells' subtrees again: it replays
+them from the seed run's record.  For each level the record holds the
+children that the seed run refined, with their parents' rows, their
+values (none for a child skipped unqueried) and, where the skip was
+tested, their distances u(c).  By induction on the level, in the seed
+subtrees the main run holds, and so splits, a subset of what the seed
+run held and split.  At level 0 both hold the seed cells.  If the main
+run holds a subset at a level, it splits a cell only when f(p) + rho >
+lo + target for its own lo, which is at least the seed run's final lo
+and so at least the lo the seed run split with; the values and radii are
+the seed run's, so the seed run split that cell too, and recorded its
+children.  A child that the seed run skipped has u(c) < lo and u(c) +
+rho_c <= lo + target already, so the main run skips it unless u(c) +
+rho_c > hi for its own hi; then it queries the child, which it does not
+split, since f(c) + rho_c <= u(c) + rho_c.  So no replayed cell is
+refined again, and only children that the seed run skipped and the main
+run does not are queried, in the same batch as the other children.  A
+replayed value is the same computation on the same point as before, and
+it is at most the seed run's lo (f(c) < lo for a child queried late), so
+the replay moves hi and the splits but never lo or the argmax, which
+come from the other cells in their old order: every bracket keeps its
+bits.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geometry import (ManifoldSpec, Metric, _body, check_number,
+from .geometry import (ManifoldSpec, Metric, as_points, check_number,
                        chord_to_geodesic, dist_to_boundary_many)
 from .grids import MIN_RESOLUTION, EvalGrid, refine_nodes
 from .sampling import PointCloud
@@ -54,6 +78,11 @@ _SKIP_MIN_CHILDREN = 256
 # relative margin on a child's distance to its parent's nearest samples,
 # for the rounding by which cKDTree's distances and numpy's may differ
 _REACH_MARGIN = 1e-12
+
+# nothing to split, evaluate or query
+_NO_ROWS = np.empty(0, dtype=np.intp)
+_NO_VALS = np.empty(0)
+_NO_NODES = np.empty((0, 0))
 
 
 class CoverageError(ValueError):
@@ -97,7 +126,7 @@ class KnnField:
 
     def __init__(self, spec: ManifoldSpec, points: np.ndarray, k: int,
                  metric: Metric):
-        points = np.atleast_2d(np.asarray(points, dtype=float))
+        points = as_points(points)
         k = check_number(k, "k", integral=True)
         if k < 1:
             raise CoverageError(f"k must be >= 1, got {k}")
@@ -122,29 +151,23 @@ class KnnField:
         # there: at n=1e4 the same build was slower on the disk, the ball
         # and the cap.  The k-th distances do not depend on the row order,
         # so every bracket keeps its bits.
-        if _body(spec).kind == "box":
+        if spec.body.kind == "box":
             self._points = _bucket_sorted(points)
             self._tree = cKDTree(self._points, balanced_tree=False,
                                  leafsize=32, compact_nodes=False)
         else:
             self._points = points
             self._tree = cKDTree(points, balanced_tree=False, leafsize=32)
+        self._geodesic = spec.curved and metric is Metric.GEODESIC
         self.nearest = np.empty((0, k), dtype=np.intp)
 
     def __call__(self, nodes: np.ndarray) -> np.ndarray:
-        nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
-        if len(nodes) == 0:
-            self.nearest = np.empty((0, self.k), dtype=np.intp)
-            return np.empty(0)
-        chord, near = self._tree.query(nodes, k=self.k)
-        self.nearest = near.reshape(len(nodes), self.k)
-        chord = chord[:, -1] if self.k > 1 else np.ravel(chord)
-        return self._metric(chord)
-
-    def _metric(self, chord: np.ndarray) -> np.ndarray:
-        if self.spec.curved and self.metric is Metric.GEODESIC:
-            return chord_to_geodesic(chord)
-        return chord
+        chord, near = self._tree.query(as_points(nodes), k=self.k)
+        if self.k == 1:  # the tree gives (N,) arrays for k=1
+            self.nearest = near[:, None]
+        else:
+            self.nearest, chord = near, chord[:, -1]
+        return chord_to_geodesic(chord) if self._geodesic else chord
 
     def reach(self, nodes: np.ndarray, near: np.ndarray) -> np.ndarray:
         """Largest distance from each node to its row of samples ``near``
@@ -159,7 +182,7 @@ class KnnField:
             np.maximum(far, np.einsum("ij,ij->i", diff, diff), out=far)
         np.sqrt(far, out=far)
         far *= 1.0 + _REACH_MARGIN
-        return self._metric(far)
+        return chord_to_geodesic(far) if self._geodesic else far
 
 
 def _bucket_sorted(points: np.ndarray) -> np.ndarray:
@@ -186,6 +209,17 @@ def _bucket_sorted(points: np.ndarray) -> np.ndarray:
     return points.take(np.argsort(key, kind="stable"), axis=0)
 
 
+class _Level(NamedTuple):
+    """One level of the seed run: the children that ``refine_nodes`` gave
+    it, before any was skipped (the seed cells themselves at level 0)."""
+
+    parent: np.ndarray | None  # (N,) each child's parent's row one level up
+    nodes: np.ndarray          # (N, m) representatives
+    rad: np.ndarray            # (N,) cover radii
+    vals: np.ndarray           # (N,) field values, -inf if skipped unqueried
+    reach: np.ndarray | None   # (N,) u where the skip was tested, else None
+
+
 def _certified_max(knn: KnnField, grid: EvalGrid, refine_to: float | None,
                    deep: bool = False) -> ThresholdEstimate:
     """Certified bracket for the max over B of the k-NN field ``knn``, or
@@ -198,8 +232,10 @@ def _certified_max(knn: KnnField, grid: EvalGrid, refine_to: float | None,
     argmax: a field value at a point of B, so a lower bound that sits near
     the final max before the whole partition is seen.  The second run
     starts from that value on the whole partition, reusing its values, so
-    it sets aside most start cells at once.  Its bracket [best, max bound
-    over the cells set aside] has width <= the target.
+    it sets aside most start cells at once, and it replays the seed cells'
+    subtrees from the first run's record (see the module docstring).  Its
+    bracket [best, max bound over the cells set aside] has width <= the
+    target.
     """
     if refine_to is not None and not math.isfinite(refine_to):
         raise CoverageError(f"target width {refine_to} is not a finite "
@@ -210,10 +246,12 @@ def _certified_max(knn: KnnField, grid: EvalGrid, refine_to: float | None,
                             "resolution")
     vals, near = _evaluate(knn, grid.nodes, deep)
     seed = _top_cells(vals, _SEED_CELLS)
-    lo, _, arg = _branch_and_bound(knn, deep, grid.take(seed), vals[seed],
-                                   near[seed], target)
-    lo, hi, arg = _branch_and_bound(knn, deep, grid, vals, near, target, lo,
-                                    arg)
+    record: list[_Level] = []
+    lo, _, arg = _branch_and_bound(knn, deep, target, grid.take(seed),
+                                   vals[seed], near[seed], record=record)
+    vals[seed] = -np.inf  # the replay holds them
+    lo, hi, arg = _branch_and_bound(knn, deep, target, grid, vals, near, lo,
+                                    arg, replay=_Replay(record))
     return ThresholdEstimate(lo=lo, hi=max(hi, lo), h=target, k=knn.k,
                              metric=knn.metric,
                              argmax=tuple(float(v) for v in arg))
@@ -223,7 +261,7 @@ def _evaluate(knn: KnnField, nodes: np.ndarray, deep: bool):
     """(field values, rows of the k nearest samples) at ``nodes``."""
     vals = knn(nodes)
     if deep:
-        vals = np.minimum(vals, dist_to_boundary_many(knn.spec, nodes))
+        np.minimum(vals, dist_to_boundary_many(knn.spec, nodes), out=vals)
     return vals, knn.nearest
 
 
@@ -241,9 +279,62 @@ def _top_cells(vals: np.ndarray, count: int) -> np.ndarray:
     return np.sort(np.concatenate([above, tied]))
 
 
-def _branch_and_bound(knn: KnnField, deep: bool, cells: EvalGrid,
-                      vals: np.ndarray, near: np.ndarray, target: float,
-                      lo: float = -np.inf, arg=None):
+def _set_aside(vals, rad, cut: float, hi: float):
+    """(hi raised by the bounds of the cells set aside, rows of the cells
+    to split: those whose bound f(p) + rho exceeds ``cut``)."""
+    bound = vals + rad
+    split = bound > cut
+    hi = float(np.maximum.reduce(bound, initial=hi, where=~split))
+    return hi, split.nonzero()[0]
+
+
+def _skipped(u, rad, lo: float, hi: float, target: float) -> np.ndarray:
+    """Mask of the children that their distance ``u`` to their parent's k
+    nearest samples proves set aside: u < lo and u + rho <= min(lo +
+    target, hi)."""
+    skip = u < lo
+    skip &= u + rad <= min(lo + target, hi)
+    return skip
+
+
+class _Replay:
+    """The main run's cells in the seed subtrees, read from the seed run's
+    record: their ``rows`` in ``record[depth]``, values and radii, and
+    ``ask``, the positions of the last children sent to be queried.
+
+    A child that the seed run skipped unqueried has the value -inf, so it
+    is neither split nor set aside, until the main run queries it.
+    """
+
+    def __init__(self, record: list[_Level]):
+        self.record, self.depth = record, 0
+        self.rows = np.arange(record[0].vals.size)
+        self.vals, self.rad = record[0].vals, record[0].rad
+
+    def descend(self, split: np.ndarray, lo: float, hi: float,
+                target: float) -> np.ndarray:
+        """Move to the children of the cells ``split`` (positions in
+        ``rows``), and return the nodes to query: those of the children
+        the seed run skipped that the main run does not skip."""
+        live = np.zeros(self.record[self.depth].vals.size, dtype=bool)
+        live[self.rows[split]] = True
+        self.depth += 1
+        level = self.record[self.depth]
+        self.rows = live[level.parent].nonzero()[0]
+        self.vals, self.rad = level.vals[self.rows], level.rad[self.rows]
+        self.ask = self.rows[:0]
+        if level.reach is not None:
+            unknown = (self.vals == -np.inf).nonzero()[0]
+            self.ask = unknown[~_skipped(level.reach[self.rows[unknown]],
+                                         self.rad[unknown], lo, hi, target)]
+        return level.nodes[self.rows[self.ask]]
+
+
+def _branch_and_bound(knn: KnnField, deep: bool, target: float,
+                      cells: EvalGrid, vals: np.ndarray, near: np.ndarray,
+                      lo: float = -np.inf, arg=None,
+                      record: list[_Level] | None = None,
+                      replay: _Replay | None = None):
     """(lo, hi, argmax) of the branch and bound over ``cells``.
 
     ``vals`` are the field values at the cells' representatives, ``near``
@@ -256,25 +347,61 @@ def _branch_and_bound(knn: KnnField, deep: bool, cells: EvalGrid,
     proves it set aside: u(c) < lo and u(c) + rho_c <= min(lo + target,
     hi).  Since f(c) <= u(c), such a child would change neither lo, the
     argmax nor hi, and would not be split (see the module docstring).
+
+    The seed run appends each level to ``record``.  The main run's
+    ``replay`` holds the seed cells, whose values are at most ``lo``:
+    their children are read from the record, not refined, and those it
+    lacks are tested for skipping by their recorded u(c), at any batch
+    size; the rest of those are queried with the other children, in one
+    batch.
     """
     hi = -np.inf
-    while len(cells):
-        best = int(np.argmax(vals))
-        if vals[best] > lo:
-            lo, arg = float(vals[best]), cells.nodes[best]
-        bound = vals + cells.rad
-        split = bound > lo + target
-        hi = max(hi, float(bound.max(where=~split, initial=-np.inf)))
-        if not split.any():
+    if record is not None:
+        record.append(_Level(None, cells.nodes, cells.rad, vals, None))
+        rows = np.arange(vals.size)  # the cells' rows in record[-1]
+    while True:
+        split = _NO_ROWS
+        if vals.size:
+            best = vals.argmax()
+            if vals[best] > lo:
+                lo, arg = float(vals[best]), cells.nodes[best]
+            hi, split = _set_aside(vals, cells.rad, lo + target, hi)
+        if replay is not None:
+            hi, held = _set_aside(replay.vals, replay.rad, lo + target, hi)
+            if not held.size:
+                replay = None  # the rest of the replay is set aside
+        if not split.size and replay is None:
             break
-        near = near[split]
-        cells = refine_nodes(centers=cells.take(split))
-        if len(cells) >= _SKIP_MIN_CHILDREN:
-            u = knn.reach(cells.nodes, near.take(cells.parent, axis=0))
-            skip = u < lo
-            skip &= u + cells.rad <= min(lo + target, hi)
-            cells = cells.take(~skip)
-        vals, near = _evaluate(knn, cells.nodes, deep)
+        # one batch: the fresh children that are not skipped, then the
+        # replayed children that must be queried
+        nodes = _NO_NODES if replay is None else replay.descend(held, lo, hi,
+                                                                target)
+        fresh = 0
+        if split.size:
+            cells = kids = refine_nodes(centers=cells.take(split))
+            up = split[kids.parent]  # each child's parent's row
+            u = None
+            batch = kids.rad.size + (0 if replay is None else replay.rows.size)
+            if batch >= _SKIP_MIN_CHILDREN:
+                u = knn.reach(kids.nodes, near.take(up, axis=0))
+                keep = (~_skipped(u, kids.rad, lo, hi, target)).nonzero()[0]
+                cells = kids.take(keep)
+            fresh = cells.rad.size
+            nodes = (np.concatenate((cells.nodes, nodes)) if nodes.size
+                     else cells.nodes)
+        vals, near = _NO_VALS, near[:0]
+        if nodes.size:
+            vals, near = _evaluate(knn, nodes, deep)
+            if replay is not None:
+                replay.vals[replay.ask] = vals[fresh:]
+            vals, near = vals[:fresh], near[:fresh]
+        if record is not None:  # the seed run: every level splits
+            seen = vals
+            if u is not None:
+                seen = np.full(kids.rad.size, -np.inf)
+                seen[keep] = vals
+            record.append(_Level(rows[up], kids.nodes, kids.rad, seen, u))
+            rows = np.arange(fresh) if u is None else keep
     return lo, hi, arg
 
 

@@ -190,6 +190,13 @@ class ManifoldSpec:
     def curved(self) -> bool:
         return _SHAPES[self.family].kind == "cap"
 
+    @functools.cached_property
+    def body(self) -> _Body:
+        """The shape as a body of the shape table, built once per spec."""
+        shape = _SHAPES[self.family]
+        return _Body(shape.kind, self.d,
+                     self.alpha if shape.size is None else shape.size)
+
     def to_json(self) -> dict:
         out = {"family": self.family.value}
         if _SHAPES[self.family].d is None and self.d != 2:
@@ -342,7 +349,11 @@ class _Body:
             return self.size - np.linalg.norm(pts, axis=1)
         if self.boundaryless:
             return np.full(len(pts), NO_BOUNDARY)
-        return self.size - np.arccos(np.clip(pts[:, 2], -1.0, 1.0))
+        # np.clip's bits, without its wrappers: z = min(max(z, -1), 1)
+        z = np.maximum(-1.0, pts[:, 2])
+        np.minimum(1.0, z, out=z)
+        np.arccos(z, out=z)
+        return np.subtract(self.size, z, out=z)
 
 
 @functools.lru_cache(maxsize=64)
@@ -352,9 +363,7 @@ def _body(spec: ManifoldSpec, region: RegionSpec = REGION_ALL) -> _Body:
     Raises :class:`GeometryError` for an interior body that is empty, or
     that has no point ``_INSET`` deeper than delta.
     """
-    shape = _SHAPES[spec.family]
-    body = _Body(shape.kind, spec.d,
-                 spec.alpha if shape.size is None else shape.size)
+    body = spec.body
     if region.kind is RegionKind.ALL:
         return body
     if body.shrunk(region.delta + _INSET).size <= 0.0:
@@ -369,17 +378,17 @@ def _body(spec: ManifoldSpec, region: RegionSpec = REGION_ALL) -> _Body:
 
 def volume(spec: ManifoldSpec) -> float:
     """Riemannian volume of A (area for d=2 surfaces)."""
-    return _body(spec).volume
+    return spec.body.volume
 
 
 def boundary_measure(spec: ManifoldSpec) -> float:
     """Surface measure of the boundary of A; 0 for the sphere."""
-    return _body(spec).boundary
+    return spec.body.boundary
 
 
 def intrinsic_diameter(spec: ManifoldSpec) -> float:
     """Largest geodesic distance between two points of A."""
-    return _body(spec).diameter
+    return spec.body.diameter
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +397,7 @@ def intrinsic_diameter(spec: ManifoldSpec) -> float:
 
 def contains_many(spec: ManifoldSpec, pts: np.ndarray) -> np.ndarray:
     """Exact membership of each row in A (1e-12 slack on curved families)."""
-    return _body(spec).contains(np.atleast_2d(np.asarray(pts, dtype=float)))
+    return spec.body.contains(as_points(pts))
 
 
 def dist_many(spec: ManifoldSpec, x: np.ndarray, pts: np.ndarray,
@@ -403,14 +412,30 @@ def dist_many(spec: ManifoldSpec, x: np.ndarray, pts: np.ndarray,
     return np.linalg.norm(pts - x[None, :], axis=1)
 
 
+def as_points(pts) -> np.ndarray:
+    """``pts`` as a 2-D float array of rows; one that is already that is
+    returned as it is."""
+    if type(pts) is np.ndarray and pts.ndim == 2 and pts.dtype == float:
+        return pts
+    return np.atleast_2d(np.asarray(pts, dtype=float))
+
+
 def chord_to_geodesic(chord) -> np.ndarray:
-    """Great-circle arc length from chord length on the unit sphere."""
-    return 2.0 * np.arcsin(np.clip(np.asarray(chord) / 2.0, 0.0, 1.0))
+    """Great-circle arc length from chord length on the unit sphere.
+
+    The half chord is clamped to [0, 1] as ``np.clip`` would, bit for bit
+    (-0.0 included), but in place of a copy when it is an array; a scalar,
+    a list or a 0-d array gives what it gave through ``np.clip``.
+    """
+    half = np.divide(chord, 2.0)
+    out = half if type(half) is np.ndarray else None  # a scalar is no buffer
+    half = np.minimum(1.0, np.maximum(0.0, half, out=out), out=out)
+    return np.multiply(2.0, np.arcsin(half, out=out), out=out)
 
 
 def dist_to_boundary_many(spec: ManifoldSpec, pts: np.ndarray) -> np.ndarray:
     """Geodesic distance from each row to the boundary of A (inf on S^2)."""
-    return _body(spec).depth(np.atleast_2d(np.asarray(pts, dtype=float)))
+    return spec.body.depth(as_points(pts))
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,6 @@ an interior body that has no point that far inside it.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -66,40 +65,48 @@ class GridError(ValueError):
 class EvalGrid:
     """Cells covering B: representatives ``nodes`` in B, boxes and radii.
 
-    Row i is the parameter box ``[box_lo[i], box_hi[i]]`` with
-    representative ``nodes[i]`` (ambient coordinates) and cover radius
-    ``rad[i] <= h``.  The boxes are stored column-major, so that the
-    per-axis arithmetic runs on contiguous columns.  ``parent[i]`` is the
-    row, among the cells that :func:`refine_nodes` split, whose box holds
-    cell i's box; a start partition has no parents.
+    Cell i is the parameter box of column i of ``box``, its lower corner
+    on rows 0..d-1 and its upper corner on rows d..2d-1, so that one
+    gather selects both corners and the per-axis arithmetic runs on
+    contiguous rows.  Its representative is ``nodes[i]`` (ambient
+    coordinates) and its cover radius ``rad[i] <= h``.  ``parent[i]`` is
+    the row, among the cells that :func:`refine_nodes` split, whose box
+    holds cell i's box; a start partition has no parents.  ``domain`` is
+    the parameter space of B that the cells split in.
     """
 
     spec: ManifoldSpec
     region: RegionSpec
+    domain: _Domain
     nodes: np.ndarray     # (N, m) representative points in B
     h: float
-    box_lo: np.ndarray    # (N, d) parameter box lower corners
-    box_hi: np.ndarray    # (N, d) parameter box upper corners
+    box: np.ndarray       # (2d, N) parameter box lower, then upper corners
     rad: np.ndarray       # (N,) certified cover radii
     parent: np.ndarray | None = None  # (N,) row of each cell's parent
 
     def __len__(self) -> int:
         return len(self.nodes)
 
-    def take(self, mask: np.ndarray) -> "EvalGrid":
-        """The cells selected by a boolean mask or an index array."""
-        idx = np.flatnonzero(mask) if mask.dtype == bool else mask
-        rad = self.rad.take(idx)
-        parent = None if self.parent is None else self.parent.take(idx)
-        return EvalGrid(self.spec, self.region,
-                        self.nodes.take(idx, axis=0),
-                        float(rad.max(initial=0.0)), _rows(self.box_lo, idx),
-                        _rows(self.box_hi, idx), rad, parent)
+    @property
+    def box_lo(self) -> np.ndarray:
+        """(N, d) lower box corners."""
+        return self.box[:len(self.box) // 2].T
 
+    @property
+    def box_hi(self) -> np.ndarray:
+        """(N, d) upper box corners."""
+        return self.box[len(self.box) // 2:].T
 
-def _rows(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Rows ``idx`` of a column-major (N, d) array, column-major."""
-    return a.T.take(idx, axis=1).T
+    def take(self, rows: np.ndarray) -> "EvalGrid":
+        """The cells selected by a boolean mask or an index array; ``h``
+        stays a bound on their radii."""
+        if rows.dtype == bool:
+            rows = rows.nonzero()[0]
+        return EvalGrid(self.spec, self.region, self.domain,
+                        self.nodes.take(rows, axis=0), self.h,
+                        self.box.take(rows, axis=1), self.rad.take(rows),
+                        None if self.parent is None
+                        else self.parent.take(rows))
 
 
 @dataclass(frozen=True)
@@ -115,15 +122,16 @@ class _Domain:
     body: _Body
     slack: float = 0.0
 
-    @property
+    @functools.cached_property
     def rings(self) -> bool:
         return self.body.kind != "box" and self.body.d == 2
 
     def ambient(self, q: np.ndarray) -> np.ndarray:
+        """(N, m) ambient points of the (d, N) parameter points ``q``."""
         if not self.rings:
-            return q
+            return q.T
         sphere = self.body.kind == "cap"
-        t, phi = q[:, 0], q[:, 1]
+        t, phi = q
         c = np.sin(t) if sphere else t
         x = np.empty((len(t), 3 if sphere else 2))
         np.multiply(c, np.cos(phi), out=x[:, 0])
@@ -132,8 +140,7 @@ class _Domain:
             np.cos(t, out=x[:, 2])
         return x
 
-    def radius(self, lo: np.ndarray, hi: np.ndarray,
-               rep: np.ndarray) -> np.ndarray:
+    def radius(self, box: np.ndarray, rep: np.ndarray) -> np.ndarray:
         """Largest distance from each representative to a corner of its box.
 
         On flat boxes the farthest corner takes the farther end on every
@@ -142,35 +149,37 @@ class _Domain:
         ``dt^2 + c(t) c(t') (2 sin(gap/2))^2`` with dt = t - t' on the disk
         and 2 sin((t - t')/2) on the sphere, for t' at either end.
         """
+        d = self.body.d
         if not self.rings:
-            return np.sqrt(sum(np.maximum(rep[:, i] - lo[:, i],
-                                          hi[:, i] - rep[:, i]) ** 2
-                               for i in range(self.body.d)))
+            return np.sqrt(sum(np.maximum(rep[i] - box[i],
+                                          box[d + i] - rep[i]) ** 2
+                               for i in range(d)))
         sphere = self.body.kind == "cap"
-        t = rep[:, 0]
-        gap = np.maximum(rep[:, 1] - lo[:, 1], hi[:, 1] - rep[:, 1])
+        t = rep[0]
+        gap = np.maximum(rep[1] - box[1], box[3] - rep[1])
         across = (2.0 * np.sin(0.5 * gap)) ** 2 * (np.sin(t) if sphere else t)
-        ends = np.array([lo[:, 0], hi[:, 0]])  # both ends in one batch
+        ends = box[::2]  # both polar ends in one batch
         dt = 2.0 * np.sin(0.5 * (t - ends)) if sphere else t - ends
         chord2 = dt * dt + across * (np.sin(ends) if sphere else ends)
-        chord = np.sqrt(chord2.max(axis=0))
+        chord = np.sqrt(np.maximum(chord2[0], chord2[1]))
         return chord_to_geodesic(chord) if sphere else chord
 
-    def cells(self, spec: ManifoldSpec, region: RegionSpec, lo: np.ndarray,
-              hi: np.ndarray, rep: np.ndarray, h: float | None = None,
+    def cells(self, spec: ManifoldSpec, region: RegionSpec, box: np.ndarray,
+              rep: np.ndarray, h: float | None = None,
               parent: np.ndarray | None = None) -> EvalGrid:
-        """Cells of the given boxes and parameter representatives, each
-        with the ``parent`` row given for it."""
+        """Cells of the given (2d, N) boxes and (d, N) parameter
+        representatives, each with the ``parent`` row given for it."""
         size = self.body.size
         cube = self.body.kind == "ball" and not self.rings
         if cube:  # drop the boxes that miss the ball
-            near2 = sum(np.clip(0.0, lo[:, i], hi[:, i]) ** 2
+            near2 = sum(np.minimum(np.maximum(box[i], 0.0), box[3 + i]) ** 2
                         for i in range(3))
-            keep = np.flatnonzero(near2 <= size ** 2)
-            lo, hi, rep = (_rows(a, keep) for a in (lo, hi, rep))
+            keep = (near2 <= size ** 2).nonzero()[0]
+            box, rep = box.take(keep, axis=1), rep.take(keep, axis=1)
             if parent is not None:
                 parent = parent.take(keep)
-        rad = self.radius(lo, hi, rep) + self.slack
+        rad = self.radius(box, rep)
+        rad += self.slack
         x = self.ambient(rep)
         if cube:
             nrm = np.sqrt(sum(x[:, i] ** 2 for i in range(3)))
@@ -178,8 +187,8 @@ class _Domain:
             x = x.copy()
             x[out] *= (size / nrm[out])[:, None]
         if h is None:
-            h = float(rad.max(initial=0.0))
-        return EvalGrid(spec, region, x, h, lo, hi, rad, parent)
+            h = float(np.maximum.reduce(rad, initial=0.0))
+        return EvalGrid(spec, region, self, x, h, box, rad, parent)
 
 
 @functools.lru_cache(maxsize=64)
@@ -190,12 +199,13 @@ def _domain(spec: ManifoldSpec, region: RegionSpec) -> _Domain:
         return _Domain(body)
     # every point of B lies within _INSET * sqrt(d) of the shrunk
     # body, whose points are strictly inside B
-    return _Domain(_body(spec).shrunk(region.delta + _INSET),
+    return _Domain(spec.body.shrunk(region.delta + _INSET),
                    _INSET * math.sqrt(spec.d))
 
 
 def _start(dom: _Domain, h: float):
-    """(box lo, box hi, representative) of the start partition at h."""
+    """((2d, N) boxes, (d, N) representatives) of the start partition at
+    h."""
     body = dom.body
     if not dom.rings:
         lo, side = ((body.lo, body.size) if body.kind == "box"
@@ -209,9 +219,9 @@ def _start(dom: _Domain, h: float):
                 np.minimum(axis + s / 2, lo + side))
         rep, box_lo, box_hi = (
             np.array([m.ravel() for m in np.meshgrid(*(a,) * body.d,
-                                                     indexing="ij")]).T
+                                                     indexing="ij")])
             for a in axes)
-        return box_lo, box_hi, rep
+        return np.concatenate((box_lo, box_hi)), rep
     pos = np.linspace(0.0, body.size, max(1, math.ceil(body.size / h)) + 1)
     circ = np.sin(pos) if body.kind == "cap" else pos
     # a ring off the axis gets two boxes at least, so no azimuth gap
@@ -226,9 +236,9 @@ def _start(dom: _Domain, h: float):
     half_t = 0.5 * (pos[1] - pos[0])
     half_a = math.pi / counts[ring]
     t = pos[ring]
-    box_lo = np.array([np.maximum(t - half_t, 0.0), ang - half_a]).T
-    box_hi = np.array([np.minimum(t + half_t, body.size), ang + half_a]).T
-    return box_lo, box_hi, np.array([t, ang]).T
+    box = np.array([np.maximum(t - half_t, 0.0), ang - half_a,
+                    np.minimum(t + half_t, body.size), ang + half_a])
+    return box, np.array([t, ang])
 
 
 def _check_cap(count: int, h: float) -> None:
@@ -260,15 +270,6 @@ def build_grid(spec: ManifoldSpec, region: RegionSpec, h: float) -> EvalGrid:
     return grid
 
 
-@functools.lru_cache(maxsize=8)
-def _child_bits(d: int) -> np.ndarray:
-    """(d, 1, 2^d) flags, read-only: child j takes the upper half of axis i
-    where set."""
-    bits = np.array(list(itertools.product((False, True), repeat=d)))
-    bits.setflags(write=False)
-    return bits.T[:, None, :]
-
-
 def refine_nodes(centers: EvalGrid) -> EvalGrid:
     """The children of the given cells: each box halved along every side.
 
@@ -276,14 +277,21 @@ def refine_nodes(centers: EvalGrid) -> EvalGrid:
     ball, children whose box misses the ball are dropped.  Each child's
     ``parent`` is its row in ``centers``.
     """
-    dom = _domain(centers.spec, centers.region)
+    dom = centers.domain
     d = dom.body.d
-    bits = _child_bits(d)
-    # (axis, cell, child) arrays, flattened to column-major (cell, child) rows
-    lo, hi = centers.box_lo.T[:, :, None], centers.box_hi.T[:, :, None]
+    lo, hi = centers.box[:d], centers.box[d:]
     mid = 0.5 * (lo + hi)
-    c_lo = np.where(bits, mid, lo).reshape(d, -1).T
-    c_hi = np.where(bits, hi, mid).reshape(d, -1).T
-    return dom.cells(centers.spec, centers.region, c_lo, c_hi,
-                     0.5 * (c_lo + c_hi),
-                     parent=np.arange(len(centers)).repeat(2 ** d))
+    n = lo.shape[1]
+    # (corner row, cell, child) boxes, child j in itertools.product order:
+    # it takes the upper half of axis i where bit d-1-i of j is set
+    box = np.empty((2 * d, n, 2 ** d))
+    for i in range(d):
+        lower = box[i].reshape(n, 2 ** i, 2, -1)
+        upper = box[d + i].reshape(n, 2 ** i, 2, -1)
+        lower[:, :, 0] = lo[i, :, None, None]
+        lower[:, :, 1] = upper[:, :, 0] = mid[i, :, None, None]
+        upper[:, :, 1] = hi[i, :, None, None]
+    box = box.reshape(2 * d, -1)
+    return dom.cells(centers.spec, centers.region, box,
+                     0.5 * (box[:d] + box[d:]),
+                     parent=np.arange(n).repeat(2 ** d))

@@ -17,8 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import (ManifoldSpec, _body, check_number, contains_many,
-                       volume)
+from .geometry import ManifoldSpec, check_number, contains_many, volume
 
 class SamplingError(ValueError):
     pass
@@ -44,6 +43,9 @@ class DensitySpec:
     f1: float | None = None
 
     def __post_init__(self):
+        if self.kind not in ("uniform", "custom"):
+            raise SamplingError(f"density kind must be 'uniform' or "
+                                f"'custom', got {self.kind!r}")
         for key in ("sup_bound", "f0", "f1"):
             value = getattr(self, key)
             if value is None:
@@ -102,7 +104,7 @@ def _uniform_points(spec: ManifoldSpec, rng: np.random.Generator,
     """n i.i.d. points with law = normalized Riemannian volume on A."""
     if n == 0:
         return np.empty((0, spec.m))
-    body = _body(spec)
+    body = spec.body
     if body.kind == "box":
         return body.lo + body.size * rng.random((n, body.d))
     if body.kind == "ball":

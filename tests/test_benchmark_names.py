@@ -5,6 +5,7 @@ brackets through the package's exports.  A change that deletes or renames
 one of them fails here, not only when the benchmark runs.
 """
 
+import math
 import pathlib
 
 import numpy as np
@@ -105,3 +106,69 @@ def test_query_hook_counts_the_nodes_the_tree_answers(monkeypatch, threshold,
         counted.clear()
         threshold(cloud, grid, 2, geo.Metric.GEODESIC, refine_to=3e-4)
         assert asked == counted and sum(counted) > len(grid)
+
+
+@pytest.mark.parametrize("threshold", [coverage.coverage_threshold,
+                                       coverage.interior_threshold])
+@pytest.mark.parametrize("fam", ["square", "cube", "disk", "ball", "sphere",
+                                 "cap"])
+def test_no_node_is_queried_twice(monkeypatch, all_families, threshold, fam):
+    """The main run reads the seed run's subtrees from its record, so no
+    node of one threshold call reaches ``KnnField.__call__`` twice: the
+    benchmark's ``coverage.query_nodes`` counts distinct nodes."""
+    queried = []
+    real = coverage.KnnField.__call__
+
+    def recording(self, nodes):
+        queried.append(np.array(nodes, dtype=float))
+        return real(self, nodes)
+
+    monkeypatch.setattr(coverage.KnnField, "__call__", recording)
+    spec = all_families[fam]
+    h = geo.intrinsic_diameter(spec) / (30.0 if spec.d == 2 else 12.0)
+    grid = build_grid(spec, geo.REGION_ALL, h)
+    for gate in (coverage._SKIP_MIN_CHILDREN, 0):
+        monkeypatch.setattr(coverage, "_SKIP_MIN_CHILDREN", gate)
+        for seed in range(3):
+            queried.clear()
+            cloud = uniform_sample(spec, 2000, 40 + seed)
+            threshold(cloud, grid, 2, geo.Metric.GEODESIC, refine_to=h / 100)
+            rows = np.concatenate(queried)
+            assert len(np.unique(rows, axis=0)) == len(rows)
+
+
+@pytest.mark.parametrize("spec,k,threshold", [
+    (geo.unit_disk(), 1, coverage.coverage_threshold),
+    (geo.spherical_cap(1.0), 2, coverage.interior_threshold)],
+    ids=["disk", "cap"])
+def test_replayed_levels_make_no_hooked_call(monkeypatch, spec, k, threshold):
+    """A main-run level that lies wholly in the seed subtrees calls none of
+    ``refine_nodes``, ``KnnField.__call__`` and ``dist_to_boundary_many``.
+    Each replayed level begins with ``_Replay.descend``; the log counts
+    the levels whose descend no hooked call follows.  On the benchmark's
+    disk and cap loads, most clouds have such levels: those whose argmax
+    lies in a seed subtree."""
+    log = []
+
+    def logging(name, real):
+        def call(*args, **kwargs):
+            log.append(name)
+            return real(*args, **kwargs)
+        return call
+
+    for owner, name in ((coverage, "refine_nodes"),
+                        (coverage.KnnField, "__call__"),
+                        (coverage, "dist_to_boundary_many"),
+                        (coverage._Replay, "descend")):
+        monkeypatch.setattr(owner, name, logging(name, getattr(owner, name)))
+    h = 3.0 / math.sqrt(10_000)  # about the threshold at n = 1e4
+    grid = build_grid(spec, geo.REGION_ALL, h)
+    with_free = 0
+    for seed in range(10):
+        log.clear()
+        cloud = uniform_sample(spec, 10_000, 60 + seed)
+        threshold(cloud, grid, k, geo.Metric.GEODESIC, refine_to=h / 500)
+        free = sum(name == "descend" and nxt in ("descend", None)
+                   for name, nxt in zip(log, log[1:] + [None]))
+        with_free += free > 0
+    assert with_free >= 5

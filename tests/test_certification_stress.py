@@ -24,6 +24,7 @@ from covlab.coverage import KnnField, coverage_threshold, interior_threshold
 from covlab.grids import EvalGrid, build_grid, refine_nodes
 from covlab.sampling import uniform_sample
 from conftest import make_cloud
+import reference_bnb
 
 GEO = geo.Metric.GEODESIC
 EUC = geo.Metric.EUCLIDEAN
@@ -539,3 +540,89 @@ def test_skipped_children_keep_the_bits_on_adversarial_clouds(monkeypatch,
             for region in (geo.REGION_ALL, geo.interior_body(0.2)):
                 _skip_on_and_off(monkeypatch, cloud, region, k, metric, h,
                                  h / 50.0)
+
+
+# ---------------------------------------------------------------------------
+# the seed subtrees replayed, against the branch and bound that evaluated
+# them again (tests/reference_bnb.py)
+
+_SKIP_GATE = cov._SKIP_MIN_CHILDREN
+
+
+def _assert_replay_keeps_the_bits(monkeypatch, cloud, region, k, metric, h):
+    """Both thresholds, with no target and at h/10 and h/100, and with the
+    skip tested on large levels only or on every level (then the seed run
+    skips children that the replay may have to query): the bracket has
+    the reference's bits, argmax included."""
+    grid = build_grid(cloud.spec, region, h)
+    knn = KnnField(cloud.spec, cloud.points, k, metric)
+    for gate in (_SKIP_GATE, 0):
+        monkeypatch.setattr(cov, "_SKIP_MIN_CHILDREN", gate)
+        monkeypatch.setattr(reference_bnb, "_SKIP_MIN_CHILDREN", gate)
+        for refine_to in (None, h / 10.0, h / 100.0):
+            for threshold, deep in ((coverage_threshold, False),
+                                    (interior_threshold, True)):
+                est = threshold(cloud, grid, k, metric, refine_to=refine_to)
+                ref = reference_bnb._certified_max(knn, grid, refine_to, deep)
+                assert _bits(est) == _bits(ref), (gate, refine_to, deep)
+
+
+@pytest.mark.parametrize("metric", [GEO, EUC], ids=["geo", "euc"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("fam", SHAPES)
+def test_replay_keeps_the_reference_bits(monkeypatch, all_families, fam, k,
+                                         metric):
+    spec = all_families[fam]
+    cloud = uniform_sample(spec, 600, 110 * SHAPES.index(fam) + k)
+    _assert_replay_keeps_the_bits(monkeypatch, cloud, geo.REGION_ALL, k,
+                                  metric, _prune_h(spec))
+
+
+@pytest.mark.parametrize("spec", [geo.unit_square(2), geo.unit_disk(),
+                                  geo.spherical_cap(1.1), geo.solid_ball()],
+                         ids=["square", "disk", "cap", "ball"])
+def test_replay_keeps_the_reference_bits_on_adversarial_clouds(monkeypatch,
+                                                               spec):
+    rng = np.random.default_rng(5096 + spec.m)
+    h = _prune_h(spec)
+    clouds = list(_adversarial_clouds(spec, rng))
+    base = uniform_sample(spec, 40, int(rng.integers(2 ** 31))).points
+    clouds.append((_tight_cluster(spec, base), 3))
+    for pts, k in clouds:
+        cloud = make_cloud(spec, pts)
+        for metric in (GEO, EUC):
+            for region in (geo.REGION_ALL, geo.interior_body(0.2)):
+                _assert_replay_keeps_the_bits(monkeypatch, cloud, region, k,
+                                              metric, h)
+
+
+@pytest.mark.parametrize("fam", SHAPES)
+def test_replay_queries_the_children_its_record_lacks(monkeypatch,
+                                                      all_families, fam):
+    # the seed run seldom skips a child that the main run cannot skip, so
+    # the record is stripped of every value past level 0, as if the seed
+    # run had skipped each child with u = f(c), a valid bound: the replay
+    # must query the children it cannot skip, and keep the bits
+    asked = []
+    real_init, real_descend = cov._Replay.__init__, cov._Replay.descend
+
+    def withheld(self, record):
+        for depth, level in enumerate(record[1:], 1):
+            u = level.vals if level.reach is None else np.where(
+                level.vals == -np.inf, level.reach, level.vals)
+            record[depth] = level._replace(
+                vals=np.full(len(level.vals), -np.inf), reach=u)
+        real_init(self, record)
+
+    def counting(self, *args):
+        nodes = real_descend(self, *args)
+        asked.append(len(nodes))
+        return nodes
+
+    monkeypatch.setattr(cov._Replay, "__init__", withheld)
+    monkeypatch.setattr(cov._Replay, "descend", counting)
+    spec = all_families[fam]
+    cloud = uniform_sample(spec, 600, 130 * SHAPES.index(fam))
+    _assert_replay_keeps_the_bits(monkeypatch, cloud, geo.REGION_ALL, 2, GEO,
+                                  _prune_h(spec))
+    assert sum(asked) > 0

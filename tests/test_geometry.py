@@ -305,3 +305,48 @@ def test_whole_float_d_is_the_int_d(first, second):
     assert ga.nodes.tobytes() == gb.nodes.tobytes()
     assert ga.nodes.tobytes() == build_grid(
         geo.unit_square(3), geo.REGION_ALL, 0.2).nodes.tobytes()
+
+
+# chords at the ends of [0, 2] and z at the poles, one ulp either side
+EDGE_CHORDS = [0.0, -0.0, 1e-300, np.nextafter(2.0, 0.0), 2.0,
+               np.nextafter(2.0, 3.0)]
+EDGE_Z = [1.0, np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0), -1.0,
+          np.nextafter(-1.0, -2.0), np.nextafter(-1.0, 0.0)]
+
+
+def _clipped_geodesic(chord):
+    """chord_to_geodesic as np.clip computed it."""
+    return 2.0 * np.arcsin(np.clip(np.asarray(chord) / 2.0, 0.0, 1.0))
+
+
+def _same(a, b) -> bool:
+    return type(a) is type(b) and np.asarray(a).tobytes() == \
+        np.asarray(b).tobytes()
+
+
+@pytest.mark.parametrize("length", [1, 6, 8, 17, 64])
+def test_chord_to_geodesic_keeps_the_clip_bits(length):
+    # every edge chord at every place of arrays long and short enough for
+    # numpy's vector loops and their tails
+    for chord in EDGE_CHORDS:
+        for at in range(length):
+            arr = np.full(length, 0.5)
+            arr[at] = chord
+            assert _same(geo.chord_to_geodesic(arr), _clipped_geodesic(arr))
+    # scalars, lists and 0-d arrays keep their return type
+    for chord in EDGE_CHORDS + [0.5, 1, np.float64(0.5)]:
+        for given in (chord, [chord], np.array(chord)):
+            assert _same(geo.chord_to_geodesic(given),
+                         _clipped_geodesic(given)), given
+
+
+@pytest.mark.parametrize("length", [1, 6, 8, 17, 64])
+def test_cap_depth_keeps_the_clip_bits(length):
+    cap = geo.spherical_cap(1.2)
+    for z in EDGE_Z:
+        for at in range(length):
+            pts = np.zeros((length, 3))
+            pts[:, 2] = 0.3
+            pts[at, 2] = z
+            want = cap.alpha - np.arccos(np.clip(pts[:, 2], -1.0, 1.0))
+            assert _same(geo.dist_to_boundary_many(cap, pts), want)

@@ -128,8 +128,11 @@ def test_custom_density_sup_violation():
     ({"f1": -1.0}, "'f1' must be > 0"),
     ({"f": None}, "needs f and sup_bound"),
     ({"sup_bound": None}, "needs f and sup_bound"),
+    # a misspelt kind was sampled as a custom density
+    ({"kind": "custm"}, "density kind must be 'uniform' or 'custom'"),
+    ({"kind": None}, "density kind must be 'uniform' or 'custom'"),
 ], ids=["sup_nan", "sup_zero", "sup_bool", "f0_nan", "f1_negative", "no_f",
-        "no_sup"])
+        "no_sup", "kind_misspelt", "kind_none"])
 def test_density_spec_refuses_bad_values(kw, needle):
     # refused where the spec is built, not by the first draw or run: a NaN
     # f0 surfaced as a NaN grid radius
