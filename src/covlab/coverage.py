@@ -16,6 +16,22 @@ over the start cells of largest value alone, so the whole start
 partition is weighed against a value close to the max, and most of its
 cells are set aside at once.
 
+The start cells are evaluated from the cloud binned into them (Bentley,
+Weide and Yao 1980), and the tree answers only the cells that a bin
+cannot certify.  The grid's bins put every sample in at most one cell,
+and every sample that they do not put in cell c lies at least c's
+certified radius R from c's representative p (see grids).  So every
+sample within R of p is in c's bin, and when the k-th smallest chord c_k
+from p to the samples in the bin is below R, the k nearest samples of p
+all lie in the bin and c_k is the k-th neighbour chord.  It is computed
+as cKDTree computes it, ``sqrt(dx*dx + dy*dy (+ dz*dz))`` summed in that
+order, so it has the tree's bits, and it goes through the same
+``chord_to_geodesic``.
+The rows of the k nearest samples can differ from the tree's only among
+samples at equal distance; they feed only the bound u(c) of the skip
+below, which holds for any k distinct samples, so every bracket, argmax
+included, keeps its bits.
+
 Most children of a split cell are set aside as soon as they are
 evaluated, and their parent's k nearest samples already prove it before
 they are queried.  Those k samples are k distinct points of the cloud, so
@@ -184,6 +200,49 @@ class KnnField:
         far *= 1.0 + _REACH_MARGIN
         return chord_to_geodesic(far) if self._geodesic else far
 
+    def at_cells(self, grid: EvalGrid) -> np.ndarray:
+        """The field at the representatives of ``grid``'s cells, with
+        ``nearest`` for all of them: from the samples in each cell's bin
+        where the grid's bins certify it, and from the tree elsewhere (see
+        the module docstring)."""
+        chord, near = self._binned(grid)
+        vals = chord_to_geodesic(chord) if self._geodesic else chord
+        rest = (chord == np.inf).nonzero()[0]
+        if rest.size:
+            vals[rest] = self(grid.nodes.take(rest, axis=0))
+            near[rest] = self.nearest
+        self.nearest = near
+        return vals
+
+    def _binned(self, grid: EvalGrid):
+        """(k-th smallest chord from each cell's representative to the
+        samples in its bin, where it is below the cell's certified radius,
+        else inf; (N, k) rows of those k samples), in one pass over the
+        tree's own points."""
+        size, k, bins = len(grid), self.k, grid.bins
+        near = np.zeros((size, k), np.intp)
+        if bins is None:
+            return np.full(size, np.inf), near
+        cell = bins.locate(self._points)  # row N: in no cell
+        sq = np.zeros(len(cell))
+        for rep, col in zip(grid.nodes.T, self._points.T):
+            gap = rep.take(cell, mode="clip")
+            gap -= col
+            gap *= gap
+            sq += gap  # cKDTree's order: ((0 + dx^2) + dy^2) + dz^2
+        kth = np.empty(size + 1)
+        for j in range(k):  # the j-th smallest chord in every cell
+            kth.fill(np.inf)
+            np.minimum.at(kth, cell, sq)
+            hit = (sq == kth.take(cell)).nonzero()[0]
+            pick = np.zeros(size + 1, np.intp)
+            pick[cell.take(hit)] = hit  # one of them where chords tie
+            near[:, j] = pick[:size]
+            if j < k - 1:
+                sq[pick.take(cell.take(hit))] = np.inf
+        chord = np.where(kth[:size] < bins.reach2[:size], kth[:size], np.inf)
+        return np.sqrt(chord, out=chord), near
+
 
 def _bucket_sorted(points: np.ndarray) -> np.ndarray:
     """The rows of ``points`` ordered by one uint16 key: ``16 // m`` bits
@@ -244,7 +303,7 @@ def _certified_max(knn: KnnField, grid: EvalGrid, refine_to: float | None,
     if target <= MIN_RESOLUTION:
         raise CoverageError(f"target width {target} is below the supported "
                             "resolution")
-    vals, near = _evaluate(knn, grid.nodes, deep)
+    vals, near = _evaluate(knn, grid.nodes, deep, knn.at_cells(grid))
     seed = _top_cells(vals, _SEED_CELLS)
     record: list[_Level] = []
     lo, _, arg = _branch_and_bound(knn, deep, target, grid.take(seed),
@@ -257,9 +316,12 @@ def _certified_max(knn: KnnField, grid: EvalGrid, refine_to: float | None,
                              argmax=tuple(float(v) for v in arg))
 
 
-def _evaluate(knn: KnnField, nodes: np.ndarray, deep: bool):
-    """(field values, rows of the k nearest samples) at ``nodes``."""
-    vals = knn(nodes)
+def _evaluate(knn: KnnField, nodes: np.ndarray, deep: bool,
+              vals: np.ndarray | None = None):
+    """(field values, rows of the k nearest samples) at ``nodes``, where
+    ``vals``, when given, is the k-NN field there."""
+    if vals is None:
+        vals = knn(nodes)
     if deep:
         np.minimum(vals, dist_to_boundary_many(knn.spec, nodes), out=vals)
     return vals, knn.nearest

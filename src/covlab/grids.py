@@ -37,10 +37,41 @@ For interior-body regions the partition is that of the body shrunk by a
 further hair (1e-9), so the representatives satisfy the strict interior
 constraint; the slack is added to every cover radius.  Geometry refuses
 an interior body that has no point that far inside it.
+
+The start partition also bins ambient points (Bentley, Weide and Yao
+1980): ``Bins.locate`` sends a point to the cell whose node is nearest in
+the partition's own indexing, that is ``rint((x - lo) / s)`` per lattice
+axis, clipped to the lattice, or the ring ``rint(t / dt)``, clipped, and
+the azimuth ``rint(phi count / 2 pi) mod count`` on it.  The bin of a cell
+is its box, open beyond the faces that lie on the edge of the domain,
+since clipping bins every point past them.  Each cell carries a certified
+chord radius R: every point that the locator puts in another cell lies at
+least R from the cell's representative p.  R is the distance from p to
+the nearest face of its bin that is not open, less an absolute margin of
+1e-12 for the rounding of the locator, the faces and the chords (every
+coordinate and angle is at most pi in size, so these are a few 1e-16).
+A point beyond a face lies across the face's line, circle, plane or cone
+from p, so its chord to p is at least:
+
+- on a lattice, the gap from p to the face along its axis;
+- on the disk, at radius r, r - t' and t' - r to the circles of radius
+  t' that bound the ring, and r sin(alpha) to the rays that bound the
+  azimuth, alpha <= pi/2 being the half-width of the ring's boxes;
+- on a cap, at polar angle t, sin|t - t'| to the cones of polar angle t'
+  that bound the ring (1 for a gap of pi/2 or more), and sin t
+  sin(alpha) to the half-planes that bound the azimuth.  These hold for
+  every ambient point beyond the face, so for every sample whatever its
+  rounding off the sphere.
+
+The one cell of a ring on the axis has no azimuth face.  A representative
+that leaves its box (a projected node of the ball) has R = 0, and a grid
+that is not a start partition carries no bins: none of their cells is
+certified.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 from dataclasses import dataclass
@@ -55,6 +86,9 @@ NODE_CAP = 4_000_000
 
 # smallest supported cover radius or bracket width
 MIN_RESOLUTION = 4.0 * _INSET
+
+# absolute margin on a certified bin radius (see the module docstring)
+_BIN_MARGIN = 1e-12
 
 
 class GridError(ValueError):
@@ -72,7 +106,8 @@ class EvalGrid:
     coordinates) and its cover radius ``rad[i] <= h``.  ``parent[i]`` is
     the row, among the cells that :func:`refine_nodes` split, whose box
     holds cell i's box; a start partition has no parents.  ``domain`` is
-    the parameter space of B that the cells split in.
+    the parameter space of B that the cells split in.  ``bins`` locate
+    points in the cells of a start partition; other grids have none.
     """
 
     spec: ManifoldSpec
@@ -83,6 +118,7 @@ class EvalGrid:
     box: np.ndarray       # (2d, N) parameter box lower, then upper corners
     rad: np.ndarray       # (N,) certified cover radii
     parent: np.ndarray | None = None  # (N,) row of each cell's parent
+    bins: Bins | None = None
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -107,6 +143,91 @@ class EvalGrid:
                         self.box.take(rows, axis=1), self.rad.take(rows),
                         None if self.parent is None
                         else self.parent.take(rows))
+
+
+@dataclass(frozen=True, eq=False)
+class Bins:
+    """The cells of a start partition as bins of ambient points, each with
+    its certified chord radius (see the module docstring).
+
+    On a lattice, ``step`` is the spacing s, ``last`` the last node's
+    index on every axis, and ``row`` maps each lattice slot, ravelled in
+    the nodes' order, to the row of its cell (N for a slot whose box was
+    dropped; None when no box was).  On rings, ``step`` is the ring
+    spacing dt, ``last`` the last ring, and ring i holds ``count[i]``
+    cells from row ``first[i]``.  ``reach2`` holds the squared radii, with
+    a 0 at row N.
+    """
+
+    domain: _Domain
+    step: float
+    last: int
+    lo: float = 0.0                   # lattice origin
+    first: np.ndarray | None = None   # rings: (rings,) first row, as floats
+    count: np.ndarray | None = None   # rings: (rings,) cells, as floats
+    row: np.ndarray | None = None     # lattice: (slots,) row of each slot
+    reach2: np.ndarray | None = None  # (N + 1,) squared certified radii
+
+    def locate(self, x: np.ndarray) -> np.ndarray:
+        """(n,) row of the cell that each of the (n, m) ambient points
+        ``x`` falls in, N for a point that falls in no cell."""
+        if not self.domain.rings:
+            q = x - self.lo
+            q /= self.step
+            np.rint(q, out=q)
+            np.clip(q, 0.0, self.last, out=q)
+            q = q @ (self.last + 1.0) ** np.arange(q.shape[1] - 1, -1, -1.0)
+            slot = q.astype(np.intp)
+            return slot if self.row is None else self.row.take(slot)
+        x0, x1 = x[:, 0], x[:, 1]
+        t = x0 * x0
+        t += x1 * x1
+        np.sqrt(t, out=t)
+        if self.domain.body.kind == "cap":  # arccos is coarse near a pole
+            np.arctan2(t, x[:, 2], out=t)
+        t /= self.step
+        np.rint(t, out=t)
+        ring = np.minimum(t, self.last, out=t).astype(np.intp)
+        count = self.count.take(ring)
+        j = np.arctan2(x1, x0)
+        j *= count
+        j *= 0.5 / math.pi
+        np.rint(j, out=j)
+        np.add(j, count, out=j, where=j < 0)  # j mod count: |j| <= count / 2
+        j += self.first.take(ring)
+        return j.astype(np.intp)
+
+    def filled(self, grid: EvalGrid, rep: np.ndarray) -> Bins:
+        """These bins with the rows and radii of ``grid``'s cells, whose
+        (d, N) parameter representatives (unprojected) are ``rep``."""
+        body, box, x = self.domain.body, grid.box, grid.nodes
+        d, row = body.d, None
+        if not self.domain.rings:
+            if body.kind == "ball":  # the boxes that miss the ball are gone
+                slot = Bins(self.domain, self.step, self.last,
+                            self.lo).locate(0.5 * (box[:d] + box[d:]).T)
+                row = np.full((self.last + 1) ** d, len(grid), dtype=np.intp)
+                row[slot] = np.arange(len(grid))
+            # a face on the edge of the lattice is open
+            top = body.lo + body.size if body.kind == "box" else body.size
+            near = np.minimum(
+                np.where(box[:d] > self.lo, x.T - box[:d], np.inf),
+                np.where(box[d:] < top, box[d:] - x.T, np.inf)).min(axis=0)
+        else:
+            sphere = body.kind == "cap"
+            t = rep[0]
+            gaps = np.array([t - box[0], box[2] - t])
+            if sphere:
+                gaps = np.sin(np.minimum(gaps, 0.5 * math.pi))
+            alpha = 0.5 * (box[3] - box[1])
+            across = (np.sin(t) if sphere else t) * np.sin(alpha)
+            near = np.minimum.reduce([
+                np.where(box[0] > 0.0, gaps[0], np.inf),
+                np.where(box[2] < body.size, gaps[1], np.inf),
+                np.where(alpha < math.pi, across, np.inf)])
+        reach = np.maximum(near - _BIN_MARGIN, 0.0)
+        reach2 = np.append(reach * reach, 0.0)
+        return dataclasses.replace(self, row=row, reach2=reach2)
 
 
 @dataclass(frozen=True)
@@ -204,8 +325,8 @@ def _domain(spec: ManifoldSpec, region: RegionSpec) -> _Domain:
 
 
 def _start(dom: _Domain, h: float):
-    """((2d, N) boxes, (d, N) representatives) of the start partition at
-    h."""
+    """((2d, N) boxes, (d, N) representatives, unfilled :class:`Bins`) of
+    the start partition at h."""
     body = dom.body
     if not dom.rings:
         lo, side = ((body.lo, body.size) if body.kind == "box"
@@ -221,7 +342,7 @@ def _start(dom: _Domain, h: float):
             np.array([m.ravel() for m in np.meshgrid(*(a,) * body.d,
                                                      indexing="ij")])
             for a in axes)
-        return np.concatenate((box_lo, box_hi)), rep
+        return np.concatenate((box_lo, box_hi)), rep, Bins(dom, s, n, lo)
     pos = np.linspace(0.0, body.size, max(1, math.ceil(body.size / h)) + 1)
     circ = np.sin(pos) if body.kind == "cap" else pos
     # a ring off the axis gets two boxes at least, so no azimuth gap
@@ -231,14 +352,17 @@ def _start(dom: _Domain, h: float):
                         np.ceil(2.0 * math.pi * circ / h)).astype(np.int64)
     _check_cap(int(np.sum(counts)), h)
     ring = np.repeat(np.arange(len(pos)), counts)
-    j = np.arange(len(ring)) - (np.cumsum(counts) - counts)[ring]
+    first = np.cumsum(counts) - counts
+    j = np.arange(len(ring)) - first[ring]
     ang = 2.0 * math.pi * j / counts[ring]
     half_t = 0.5 * (pos[1] - pos[0])
     half_a = math.pi / counts[ring]
     t = pos[ring]
     box = np.array([np.maximum(t - half_t, 0.0), ang - half_a,
                     np.minimum(t + half_t, body.size), ang + half_a])
-    return box, np.array([t, ang])
+    bins = Bins(dom, pos[1] - pos[0], len(pos) - 1,
+                first=first.astype(float), count=counts.astype(float))
+    return box, np.array([t, ang]), bins
 
 
 def _check_cap(count: int, h: float) -> None:
@@ -252,10 +376,12 @@ def build_grid(spec: ManifoldSpec, region: RegionSpec, h: float) -> EvalGrid:
     """Start partition of B with every cover radius <= h.
 
     The driver builds one per sample size; tests and benchmarks use it as
-    the full-partition oracle at h.  Raises :class:`GridError` when h is
-    not a finite number above ``MIN_RESOLUTION``, or when the partition
-    would need more than ``NODE_CAP`` cells (the message reports the count
-    needed).
+    the full-partition oracle at h.  The partition carries its
+    :class:`Bins` in two and three dimensions, where the tests pin the
+    chords that the bins certify to cKDTree's bits.  Raises
+    :class:`GridError` when h is not a finite number above
+    ``MIN_RESOLUTION``, or when the partition would need more than
+    ``NODE_CAP`` cells (the message reports the count needed).
     """
     if not (math.isfinite(h) and h > 0.0):
         raise GridError(f"covering radius h must be a finite number > 0, "
@@ -263,11 +389,14 @@ def build_grid(spec: ManifoldSpec, region: RegionSpec, h: float) -> EvalGrid:
     if h <= MIN_RESOLUTION:
         raise GridError(f"h={h} is below the supported resolution")
     dom = _domain(spec, region)
-    grid = dom.cells(spec, region, *_start(dom, h - dom.slack), h=float(h))
+    box, rep, bins = _start(dom, h - dom.slack)
+    grid = dom.cells(spec, region, box, rep, h=float(h))
     # the lattice and the rings have rho <= h (rings about 0.8 h); where
     # it is h itself, the corner formula can round a few ulps above it
     np.minimum(grid.rad, grid.h, out=grid.rad)
-    return grid
+    if spec.m > 3:  # cKDTree's order of summation differs from m = 8 on
+        return grid
+    return dataclasses.replace(grid, bins=bins.filled(grid, rep))
 
 
 def refine_nodes(centers: EvalGrid) -> EvalGrid:

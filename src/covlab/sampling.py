@@ -90,8 +90,15 @@ def _rng(seed) -> np.random.Generator:
 
 
 def _unit_directions(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
+    """n Gaussian rows over their norms.  The squares are summed column by
+    column, left to right: the bits of ``np.linalg.norm(g, axis=1)``,
+    whose reduction over so short a row runs in that order, at a fifth of
+    its cost."""
     g = rng.standard_normal((n, dim))
-    nrm = np.linalg.norm(g, axis=1)
+    nrm = g[:, 0] * g[:, 0]
+    for col in g.T[1:]:
+        nrm += col * col
+    np.sqrt(nrm, out=nrm)
     bad = nrm == 0.0
     if np.any(bad):
         g[bad, 0] = 1.0

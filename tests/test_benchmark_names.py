@@ -81,8 +81,10 @@ def test_query_hook_counts_the_nodes_the_tree_answers(monkeypatch, threshold,
     """The benchmark's ``coverage.query_nodes`` is ``len(out)`` summed over
     ``KnnField.__call__``.  The children that the branch and bound skips
     are bounded from their parent's neighbours, never queried, so every
-    ``cKDTree.query`` must go through that call and ask for its nodes."""
-    asked, counted = [], []
+    ``cKDTree.query`` must go through that call and ask for its nodes.
+    The start cells that the grid's bins certify are not queried either:
+    the bins and the tree's first call answer each start cell once."""
+    asked, counted, binned = [], [], []
 
     class Tree(coverage.cKDTree):
         def query(self, x, *args, **kwargs):
@@ -90,22 +92,33 @@ def test_query_hook_counts_the_nodes_the_tree_answers(monkeypatch, threshold,
             return super().query(x, *args, **kwargs)
 
     real = coverage.KnnField.__call__
+    real_binned = coverage.KnnField._binned
 
     def counting(self, nodes):
         out = real(self, nodes)
-        counted.append(len(out))
+        counted.append(np.array(nodes))
         return out
+
+    def binning(self, grid):
+        chord, near = real_binned(self, grid)
+        binned.append(chord != np.inf)
+        return chord, near
 
     monkeypatch.setattr(coverage, "cKDTree", Tree)
     monkeypatch.setattr(coverage.KnnField, "__call__", counting)
+    monkeypatch.setattr(coverage.KnnField, "_binned", binning)
     cloud = uniform_sample(spec, 5000, 17)
     grid = build_grid(spec, geo.REGION_ALL, 0.03)
     for gate in (coverage._SKIP_MIN_CHILDREN, 0):
         monkeypatch.setattr(coverage, "_SKIP_MIN_CHILDREN", gate)
         asked.clear()
         counted.clear()
+        binned.clear()
         threshold(cloud, grid, 2, geo.Metric.GEODESIC, refine_to=3e-4)
-        assert asked == counted and sum(counted) > len(grid)
+        assert asked == [len(nodes) for nodes in counted]
+        (sure,) = binned
+        assert 0 < sure.sum() < len(grid)
+        assert counted[0].tobytes() == grid.nodes[~sure].tobytes()
 
 
 @pytest.mark.parametrize("threshold", [coverage.coverage_threshold,

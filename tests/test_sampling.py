@@ -197,3 +197,24 @@ def test_cloud_csv_round_trip(tmp_path):
         fh.write("idx,x1,x2,x3\n0,5.0,0.0,0.0\n")
     with pytest.raises(smp.SamplingError, match="outside"):
         smp.load_cloud_csv(bad, spec)
+
+
+def _old_unit_directions(rng, n, dim):
+    # the directions as drawn before the norm was summed column by column
+    g = rng.standard_normal((n, dim))
+    nrm = np.linalg.norm(g, axis=1)
+    bad = nrm == 0.0
+    if np.any(bad):
+        g[bad, 0] = 1.0
+        nrm[bad] = 1.0
+    return g / nrm[:, None]
+
+
+@pytest.mark.parametrize("spec", [geo.unit_disk(), geo.solid_ball()],
+                         ids=["disk", "ball"])
+def test_directions_keep_the_norm_bits(monkeypatch, spec):
+    new = [smp.uniform_sample(spec, 2000, seed).points for seed in range(60)]
+    monkeypatch.setattr(smp, "_unit_directions", _old_unit_directions)
+    for seed, points in enumerate(new):
+        old = smp.uniform_sample(spec, 2000, seed).points
+        assert points.tobytes() == old.tobytes(), seed
