@@ -98,7 +98,8 @@ def _cmd_cover(args) -> int:
     cloud = load_cloud_csv(args.cloud, spec)
     metric = geo.Metric(args.metric)
     grid = build_grid(spec, region, args.h)
-    est = coverage_threshold(cloud, grid, args.k, metric,
+    est = coverage_threshold(cloud, grid,
+                             _number(args.k, "--k", integral=True), metric,
                              refine_to=args.refine_to)
     print(json.dumps(est.to_json(), indent=2, sort_keys=True))
     return 0
@@ -112,9 +113,9 @@ def _load_config(args, mode: RunMode) -> ExperimentConfig:
         raise ConfigError(f"config 'mode' is {obj['mode']!r}, but this "
                           f"subcommand runs {mode.value!r}")
     if args.seed is not None:
-        obj["base_seed"] = args.seed
+        obj["base_seed"] = _number(args.seed, "--seed", integral=True)
     if args.reps is not None:
-        obj["replications"] = args.reps
+        obj["replications"] = _number(args.reps, "--reps", integral=True)
     if args.sizes is not None:
         obj["sizes"] = [_number(s, "--sizes") for s in args.sizes.split(",")
                         if s]
@@ -136,6 +137,7 @@ def _cmd_run(args, mode: RunMode) -> int:
     return 0
 
 
+@functools.cache  # once per process: a build takes 1-2 ms of each call
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="covlab",
                                 description="coverage-threshold laboratory")
@@ -151,7 +153,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cv.add_argument("--cloud", required=True)
     cv.add_argument("--spec", required=True)
     cv.add_argument("--region", default=None, help="region JSON")
-    cv.add_argument("--k", type=int, default=1)
+    cv.add_argument("--k", default="1")
     cv.add_argument("--h", type=float, required=True)
     cv.add_argument("--metric", choices=["geodesic", "euclidean"],
                     default="geodesic")
@@ -167,8 +169,8 @@ def _build_parser() -> argparse.ArgumentParser:
         r = sub.add_parser(name, help=f"run a {mode.value} experiment")
         r.add_argument("--config", required=True)
         r.add_argument("--out", default=None)
-        r.add_argument("--seed", type=int, default=None)
-        r.add_argument("--reps", type=int, default=None)
+        r.add_argument("--seed", default=None)
+        r.add_argument("--reps", default=None)
         r.add_argument("--sizes", default=None, help="comma separated")
         r.add_argument("--metric", choices=["geodesic", "euclidean"],
                        default=None)

@@ -67,6 +67,25 @@ it is at most the seed run's lo (f(c) < lo for a child queried late), so
 the replay moves hi and the splits but never lo or the argmax, which
 come from the other cells in their old order: every bracket keeps its
 bits.
+
+A big batch asks the tree only as far as the bracket can use it (the
+bounds-overlap-ball test of Friedman, Bentley and Finkel 1977).  A child
+c whose value is at most B = lo + target - rho, for the largest cover
+radius rho among the batch's fresh children, is set aside as soon as it
+is evaluated, since f(c) + rho_c <= lo + target and lo only rises.  So a
+batch of ``_SKIP_MIN_CHILDREN`` nodes or more, when B > 0, is queried
+first with B as the tree's search radius (the chord 2 sin(B/2), B capped
+at pi, on a geodesic field): the search stops early where the k-th
+neighbour lies beyond the radius, and that node comes back inf.  The
+nodes that came back inf are queried again without a radius, and their
+values and rows are written back.  A finite bounded answer is the k-th
+neighbour chord, computed as the unbounded search computes it (the same
+squares summed in the same order), and every inf node is asked again, so
+every value keeps its bits, and so do lo, hi and the argmax; B decides
+only which nodes are asked twice.  The rows of the k nearest samples
+can differ only among samples at equal distance, and they feed only the
+bound u(c) of the skip, which holds for any k distinct samples.  The
+start cells are queried without a radius.
 """
 
 from __future__ import annotations
@@ -177,13 +196,41 @@ class KnnField:
         self._geodesic = spec.curved and metric is Metric.GEODESIC
         self.nearest = np.empty((0, k), dtype=np.intp)
 
-    def __call__(self, nodes: np.ndarray) -> np.ndarray:
-        chord, near = self._tree.query(as_points(nodes), k=self.k)
+    def __call__(self, nodes: np.ndarray, bound: float = math.inf
+                 ) -> np.ndarray:
+        """The field at ``nodes``, or inf where it is not below ``bound``.
+
+        A finite bound is handed to the tree as its search radius (as a
+        chord, 2 sin(bound/2) with the bound capped at pi, on a geodesic
+        field), so the search stops early where the k-th neighbour lies
+        beyond it; such a row comes back inf, with row N in ``nearest``.
+        Every finite value is the unbounded one, bit for bit.
+        """
+        radius = bound
+        if self._geodesic and bound < math.inf:
+            radius = 2.0 * math.sin(0.5 * min(bound, math.pi))
+        chord, near = self._tree.query(as_points(nodes), k=self.k,
+                                       distance_upper_bound=radius)
         if self.k == 1:  # the tree gives (N,) arrays for k=1
             self.nearest = near[:, None]
         else:
             self.nearest, chord = near, chord[:, -1]
-        return chord_to_geodesic(chord) if self._geodesic else chord
+        if not self._geodesic:
+            return chord
+        vals = chord_to_geodesic(chord)
+        if bound < math.inf:
+            vals[chord == np.inf] = np.inf
+        return vals
+
+    def _ask_again(self, nodes: np.ndarray, vals: np.ndarray,
+                   near: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """``vals`` and ``near`` (then ``nearest``) at ``nodes``, with the
+        ``rows`` that they leave open answered by an unbounded query."""
+        if rows.size:
+            vals[rows] = self(nodes.take(rows, axis=0))
+            near[rows] = self.nearest
+        self.nearest = near
+        return vals
 
     def reach(self, nodes: np.ndarray, near: np.ndarray) -> np.ndarray:
         """Largest distance from each node to its row of samples ``near``
@@ -207,12 +254,8 @@ class KnnField:
         the module docstring)."""
         chord, near = self._binned(grid)
         vals = chord_to_geodesic(chord) if self._geodesic else chord
-        rest = (chord == np.inf).nonzero()[0]
-        if rest.size:
-            vals[rest] = self(grid.nodes.take(rest, axis=0))
-            near[rest] = self.nearest
-        self.nearest = near
-        return vals
+        return self._ask_again(grid.nodes, vals, near,
+                               (chord == np.inf).nonzero()[0])
 
     def _binned(self, grid: EvalGrid):
         """(k-th smallest chord from each cell's representative to the
@@ -317,11 +360,16 @@ def _certified_max(knn: KnnField, grid: EvalGrid, refine_to: float | None,
 
 
 def _evaluate(knn: KnnField, nodes: np.ndarray, deep: bool,
-              vals: np.ndarray | None = None):
+              vals: np.ndarray | None = None, bound: float = math.inf):
     """(field values, rows of the k nearest samples) at ``nodes``, where
-    ``vals``, when given, is the k-NN field there."""
+    ``vals``, when given, is the k-NN field there.  Otherwise the tree is
+    asked first within ``bound``, then without it where that left a value
+    open, so every value is exact."""
     if vals is None:
-        vals = knn(nodes)
+        vals = knn(nodes, bound)
+        if bound < math.inf:
+            vals = knn._ask_again(nodes, vals, knn.nearest,
+                                  (vals == np.inf).nonzero()[0])
     if deep:
         np.minimum(vals, dist_to_boundary_many(knn.spec, nodes), out=vals)
     return vals, knn.nearest
@@ -408,7 +456,9 @@ def _branch_and_bound(knn: KnnField, deep: bool, target: float,
     each child c whose distance u(c) to its parent's k nearest samples
     proves it set aside: u(c) < lo and u(c) + rho_c <= min(lo + target,
     hi).  Since f(c) <= u(c), such a child would change neither lo, the
-    argmax nor hi, and would not be split (see the module docstring).
+    argmax nor hi, and would not be split (see the module docstring).  A
+    batch of that many nodes or more is queried within lo + target - rho
+    first, and again without a bound where that leaves a value open.
 
     The seed run appends each level to ``record``.  The main run's
     ``replay`` holds the seed cells, whose values are at most ``lo``:
@@ -453,7 +503,14 @@ def _branch_and_bound(knn: KnnField, deep: bool, target: float,
                      else cells.nodes)
         vals, near = _NO_VALS, near[:0]
         if nodes.size:
-            vals, near = _evaluate(knn, nodes, deep)
+            # a child whose value is at most lo + target - rho is set
+            # aside: a big batch asks the tree only that far first (see the
+            # module docstring)
+            bound = math.inf
+            if fresh and len(nodes) >= _SKIP_MIN_CHILDREN:
+                bound = lo + target - float(cells.rad.max())
+            vals, near = _evaluate(knn, nodes, deep,
+                                   bound=bound if bound > 0.0 else math.inf)
             if replay is not None:
                 replay.vals[replay.ask] = vals[fresh:]
             vals, near = vals[:fresh], near[:fresh]

@@ -74,6 +74,8 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,6 +91,14 @@ MIN_RESOLUTION = 4.0 * _INSET
 
 # absolute margin on a certified bin radius (see the module docstring)
 _BIN_MARGIN = 1e-12
+
+# most cells of the start partitions that build_grid keeps for reuse, in
+# all.  A cell takes 64 bytes (nodes, boxes, radii and bins) on the square
+# and the disk, 72 on the caps, 88 on the cube and 103 on the solid ball,
+# whose bins map every slot of its cube lattice; so the kept grids hold
+# 54 MB at most, and a grid of more cells (NODE_CAP cells would take up to
+# 410 MB) is never kept.
+_KEPT_CELLS = 1 << 19
 
 
 class GridError(ValueError):
@@ -372,6 +382,17 @@ def _check_cap(count: int, h: float) -> None:
             f"{NODE_CAP}; coarsen h")
 
 
+# the start partitions that build_grid keeps, least recently used first
+_kept: OrderedDict = OrderedDict()
+_kept_lock = threading.Lock()
+
+
+def clear_grid_cache() -> None:
+    """Forget the start partitions that :func:`build_grid` keeps."""
+    with _kept_lock:
+        _kept.clear()
+
+
 def build_grid(spec: ManifoldSpec, region: RegionSpec, h: float) -> EvalGrid:
     """Start partition of B with every cover radius <= h.
 
@@ -382,21 +403,52 @@ def build_grid(spec: ManifoldSpec, region: RegionSpec, h: float) -> EvalGrid:
     :class:`GridError` when h is not a finite number above
     ``MIN_RESOLUTION``, or when the partition would need more than
     ``NODE_CAP`` cells (the message reports the count needed).
+
+    The partitions built last are kept and handed out again for the same
+    (spec, region, h), so a process that runs again builds none; their
+    arrays are read-only, so no caller can change them for the next.
     """
     if not (math.isfinite(h) and h > 0.0):
         raise GridError(f"covering radius h must be a finite number > 0, "
                         f"got {h}")
     if h <= MIN_RESOLUTION:
         raise GridError(f"h={h} is below the supported resolution")
+    key = (spec, region, h)
+    with _kept_lock:
+        grid = _kept.get(key)
+        if grid is not None:
+            _kept.move_to_end(key)
+            return grid
+    grid = _start_partition(spec, region, h)
+    if len(grid) <= _KEPT_CELLS:
+        with _kept_lock:
+            _kept[key] = grid
+            while sum(map(len, _kept.values())) > _KEPT_CELLS:
+                _kept.popitem(last=False)
+    return grid
+
+
+def _start_partition(spec: ManifoldSpec, region: RegionSpec,
+                     h: float) -> EvalGrid:
+    """:func:`build_grid`'s partition, its arrays made read-only."""
     dom = _domain(spec, region)
     box, rep, bins = _start(dom, h - dom.slack)
     grid = dom.cells(spec, region, box, rep, h=float(h))
     # the lattice and the rings have rho <= h (rings about 0.8 h); where
     # it is h itself, the corner formula can round a few ulps above it
     np.minimum(grid.rad, grid.h, out=grid.rad)
-    if spec.m > 3:  # cKDTree's order of summation differs from m = 8 on
-        return grid
-    return dataclasses.replace(grid, bins=bins.filled(grid, rep))
+    if spec.m <= 3:  # cKDTree's order of summation differs from m = 8 on
+        grid = dataclasses.replace(grid, bins=bins.filled(grid, rep))
+        _read_only(grid.bins.first, grid.bins.count, grid.bins.row,
+                   grid.bins.reach2)
+    _read_only(grid.nodes, grid.box, grid.rad)
+    return grid
+
+
+def _read_only(*arrays: np.ndarray | None) -> None:
+    for a in arrays:
+        if a is not None:
+            a.flags.writeable = False
 
 
 def refine_nodes(centers: EvalGrid) -> EvalGrid:

@@ -180,6 +180,9 @@ class ExperimentConfig:
                 getattr(self, key), f"config {key!r}", integral=True))
         if self.replications < 1:
             raise ConfigError("need replications >= 1")
+        if self.base_seed < 0:  # numpy's seeds would refuse it mid-run
+            raise ConfigError(f"config 'base_seed' must be >= 0, got "
+                              f"{self.base_seed}")
         if self.grid_h is not None:
             object.__setattr__(self, "grid_h", check_number(self.grid_h,
                                                             "grid_h"))

@@ -94,8 +94,8 @@ def test_query_hook_counts_the_nodes_the_tree_answers(monkeypatch, threshold,
     real = coverage.KnnField.__call__
     real_binned = coverage.KnnField._binned
 
-    def counting(self, nodes):
-        out = real(self, nodes)
+    def counting(self, nodes, *args, **kwargs):
+        out = real(self, nodes, *args, **kwargs)
         counted.append(np.array(nodes))
         return out
 
@@ -127,14 +127,19 @@ def test_query_hook_counts_the_nodes_the_tree_answers(monkeypatch, threshold,
                                  "cap"])
 def test_no_node_is_queried_twice(monkeypatch, all_families, threshold, fam):
     """The main run reads the seed run's subtrees from its record, so no
-    node of one threshold call reaches ``KnnField.__call__`` twice: the
-    benchmark's ``coverage.query_nodes`` counts distinct nodes."""
-    queried = []
+    node of one threshold call is answered by ``KnnField.__call__`` twice.
+    A node reaches it a second time only when a bounded call left it open
+    (inf), and then the second call answers it."""
+    answered, left_open = [], []
     real = coverage.KnnField.__call__
 
-    def recording(self, nodes):
-        queried.append(np.array(nodes, dtype=float))
-        return real(self, nodes)
+    def recording(self, nodes, bound=math.inf):
+        out = real(self, nodes, bound)
+        nodes = np.array(nodes, dtype=float)
+        answered.append(nodes[out != np.inf])
+        if bound < math.inf:
+            left_open.append(nodes[out == np.inf])
+        return out
 
     monkeypatch.setattr(coverage.KnnField, "__call__", recording)
     spec = all_families[fam]
@@ -142,12 +147,21 @@ def test_no_node_is_queried_twice(monkeypatch, all_families, threshold, fam):
     grid = build_grid(spec, geo.REGION_ALL, h)
     for gate in (coverage._SKIP_MIN_CHILDREN, 0):
         monkeypatch.setattr(coverage, "_SKIP_MIN_CHILDREN", gate)
+        opened = 0
         for seed in range(3):
-            queried.clear()
+            answered.clear()
+            left_open.clear()
             cloud = uniform_sample(spec, 2000, 40 + seed)
             threshold(cloud, grid, 2, geo.Metric.GEODESIC, refine_to=h / 100)
-            rows = np.concatenate(queried)
+            rows = np.concatenate(answered)
             assert len(np.unique(rows, axis=0)) == len(rows)
+            again = np.concatenate(left_open or [rows[:0]])
+            both = np.concatenate([np.unique(rows, axis=0),
+                                   np.unique(again, axis=0)])
+            assert len(np.unique(both, axis=0)) == len(rows)
+            opened += len(again)
+        if gate == 0:  # every batch may be bounded: some rows were left open
+            assert opened > 0
 
 
 @pytest.mark.parametrize("spec,k,threshold", [

@@ -8,13 +8,20 @@ are ``sqrt(dx*dx + dy*dy [+ dz*dz])`` bit for bit; every point that the
 locator puts in another bin lies at least R from a cell's representative;
 and on clouds placed on the bins' faces, seams and poles, the start values
 are the tree's bits and every bracket is the reference branch and bound's
-(``tests/reference_bnb.py``, which queries the tree at every start cell).
+(``tests/reference_bnb.py``, which queries the tree at every start cell
+and never bounds a search).  The same clouds pin the bounded tree query
+that big batches of children make: every value it gives is the unbounded
+one, bit for bit.
 """
+
+import itertools
+import math
 
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+from covlab import coverage
 from covlab import geometry as geo
 from covlab import grids
 from covlab.coverage import KnnField, coverage_threshold, interior_threshold
@@ -124,7 +131,10 @@ def _bits(est):
 
 
 @pytest.mark.parametrize("fam,reg", CASES, ids=[f"{f}-{r}" for f, r in CASES])
-def test_binned_start_keeps_the_tree_bits(all_families, fam, reg):
+def test_binned_start_keeps_the_tree_bits(monkeypatch, all_families, fam,
+                                          reg):
+    # with the gate at 0, every batch of children asks the tree within the
+    # bound lo + target - rho first
     spec = all_families[fam]
     grid = _grid(spec, reg)
     rng = np.random.default_rng(SHAPES.index(fam) * 2 + (reg == "body"))
@@ -137,14 +147,51 @@ def test_binned_start_keeps_the_tree_bits(all_families, fam, reg):
             want = knn(grid.nodes)
             assert got.tobytes() == want.tobytes(), (name, k, metric)
             cloud = PointCloud(spec, points)
-            for refine_to in (None, grid.h / 10.0):
+            for gate, refine_to in itertools.product(
+                    (coverage._SKIP_MIN_CHILDREN, 0), (None, grid.h / 10.0)):
+                monkeypatch.setattr(coverage, "_SKIP_MIN_CHILDREN", gate)
+                monkeypatch.setattr(reference_bnb, "_SKIP_MIN_CHILDREN", gate)
                 for threshold, deep in ((coverage_threshold, False),
                                         (interior_threshold, True)):
                     est = threshold(cloud, grid, k, metric, refine_to)
                     ref = reference_bnb._certified_max(knn, grid, refine_to,
                                                        deep)
-                    assert _bits(est) == _bits(ref), (name, k, metric, deep)
+                    assert _bits(est) == _bits(ref), (name, k, metric, deep,
+                                                      gate)
     assert binned > 0  # the bins did answer cells
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("fam", SHAPES)
+def test_bounded_query_keeps_the_tree_bits(all_families, fam, k):
+    # a row within the bound gets the unbounded value, bit for bit; a row
+    # beyond it comes back inf, with row N; bounds at the values themselves
+    # and past the sphere's diameter included
+    spec = all_families[fam]
+    grid = _grid(spec, "all")
+    rng = np.random.default_rng(40 + SHAPES.index(fam))
+    clouds = [uniform_sample(spec, 3000, 7 + k).points]
+    clouds += [points for _, points, kk in _clouds(spec, grid, rng) if kk == k]
+    probes = np.concatenate([grid.nodes, refine_nodes(centers=grid).nodes,
+                             uniform_sample(spec, 500, 8).points])
+    opened = 0
+    for points in clouds:
+        for metric in (GEO, EUC):
+            knn = KnnField(spec, points, k, metric)
+            full = knn(probes)
+            ranked = np.sort(full)
+            for bound in (*ranked[[0, len(full) // 10, len(full) // 2, -1]],
+                          float(np.nextafter(ranked[-1], np.inf)), math.pi,
+                          4.0):
+                got = knn(probes, bound)
+                near = knn.nearest
+                kept = got != np.inf
+                assert got[kept].tobytes() == full[kept].tobytes(), bound
+                assert np.all(full[~kept] >= bound * (1.0 - 1e-12)), bound
+                assert np.all(kept[full < bound * (1.0 - 1e-12)]), bound
+                assert np.all(near[~kept, -1] == len(points))
+                opened += int((~kept).sum())
+    assert opened > 0
 
 
 @pytest.mark.parametrize("fam,reg", CASES, ids=[f"{f}-{r}" for f, r in CASES])
@@ -216,6 +263,7 @@ def test_margin_holds_against_points_binned_across_a_face():
 
 
 def test_each_size_builds_its_bins_once(monkeypatch):
+    grids.clear_grid_cache()  # a size's grid may be kept from another test
     filled, used = [], []
     real_filled, real_at_cells = grids.Bins.filled, KnnField.at_cells
 

@@ -398,14 +398,15 @@ def _unseeded_max(field, grid, target):
 
 
 def _count_queries(monkeypatch) -> list:
-    """Nodes of every ``KnnField`` call from here on, one entry a call,
-    counted as the benchmark's ``coverage.query`` hook counts them."""
+    """Nodes that every ``KnnField`` call from here on answers, one entry
+    a call.  A node that a bounded call leaves open (inf) is asked again
+    without the bound, and counted there, so each node counts once."""
     queried = []
     real = KnnField.__call__
 
-    def counting(self, nodes):
-        out = real(self, nodes)
-        queried.append(len(out))
+    def counting(self, nodes, *args, **kwargs):
+        out = real(self, nodes, *args, **kwargs)
+        queried.append(int(np.count_nonzero(out != np.inf)))
         return out
 
     monkeypatch.setattr(KnnField, "__call__", counting)

@@ -212,6 +212,8 @@ def test_unknown_nested_config_key_exit_1(tmp_path, capsys, key, value, bad):
     (lambda d: {**d, "replications": True},
      "'replications' must be a finite number"),
     (lambda d: {**d, "base_seed": 1.9}, "'base_seed' must be an integer"),
+    # numpy refuses a negative seed, mid-run and without naming the key
+    (lambda d: {**d, "base_seed": -5}, "config 'base_seed' must be >= 0"),
     (lambda d: {**d, "spec": {"family": "unit_square", "d": 2.5}},
      "'d' must be an integer"),
     (lambda d: {**d, "spec": {"family": "spherical_cap", "alpha": "1.0"}},
@@ -247,7 +249,8 @@ def test_unknown_nested_config_key_exit_1(tmp_path, capsys, key, value, bad):
 ], ids=["no_sizes", "k_int", "spec_str", "region_list", "top_list",
         "sizes_str", "sizes_entry_str", "body_no_delta", "ball_no_center",
         "cap_no_alpha", "grid_h_str", "reps_fraction", "reps_str",
-        "reps_bool", "seed_fraction", "square_d_fraction", "alpha_str",
+        "reps_bool", "seed_fraction", "seed_negative", "square_d_fraction",
+        "alpha_str",
         "k_str", "k_fraction", "delta_str", "beta_str", "p_bool",
         "binomial_size_fraction", "grid_h_inf", "size_inf", "reps_nan",
         "delta_nan", "alpha_inf", "beta_nan", "seed_beyond_float"])
@@ -372,6 +375,28 @@ def test_sizes_override_reads_numbers_as_a_config_does(tmp_path, capsys):
     assert summary["config"]["sizes"] == [1000]
 
 
+def test_integer_options_read_numbers_as_a_config_does(tmp_path, capsys):
+    # "--seed 5.0" is the config number 5.0, which a config's base_seed
+    # takes: both write the bytes that 5 writes
+    cfg = _write_cfg(tmp_path, base_seed=5.0, replications=2)
+    assert main(["weak", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
+    cfg = _write_cfg(tmp_path)
+    assert main(["weak", "--config", cfg, "--seed", "5.0", "--reps", "2.0",
+                 "--out", str(tmp_path / "b")]) == 0
+    for name in ("rows.csv", "summary.json"):
+        assert ((tmp_path / "a" / name).read_bytes()
+                == (tmp_path / "b" / name).read_bytes())
+    path = str(tmp_path / "pts.csv")
+    save_cloud_csv(uniform_sample(geo.unit_disk(), 150, 3), path)
+    capsys.readouterr()
+    outs = []
+    for k in ("2", "2.0", "2e0"):
+        assert main(["cover", "--cloud", path, "--spec", "disk", "--k", k,
+                     "--h", "0.05"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] == outs[2]
+
+
 def test_sizes_override_takes_a_fractional_poisson_intensity(tmp_path,
                                                              capsys):
     out = tmp_path / "o"
@@ -398,8 +423,13 @@ def test_sizes_override_takes_a_fractional_poisson_intensity(tmp_path,
     # a range that selects nothing would print empty tables
     (["constants", "--d", "5..2", "--k", "3..1"], "--d: '5..2' selects no"),
     (["constants", "--d", ""], "--d: '' selects no values"),
+    (["weak", "--seed", "5.5"], "--seed: '5.5' is not an integer"),
+    (["weak", "--seed", "-3"], "config 'base_seed' must be >= 0, got -3"),
+    (["weak", "--reps", "two"], "--reps: 'two' is not an integer"),
+    (["cover", "--spec", "disk", "--k", "1.5"], "--k: '1.5' is not an integer"),
 ], ids=["sizes", "square_dim", "cap_angle", "constants_range",
-        "constants_reversed_range", "constants_empty_list"])
+        "constants_reversed_range", "constants_empty_list", "seed_fraction",
+        "seed_negative", "reps_word", "cover_k_fraction"])
 def test_bad_number_token_exit_1_names_it(tmp_path, capsys, argv, needle):
     path = str(tmp_path / "pts.csv")
     save_cloud_csv(uniform_sample(geo.unit_disk(), 150, 5), path)

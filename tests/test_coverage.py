@@ -71,12 +71,38 @@ def test_estimate_matches_actual_counts(all_families, monkeypatch):
     # count, about 6/pi times the cells that meet the ball
     for name, spec in all_families.items():
         n = len(build_grid(spec, geo.REGION_ALL, 0.11))
+        grids.clear_grid_cache()  # else the grid kept at 0.11 is reused
         with monkeypatch.context() as m, \
                 pytest.raises(GridError, match=r"needs ~(\d+)") as err:
             m.setattr(grids, "NODE_CAP", n - 1)
             build_grid(spec, geo.REGION_ALL, 0.11)
         est = int(re.search(r"needs ~(\d+)", str(err.value)).group(1))
         assert est == n or (name == "ball" and n < est <= 2 * n + 16), name
+
+
+def test_start_partitions_are_kept_read_only(monkeypatch):
+    grids.clear_grid_cache()
+    for spec in (geo.unit_disk(), geo.solid_ball()):
+        grid = build_grid(spec, geo.REGION_ALL, 0.3)
+        assert build_grid(spec, geo.REGION_ALL, 0.3) is grid
+        bins = grid.bins
+        for a in (grid.nodes, grid.box, grid.rad, bins.reach2, bins.first,
+                  bins.count, bins.row):
+            if a is not None:  # a write would reach every later run
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0] = 0
+    # the kept grids hold at most _KEPT_CELLS cells, least recent out first
+    disk = geo.unit_disk()
+    coarse = build_grid(disk, geo.REGION_ALL, 0.3)
+    monkeypatch.setattr(grids, "_KEPT_CELLS", len(coarse) + 10)
+    fine = build_grid(disk, geo.REGION_ALL, 0.05)  # too big to keep
+    assert build_grid(disk, geo.REGION_ALL, 0.05) is not fine
+    assert build_grid(disk, geo.REGION_ALL, 0.3) is coarse
+    other = build_grid(disk, geo.REGION_ALL, 0.29)
+    assert build_grid(disk, geo.REGION_ALL, 0.29) is other
+    assert build_grid(disk, geo.REGION_ALL, 0.3) is not coarse
+    grids.clear_grid_cache()
+    assert build_grid(disk, geo.REGION_ALL, 0.29) is not other
 
 
 # ---------------------------------------------------------------------------

@@ -145,6 +145,7 @@ def test_python_config_refuses_what_would_fail_mid_run(key, value, sampler,
     ("replications", True, lambda: _disk_cfg(replications=True)),
     ("replications", math.nan, lambda: _disk_cfg(replications=math.nan)),
     ("base_seed", 1.9, lambda: _disk_cfg(base_seed=1.9)),
+    ("base_seed", -5, lambda: _disk_cfg(base_seed=-5)),
     ("base_seed", 10 ** 400, lambda: _disk_cfg(base_seed=10 ** 400)),
     ("grid_h", "0.1", lambda: _disk_cfg(grid_h="0.1")),
     ("grid_h", math.inf, lambda: _disk_cfg(grid_h=math.inf)),
@@ -167,7 +168,7 @@ def test_python_config_refuses_what_would_fail_mid_run(key, value, sampler,
     ("region", {"kind": "interior_body", "delta": math.nan},
      lambda: geo.interior_body(math.nan)),
 ], ids=["reps_fraction", "reps_str", "reps_bool", "reps_nan", "seed_fraction",
-        "seed_beyond_float", "grid_h_str", "grid_h_inf",
+        "seed_negative", "seed_beyond_float", "grid_h_str", "grid_h_inf",
         "binomial_size_fraction", "square_d_fraction", "alpha_str",
         "alpha_inf", "k_str", "k_fraction", "beta_str", "beta_nan", "p_bool",
         "delta_str", "delta_nan"])
