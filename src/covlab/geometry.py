@@ -86,6 +86,16 @@ def check_number(value, what: str, integral: bool = False):
     return int(value)
 
 
+def check_enum(value, kind: type[Enum], what: str):
+    """``value`` as a member of the enum ``kind``.  Raises
+    :class:`ConfigError` naming ``what`` and listing the known values for
+    anything else."""
+    if value not in list(kind):  # compared, not hashed
+        known = ", ".join(member.value for member in kind)
+        raise ConfigError(f"unknown {what} {value!r}; known values: {known}")
+    return kind(value)
+
+
 class Family(str, Enum):
     UNIT_SQUARE = "unit_square"
     UNIT_DISK = "unit_disk"
@@ -167,7 +177,8 @@ class ManifoldSpec:
     alpha: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "family", Family(self.family))
+        object.__setattr__(self, "family",
+                           check_enum(self.family, Family, "family"))
         for key in ("d", "m"):
             object.__setattr__(self, key, check_number(
                 getattr(self, key), f"spec {key!r}", integral=True))
@@ -209,7 +220,7 @@ class ManifoldSpec:
     def from_json(obj: dict) -> "ManifoldSpec":
         check_keys(obj, {"family", "d", "alpha"}, "spec")
         fam = obj.get("family")
-        shape = _SHAPES[Family(fam)]
+        shape = _SHAPES[check_enum(fam, Family, "family")]
         # the square takes its d, the cap its alpha
         keys = ({"family"} | ({"d"} if shape.d is None else set())
                 | ({"alpha"} if shape.size is None else set()))
@@ -230,11 +241,8 @@ class RegionSpec:
     delta: float | None = None
 
     def __post_init__(self):
-        if self.kind not in list(RegionKind):  # compared, not hashed
-            known = ", ".join(kind.value for kind in RegionKind)
-            raise ConfigError(f"unknown region kind {self.kind!r}; known "
-                              f"kinds: {known}")
-        object.__setattr__(self, "kind", RegionKind(self.kind))
+        object.__setattr__(self, "kind",
+                           check_enum(self.kind, RegionKind, "region kind"))
         if self.kind is RegionKind.ALL:
             if self.delta is not None:
                 raise ConfigError(f"region 'delta' applies to interior_body "
@@ -311,7 +319,8 @@ class _Body:
         if self.kind == "box":
             return r ** self.d
         if self.kind == "cap":
-            return 2.0 * math.pi * (1.0 - math.cos(r))
+            # 2 pi (1 - cos r), without the cancellation of a thin cap
+            return 4.0 * math.pi * math.sin(0.5 * r) ** 2
         return math.pi * r * r if self.d == 2 else 4.0 * math.pi * r ** 3 / 3.0
 
     @property

@@ -41,7 +41,7 @@ import numpy as np
 from . import geometry as geo
 from .coverage import coverage_threshold, interior_threshold
 from .geometry import (ConfigError, ManifoldSpec, Metric, RegionKind, RegionSpec,
-                       check_keys, check_number, is_number)
+                       check_enum, check_keys, check_number, is_number)
 from .grids import build_grid
 from .limits import (LimitLaw, Regime, boundary_centering,
                      boundary_law_cdf, interior_centering, interior_law_cdf,
@@ -159,7 +159,8 @@ class ExperimentConfig:
     def __post_init__(self):
         for key, kind in (("mode", RunMode), ("metric", Metric),
                           ("sampler", Sampler)):
-            object.__setattr__(self, key, kind(getattr(self, key)))
+            object.__setattr__(self, key,
+                               check_enum(getattr(self, key), kind, key))
         if not self.sizes:
             raise ConfigError("need at least one size")
         cap = MAX_SIZE[min(self.spec.d, 3)]

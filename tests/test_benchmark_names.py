@@ -129,9 +129,16 @@ def test_no_node_is_queried_twice(monkeypatch, all_families, threshold, fam):
     """The main run reads the seed run's subtrees from its record, so no
     node of one threshold call is answered by ``KnnField.__call__`` twice.
     A node reaches it a second time only when a bounded call left it open
-    (inf), and then the second call answers it."""
-    answered, left_open = [], []
+    (inf), and then the second call answers it.
+
+    The one exception is the solid ball, whose cells are boxes of the
+    enclosing cube: a representative outside the ball is projected onto
+    its sphere, and two distinct cells whose boxes stick out of the ball
+    along one ray from the centre project to one node.  Such a node may be
+    answered once for each of those cells, and no more often."""
+    answered, left_open, made = [], [], []
     real = coverage.KnnField.__call__
+    real_refine = coverage.refine_nodes
 
     def recording(self, nodes, bound=math.inf):
         out = real(self, nodes, bound)
@@ -141,23 +148,48 @@ def test_no_node_is_queried_twice(monkeypatch, all_families, threshold, fam):
             left_open.append(nodes[out == np.inf])
         return out
 
+    def refining(centers):
+        kids = real_refine(centers=centers)
+        made.append(kids)
+        return kids
+
     monkeypatch.setattr(coverage.KnnField, "__call__", recording)
+    monkeypatch.setattr(coverage, "refine_nodes", refining)
     spec = all_families[fam]
     h = geo.intrinsic_diameter(spec) / (30.0 if spec.d == 2 else 12.0)
     grid = build_grid(spec, geo.REGION_ALL, h)
+
+    def cells_at(node):
+        """The distinct boxes of the cells whose representative is node."""
+        boxes = [cells.box.T[(cells.nodes == node).all(axis=1)]
+                 for cells in [grid, *made]]
+        return np.unique(np.concatenate(boxes), axis=0)
+
     for gate in (coverage._SKIP_MIN_CHILDREN, 0):
         monkeypatch.setattr(coverage, "_SKIP_MIN_CHILDREN", gate)
         opened = 0
         for seed in range(3):
             answered.clear()
             left_open.clear()
+            made.clear()
             cloud = uniform_sample(spec, 2000, 40 + seed)
             threshold(cloud, grid, 2, geo.Metric.GEODESIC, refine_to=h / 100)
-            rows = np.concatenate(answered)
-            assert len(np.unique(rows, axis=0)) == len(rows)
+            rows, times = np.unique(np.concatenate(answered), axis=0,
+                                    return_counts=True)
+            for node, n in zip(rows[times > 1], times[times > 1]):
+                assert fam == "ball"
+                assert np.sqrt(node @ node) == pytest.approx(1.0, abs=1e-12)
+                boxes = cells_at(node)
+                assert len(boxes) >= n
+                axis = node != 0.0
+                for lo, hi in zip(boxes[:, :3], boxes[:, 3:]):
+                    # the box meets the ray {t node : t >= 1} outside
+                    assert np.all((lo <= 0.0) & (hi >= 0.0) | axis)
+                    t = np.sort([lo[axis] / node[axis],
+                                 hi[axis] / node[axis]], axis=0)
+                    assert max(t[0].max(), 1.0) <= t[1].min() * (1 + 1e-12)
             again = np.concatenate(left_open or [rows[:0]])
-            both = np.concatenate([np.unique(rows, axis=0),
-                                   np.unique(again, axis=0)])
+            both = np.concatenate([rows, np.unique(again, axis=0)])
             assert len(np.unique(both, axis=0)) == len(rows)
             opened += len(again)
         if gate == 0:  # every batch may be bounded: some rows were left open

@@ -246,6 +246,16 @@ def test_unknown_nested_config_key_exit_1(tmp_path, capsys, key, value, bad):
     # an int beyond the float range must not escape as an OverflowError
     (lambda d: {**d, "base_seed": 10 ** 400},
      "'base_seed' must be a finite number"),
+    # a misspelt enum value names its key and the known values; the
+    # subcommand fixes the one mode a config may name
+    (lambda d: {**d, "mode": "weak"},
+     "config 'mode' is 'weak', but this subcommand runs 'weak_boundary'"),
+    (lambda d: {**d, "metric": "geodesc"},
+     "unknown metric 'geodesc'; known values: geodesic, euclidean"),
+    (lambda d: {**d, "sampler": "poison"},
+     "unknown sampler 'poison'; known values: binomial, poisson"),
+    (lambda d: {**d, "spec": {"family": "unit_sqaure"}},
+     "unknown family 'unit_sqaure'; known values: unit_square, unit_disk"),
 ], ids=["no_sizes", "k_int", "spec_str", "region_list", "top_list",
         "sizes_str", "sizes_entry_str", "body_no_delta", "ball_no_center",
         "cap_no_alpha", "grid_h_str", "reps_fraction", "reps_str",
@@ -253,7 +263,9 @@ def test_unknown_nested_config_key_exit_1(tmp_path, capsys, key, value, bad):
         "alpha_str",
         "k_str", "k_fraction", "delta_str", "beta_str", "p_bool",
         "binomial_size_fraction", "grid_h_inf", "size_inf", "reps_nan",
-        "delta_nan", "alpha_inf", "beta_nan", "seed_beyond_float"])
+        "delta_nan", "alpha_inf", "beta_nan", "seed_beyond_float",
+        "mode_misspelt", "metric_misspelt", "sampler_misspelt",
+        "family_misspelt"])
 def test_malformed_config_exit_1(tmp_path, capsys, edit, needle):
     cfg = _write_cfg(tmp_path)
     with open(cfg) as fh:

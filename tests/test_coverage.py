@@ -22,11 +22,43 @@ EUC = geo.Metric.EUCLIDEAN
 
 
 def test_square_lattice_11x11():
-    h = math.sqrt(2) / 2 * 0.1
+    h = 0.1  # spacing min(h, 2h/sqrt(2)) = h
     grid = build_grid(geo.unit_square(2), geo.REGION_ALL, h)
     assert len(grid) == 121  # 11 x 11 including the boundary
     probes = uniform_sample(geo.unit_square(2), 10_000, 1).points
     assert cKDTree(grid.nodes).query(probes)[0].max() <= h + 1e-12
+
+
+@pytest.mark.parametrize("h", [0.3, 0.15])
+@pytest.mark.parametrize("reg", ["all", "body"])
+@pytest.mark.parametrize("spec", [geo.unit_square(2), geo.unit_square(3),
+                                  geo.unit_square(4), geo.unit_square(5),
+                                  geo.unit_disk(), geo.solid_ball(),
+                                  geo.unit_sphere(), geo.spherical_cap(1.1)],
+                         ids=["square", "cube", "square4", "square5", "disk",
+                              "ball", "sphere", "cap"])
+def test_start_boxes_are_no_longer_than_h(spec, reg, h):
+    # every start box side is at most h, so every cover radius is too: a
+    # lattice's spacing is min(h, 2h/sqrt(d)), and a ring box spans at most
+    # h in the polar angle and c dphi <= h in azimuth, c the radius of its
+    # ring (sin of the polar angle on a cap)
+    region = geo.REGION_ALL if reg == "all" else geo.interior_body(0.2)
+    dom = grids._domain(spec, region)
+    box, rep, _ = grids._start(dom, h - dom.slack)
+    d = spec.d
+    side = box[d:] - box[:d]
+    if dom.rings:
+        c = np.sin(rep[0]) if spec.curved else rep[0]
+        side[1] *= c
+        assert np.all(side <= h * (1 + 1e-12))
+    else:
+        spacing = min(h, 2.0 * h / math.sqrt(d))
+        assert np.all(side <= spacing * (1 + 1e-12))
+    rho = dom.radius(box, rep) + dom.slack
+    assert np.all(rho <= h * (1 + 1e-12))
+    assert np.array_equal(build_grid(spec, region, h).rad,
+                          np.minimum(dom.cells(spec, region, box, rep).rad,
+                                     h))
 
 
 def test_disk_grid_probe_certification():

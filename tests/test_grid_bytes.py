@@ -6,7 +6,8 @@ the whole shape and on an interior body, at two resolutions.  The square,
 cube, disk, sphere and cap representatives are the lattice and ring
 nodes pinned before the grids became cell partitions; the solid ball's
 were pinned again when its cells became boxes of the enclosing cube that
-meet the ball.  The golden runs never reach the solid ball or the cube,
+meet the ball, and the lattices (square, cube, ball) when their spacing
+became min(h, 2h/sqrt(d)).  The golden runs never reach the solid ball or the cube,
 so these hashes are their only byte-level guard.
 
 The splitting test checks the contract the branch and bound rests on:
@@ -33,10 +34,12 @@ REGIONS = {"all": geo.REGION_ALL, "body": geo.interior_body(0.2)}
 HS = (0.17, 0.037)
 CASES = [(fam, reg, h) for fam in FAMILIES for reg in REGIONS for h in HS
          if not (fam == "sphere" and reg == "body")]
-# lattices whose last corner lo + n*s rounds off lo + side, so the bytes
-# show that the upper face is placed exactly
+# more lattices; on the last four the last corner lo + n*s rounds off
+# lo + side, so the bytes show that the upper face is placed exactly
 FACE_CASES = [("square", "all", 0.0145), ("square", "body", 0.023),
-              ("cube", "all", 0.018), ("cube", "body", 0.028)]
+              ("cube", "all", 0.018), ("cube", "body", 0.028),
+              ("square", "all", 0.0103), ("square", "body", 0.016),
+              ("cube", "all", 0.0205), ("cube", "body", 0.0316)]
 
 
 def _case_id(fam, reg, h):

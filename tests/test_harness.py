@@ -167,15 +167,22 @@ def test_python_config_refuses_what_would_fail_mid_run(key, value, sampler,
      lambda: geo.interior_body("0.2")),
     ("region", {"kind": "interior_body", "delta": math.nan},
      lambda: geo.interior_body(math.nan)),
+    # a misspelt enum value is refused with the key and the known values
+    ("mode", "weak", lambda: _disk_cfg(mode="weak")),
+    ("metric", "geodesc", lambda: _disk_cfg(metric="geodesc")),
+    ("sampler", "poison", lambda: _disk_cfg(sampler="poison")),
+    ("spec", {"family": "unit_sqaure"},
+     lambda: geo.ManifoldSpec("unit_sqaure", 2, 2)),
 ], ids=["reps_fraction", "reps_str", "reps_bool", "reps_nan", "seed_fraction",
         "seed_negative", "seed_beyond_float", "grid_h_str", "grid_h_inf",
         "binomial_size_fraction", "square_d_fraction", "alpha_str",
         "alpha_inf", "k_str", "k_fraction", "beta_str", "beta_nan", "p_bool",
-        "delta_str", "delta_nan"])
+        "delta_str", "delta_nan", "mode_misspelt", "metric_misspelt",
+        "sampler_misspelt", "family_misspelt"])
 def test_python_config_refused_like_the_config_file(key, value, bad):
     # the bad values of the CLI's malformed-config table that a Python
     # caller can pass too: the same rule refuses both, in the same words
-    with pytest.raises(ValueError) as from_file:
+    with pytest.raises(ConfigError) as from_file:
         ExperimentConfig.from_json({**_disk_cfg().to_json(), key: value})
     with pytest.raises(type(from_file.value)) as from_api:
         bad()
