@@ -11,10 +11,10 @@ rho holds no value above f(p) + rho, so cells whose bound stays within
 the target width of the best value found are set aside, and only the
 others are split and evaluated again.  The work goes to the few cells
 near the argmax, and the bracket [best value, largest bound set aside]
-is at most the target wide.  The best value is seeded by a first search
-over the start cells of largest value alone, so the whole start
-partition is weighed against a value close to the max, and most of its
-cells are set aside at once.
+is at most the target wide.  A first search finishes the start cells of
+largest value alone, so the rest of the start partition is weighed
+against a value close to the max, and most of its cells are set aside at
+once.
 
 The start cells are evaluated from the cloud binned into them (Bentley,
 Weide and Yao 1980), and the tree answers only the cells that a bin
@@ -45,33 +45,23 @@ at most hi, so it does not raise hi.  Such a child is skipped unqueried,
 and every bracket keeps its bits.  u carries a relative margin of 1e-12
 for the rounding by which the tree's distances and numpy's may differ.
 
-The main run does not evaluate the seed cells' subtrees again: it replays
-them from the seed run's record.  For each level the record holds the
-children that the seed run refined, with their parents' rows, their
-values (none for a child skipped unqueried) and, where the skip was
-tested, their distances u(c).  By induction on the level, in the seed
-subtrees the main run holds, and so splits, a subset of what the seed
-run held and split.  At level 0 both hold the seed cells.  If the main
-run holds a subset at a level, it splits a cell only when f(p) + rho >
-lo + target for its own lo, which is at least the seed run's final lo
-and so at least the lo the seed run split with; the values and radii are
-the seed run's, so the seed run split that cell too, and recorded its
-children.  A child that the seed run skipped has u(c) < lo and u(c) +
-rho_c <= lo + target already, so the main run skips it unless u(c) +
-rho_c > hi for its own hi; then it queries the child, which it does not
-split, since f(c) + rho_c <= u(c) + rho_c.  So no replayed cell is
-refined again, and only children that the seed run skipped and the main
-run does not are queried, in the same batch as the other children.  A
-replayed value is the same computation on the same point as before, and
-it is at most the seed run's lo (f(c) < lo for a child queried late), so
-the replay moves hi and the splits but never lo or the argmax, which
-come from the other cells in their old order: every bracket keeps its
-bits.
+The seed cells' subtrees are searched once, by the first run.  The
+second run holds the rest of the start partition, the seed cells' values
+set to -inf, and starts from the first run's lo, hi and argmax.  A cell
+that the first run set aside stays set aside, since lo only rises, and
+its bound stays in hi.  lo and the argmax have the bits that a second run
+over the whole partition, splitting the seed cells again, would give.
+That run holds, at each level of the seed subtrees, a subset of what the
+first run held, since it splits with a lo at least the first run's final
+one: so each value it meets there is one the first run met, or that of a
+child the first run skipped (below lo), and none exceeds lo.  The other
+cells are split by lo alone, in the same order, and neither the skip nor
+the bounded query below moves lo or the argmax.  Only hi can differ.
 
 A big batch asks the tree only as far as the bracket can use it (the
 bounds-overlap-ball test of Friedman, Bentley and Finkel 1977).  A child
 c whose value is at most B = lo + target - rho, for the largest cover
-radius rho among the batch's fresh children, is set aside as soon as it
+radius rho among the batch's children, is set aside as soon as it
 is evaluated, since f(c) + rho_c <= lo + target and lo only rises.  So a
 batch of ``_SKIP_MIN_CHILDREN`` nodes or more, when B > 0, is queried
 first with B as the tree's search radius (the chord 2 sin(B/2), B capped
@@ -92,14 +82,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from .geometry import (ManifoldSpec, Metric, as_points, check_number,
                        chord_to_geodesic, dist_to_boundary_many)
-from .grids import MIN_RESOLUTION, EvalGrid, refine_nodes
+from .grids import MIN_RESOLUTION, NODE_CAP, EvalGrid, refine_nodes
 from .sampling import PointCloud
 
 
@@ -113,11 +102,6 @@ _SKIP_MIN_CHILDREN = 256
 # relative margin on a child's distance to its parent's nearest samples,
 # for the rounding by which cKDTree's distances and numpy's may differ
 _REACH_MARGIN = 1e-12
-
-# nothing to split, evaluate or query
-_NO_ROWS = np.empty(0, dtype=np.intp)
-_NO_VALS = np.empty(0)
-_NO_NODES = np.empty((0, 0))
 
 
 class CoverageError(ValueError):
@@ -311,17 +295,6 @@ def _bucket_sorted(points: np.ndarray) -> np.ndarray:
     return points.take(np.argsort(key, kind="stable"), axis=0)
 
 
-class _Level(NamedTuple):
-    """One level of the seed run: the children that ``refine_nodes`` gave
-    it, before any was skipped (the seed cells themselves at level 0)."""
-
-    parent: np.ndarray | None  # (N,) each child's parent's row one level up
-    nodes: np.ndarray          # (N, m) representatives
-    rad: np.ndarray            # (N,) cover radii
-    vals: np.ndarray           # (N,) field values, -inf if skipped unqueried
-    reach: np.ndarray | None   # (N,) u where the skip was tested, else None
-
-
 def _certified_max(knn: KnnField, grid: EvalGrid, refine_to: float | None,
                    deep: bool = False) -> ThresholdEstimate:
     """Certified bracket for the max over B of the k-NN field ``knn``, or
@@ -329,15 +302,14 @@ def _certified_max(knn: KnnField, grid: EvalGrid, refine_to: float | None,
 
     The target width is ``refine_to`` or, without it, ``grid.h`` (then no
     cell is split).  The field is evaluated once on the cells of ``grid``;
-    the branch and bound then runs twice.  The first run explores only the
-    ``_SEED_CELLS`` cells of largest value, and keeps its best value and
-    argmax: a field value at a point of B, so a lower bound that sits near
-    the final max before the whole partition is seen.  The second run
-    starts from that value on the whole partition, reusing its values, so
-    it sets aside most start cells at once, and it replays the seed cells'
-    subtrees from the first run's record (see the module docstring).  Its
-    bracket [best, max bound over the cells set aside] has width <= the
-    target.
+    the branch and bound then runs twice.  The first run finishes the
+    ``_SEED_CELLS`` cells of largest value alone: its best value, a field
+    value at a point of B, is a lower bound that sits near the final max
+    before the whole partition is seen.  The second run starts from that
+    value, the first run's hi and argmax, on the rest of the partition,
+    reusing its values, so it sets aside most start cells at once (see the
+    module docstring).  Its bracket [best, max bound over the cells set
+    aside] has width <= the target.
     """
     if refine_to is not None and not math.isfinite(refine_to):
         raise CoverageError(f"target width {refine_to} is not a finite "
@@ -348,12 +320,11 @@ def _certified_max(knn: KnnField, grid: EvalGrid, refine_to: float | None,
                             "resolution")
     vals, near = _evaluate(knn, grid.nodes, deep, knn.at_cells(grid))
     seed = _top_cells(vals, _SEED_CELLS)
-    record: list[_Level] = []
-    lo, _, arg = _branch_and_bound(knn, deep, target, grid.take(seed),
-                                   vals[seed], near[seed], record=record)
-    vals[seed] = -np.inf  # the replay holds them
+    lo, hi, arg = _branch_and_bound(knn, deep, target, grid.take(seed),
+                                    vals[seed], near[seed])
+    vals[seed] = -np.inf  # finished: their bounds are in hi
     lo, hi, arg = _branch_and_bound(knn, deep, target, grid, vals, near, lo,
-                                    arg, replay=_Replay(record))
+                                    hi, arg)
     return ThresholdEstimate(lo=lo, hi=max(hi, lo), h=target, k=knn.k,
                              metric=knn.metric,
                              argmax=tuple(float(v) for v in arg))
@@ -389,69 +360,17 @@ def _top_cells(vals: np.ndarray, count: int) -> np.ndarray:
     return np.sort(np.concatenate([above, tied]))
 
 
-def _set_aside(vals, rad, cut: float, hi: float):
-    """(hi raised by the bounds of the cells set aside, rows of the cells
-    to split: those whose bound f(p) + rho exceeds ``cut``)."""
-    bound = vals + rad
-    split = bound > cut
-    hi = float(np.maximum.reduce(bound, initial=hi, where=~split))
-    return hi, split.nonzero()[0]
-
-
-def _skipped(u, rad, lo: float, hi: float, target: float) -> np.ndarray:
-    """Mask of the children that their distance ``u`` to their parent's k
-    nearest samples proves set aside: u < lo and u + rho <= min(lo +
-    target, hi)."""
-    skip = u < lo
-    skip &= u + rad <= min(lo + target, hi)
-    return skip
-
-
-class _Replay:
-    """The main run's cells in the seed subtrees, read from the seed run's
-    record: their ``rows`` in ``record[depth]``, values and radii, and
-    ``ask``, the positions of the last children sent to be queried.
-
-    A child that the seed run skipped unqueried has the value -inf, so it
-    is neither split nor set aside, until the main run queries it.
-    """
-
-    def __init__(self, record: list[_Level]):
-        self.record, self.depth = record, 0
-        self.rows = np.arange(record[0].vals.size)
-        self.vals, self.rad = record[0].vals, record[0].rad
-
-    def descend(self, split: np.ndarray, lo: float, hi: float,
-                target: float) -> np.ndarray:
-        """Move to the children of the cells ``split`` (positions in
-        ``rows``), and return the nodes to query: those of the children
-        the seed run skipped that the main run does not skip."""
-        live = np.zeros(self.record[self.depth].vals.size, dtype=bool)
-        live[self.rows[split]] = True
-        self.depth += 1
-        level = self.record[self.depth]
-        self.rows = live[level.parent].nonzero()[0]
-        self.vals, self.rad = level.vals[self.rows], level.rad[self.rows]
-        self.ask = self.rows[:0]
-        if level.reach is not None:
-            unknown = (self.vals == -np.inf).nonzero()[0]
-            self.ask = unknown[~_skipped(level.reach[self.rows[unknown]],
-                                         self.rad[unknown], lo, hi, target)]
-        return level.nodes[self.rows[self.ask]]
-
-
 def _branch_and_bound(knn: KnnField, deep: bool, target: float,
                       cells: EvalGrid, vals: np.ndarray, near: np.ndarray,
-                      lo: float = -np.inf, arg=None,
-                      record: list[_Level] | None = None,
-                      replay: _Replay | None = None):
+                      lo: float = -np.inf, hi: float = -np.inf, arg=None):
     """(lo, hi, argmax) of the branch and bound over ``cells``.
 
     ``vals`` are the field values at the cells' representatives, ``near``
-    the rows of their k nearest samples, and ``lo`` (attained at ``arg``)
-    is a field value already found in B.  Each level splits only the cells
-    whose bound f(p) + rho exceeds the best value so far plus ``target``,
-    and evaluates their children in one batch; hi is the largest bound set
+    the rows of their k nearest samples, ``lo`` (attained at ``arg``) is a
+    field value already found in B, and ``hi`` the largest bound of the
+    cells already set aside.  Each level splits only the cells whose bound
+    f(p) + rho exceeds the best value so far plus ``target``, and
+    evaluates their children in one batch; hi is the largest bound set
     aside.  A batch of ``_SKIP_MIN_CHILDREN`` children or more first drops
     each child c whose distance u(c) to its parent's k nearest samples
     proves it set aside: u(c) < lo and u(c) + rho_c <= min(lo + target,
@@ -459,68 +378,40 @@ def _branch_and_bound(knn: KnnField, deep: bool, target: float,
     argmax nor hi, and would not be split (see the module docstring).  A
     batch of that many nodes or more is queried within lo + target - rho
     first, and again without a bound where that leaves a value open.
-
-    The seed run appends each level to ``record``.  The main run's
-    ``replay`` holds the seed cells, whose values are at most ``lo``:
-    their children are read from the record, not refined, and those it
-    lacks are tested for skipping by their recorded u(c), at any batch
-    size; the rest of those are queried with the other children, in one
-    batch.
+    Raises :class:`CoverageError` when a level would make more than
+    ``NODE_CAP`` children.
     """
-    hi = -np.inf
-    if record is not None:
-        record.append(_Level(None, cells.nodes, cells.rad, vals, None))
-        rows = np.arange(vals.size)  # the cells' rows in record[-1]
     while True:
-        split = _NO_ROWS
-        if vals.size:
-            best = vals.argmax()
-            if vals[best] > lo:
-                lo, arg = float(vals[best]), cells.nodes[best]
-            hi, split = _set_aside(vals, cells.rad, lo + target, hi)
-        if replay is not None:
-            hi, held = _set_aside(replay.vals, replay.rad, lo + target, hi)
-            if not held.size:
-                replay = None  # the rest of the replay is set aside
-        if not split.size and replay is None:
+        best = vals.argmax()
+        if vals[best] > lo:
+            lo, arg = float(vals[best]), cells.nodes[best]
+        bound = vals + cells.rad
+        split = bound > lo + target
+        hi = float(np.maximum.reduce(bound, initial=hi, where=~split))
+        split = split.nonzero()[0]
+        if not split.size:
             break
-        # one batch: the fresh children that are not skipped, then the
-        # replayed children that must be queried
-        nodes = _NO_NODES if replay is None else replay.descend(held, lo, hi,
-                                                                target)
-        fresh = 0
-        if split.size:
-            cells = kids = refine_nodes(centers=cells.take(split))
-            up = split[kids.parent]  # each child's parent's row
-            u = None
-            batch = kids.rad.size + (0 if replay is None else replay.rows.size)
-            if batch >= _SKIP_MIN_CHILDREN:
-                u = knn.reach(kids.nodes, near.take(up, axis=0))
-                keep = (~_skipped(u, kids.rad, lo, hi, target)).nonzero()[0]
-                cells = kids.take(keep)
-            fresh = cells.rad.size
-            nodes = (np.concatenate((cells.nodes, nodes)) if nodes.size
-                     else cells.nodes)
-        vals, near = _NO_VALS, near[:0]
-        if nodes.size:
-            # a child whose value is at most lo + target - rho is set
-            # aside: a big batch asks the tree only that far first (see the
-            # module docstring)
-            bound = math.inf
-            if fresh and len(nodes) >= _SKIP_MIN_CHILDREN:
-                bound = lo + target - float(cells.rad.max())
-            vals, near = _evaluate(knn, nodes, deep,
-                                   bound=bound if bound > 0.0 else math.inf)
-            if replay is not None:
-                replay.vals[replay.ask] = vals[fresh:]
-            vals, near = vals[:fresh], near[:fresh]
-        if record is not None:  # the seed run: every level splits
-            seen = vals
-            if u is not None:
-                seen = np.full(kids.rad.size, -np.inf)
-                seen[keep] = vals
-            record.append(_Level(rows[up], kids.nodes, kids.rad, seen, u))
-            rows = np.arange(fresh) if u is None else keep
+        count = split.size * 2 ** cells.domain.body.d
+        if count > NODE_CAP:
+            raise CoverageError(
+                f"a target width of {target} needs a level of {count} "
+                f"cells, above the cap of {NODE_CAP}; widen the target")
+        cells = refine_nodes(centers=cells.take(split))
+        if len(cells) >= _SKIP_MIN_CHILDREN:
+            u = knn.reach(cells.nodes, near.take(split[cells.parent], axis=0))
+            skip = u < lo
+            skip &= u + cells.rad <= min(lo + target, hi)
+            cells = cells.take(~skip)
+        if not len(cells):  # every child skipped
+            break
+        # a child whose value is at most lo + target - rho is set aside: a
+        # big batch asks the tree only that far first (see the module
+        # docstring)
+        within = math.inf
+        if len(cells) >= _SKIP_MIN_CHILDREN:
+            within = lo + target - float(cells.rad.max())
+        vals, near = _evaluate(knn, cells.nodes, deep,
+                               bound=within if within > 0.0 else math.inf)
     return lo, hi, arg
 
 

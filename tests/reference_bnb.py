@@ -1,12 +1,15 @@
-"""The branch and bound as it was before the main run replayed the seed
-run's subtrees: a test-only copy, kept verbatim, of ``_certified_max``,
+"""The branch and bound whose second run splits the seed cells again: a
+test-only copy, kept verbatim, of an earlier ``_certified_max``,
 ``_evaluate`` and ``_branch_and_bound``.
 
-Its main run splits the seed cells again, refines their children and
-queries them afresh.  ``tests/test_certification_stress.py`` compares its
-(lo, hi, argmax) bits with covlab's, which reads those subtrees from the
-seed run's record.  ``_SKIP_MIN_CHILDREN`` is this module's own, so a test
-patches it here and in ``covlab.coverage`` alike.
+Its second run holds the whole start partition, refines the seed cells'
+children and queries them afresh; covlab's second run holds only the
+other start cells, and keeps the bounds that its first run set aside.
+``tests/test_certification_stress.py`` and ``tests/test_bins.py`` check
+that both give the same lo and argmax bits and brackets that meet.  Its
+start values all come from the tree, and no search of its is bounded.
+``_SKIP_MIN_CHILDREN`` is this module's own, so a test patches it here and
+in ``covlab.coverage`` alike.
 """
 
 import math

@@ -126,17 +126,19 @@ def test_query_hook_counts_the_nodes_the_tree_answers(monkeypatch, threshold,
 @pytest.mark.parametrize("fam", ["square", "cube", "disk", "ball", "sphere",
                                  "cap"])
 def test_no_node_is_queried_twice(monkeypatch, all_families, threshold, fam):
-    """The main run reads the seed run's subtrees from its record, so no
-    node of one threshold call is answered by ``KnnField.__call__`` twice.
-    A node reaches it a second time only when a bounded call left it open
-    (inf), and then the second call answers it.
+    """The seed cells' subtrees are searched by the first run alone, and
+    the second run holds only the other start cells, so no box of one
+    threshold call is split by ``refine_nodes`` twice, and no node is
+    answered by ``KnnField.__call__`` twice.  A node reaches that call a
+    second time only when a bounded call left it open (inf), and then the
+    second call answers it.
 
     The one exception is the solid ball, whose cells are boxes of the
     enclosing cube: a representative outside the ball is projected onto
     its sphere, and two distinct cells whose boxes stick out of the ball
     along one ray from the centre project to one node.  Such a node may be
     answered once for each of those cells, and no more often."""
-    answered, left_open, made = [], [], []
+    answered, left_open, made, split = [], [], [], []
     real = coverage.KnnField.__call__
     real_refine = coverage.refine_nodes
 
@@ -149,6 +151,7 @@ def test_no_node_is_queried_twice(monkeypatch, all_families, threshold, fam):
         return out
 
     def refining(centers):
+        split.append(centers.box.T)
         kids = real_refine(centers=centers)
         made.append(kids)
         return kids
@@ -172,8 +175,11 @@ def test_no_node_is_queried_twice(monkeypatch, all_families, threshold, fam):
             answered.clear()
             left_open.clear()
             made.clear()
+            split.clear()
             cloud = uniform_sample(spec, 2000, 40 + seed)
             threshold(cloud, grid, 2, geo.Metric.GEODESIC, refine_to=h / 100)
+            halved = np.concatenate(split)
+            assert len(np.unique(halved, axis=0)) == len(halved)
             rows, times = np.unique(np.concatenate(answered), axis=0,
                                     return_counts=True)
             for node, n in zip(rows[times > 1], times[times > 1]):
@@ -194,40 +200,3 @@ def test_no_node_is_queried_twice(monkeypatch, all_families, threshold, fam):
             opened += len(again)
         if gate == 0:  # every batch may be bounded: some rows were left open
             assert opened > 0
-
-
-@pytest.mark.parametrize("spec,k,threshold", [
-    (geo.unit_disk(), 1, coverage.coverage_threshold),
-    (geo.spherical_cap(1.0), 2, coverage.interior_threshold)],
-    ids=["disk", "cap"])
-def test_replayed_levels_make_no_hooked_call(monkeypatch, spec, k, threshold):
-    """A main-run level that lies wholly in the seed subtrees calls none of
-    ``refine_nodes``, ``KnnField.__call__`` and ``dist_to_boundary_many``.
-    Each replayed level begins with ``_Replay.descend``; the log counts
-    the levels whose descend no hooked call follows.  On the benchmark's
-    disk and cap loads, most clouds have such levels: those whose argmax
-    lies in a seed subtree."""
-    log = []
-
-    def logging(name, real):
-        def call(*args, **kwargs):
-            log.append(name)
-            return real(*args, **kwargs)
-        return call
-
-    for owner, name in ((coverage, "refine_nodes"),
-                        (coverage.KnnField, "__call__"),
-                        (coverage, "dist_to_boundary_many"),
-                        (coverage._Replay, "descend")):
-        monkeypatch.setattr(owner, name, logging(name, getattr(owner, name)))
-    h = 3.0 / math.sqrt(10_000)  # about the threshold at n = 1e4
-    grid = build_grid(spec, geo.REGION_ALL, h)
-    with_free = 0
-    for seed in range(10):
-        log.clear()
-        cloud = uniform_sample(spec, 10_000, 60 + seed)
-        threshold(cloud, grid, k, geo.Metric.GEODESIC, refine_to=h / 500)
-        free = sum(name == "descend" and nxt in ("descend", None)
-                   for name, nxt in zip(log, log[1:] + [None]))
-        with_free += free > 0
-    assert with_free >= 5

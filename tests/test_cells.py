@@ -11,7 +11,8 @@ The branch and bound is audited against 60k random probes of B and an
 unrefined start partition at another resolution, on clouds with repeated
 points, with k equal to the cloud size, and with every point on the
 boundary of the shape, on the whole shape and on interior bodies, and at
-target widths down to just above the supported resolution.
+target widths down to just above the supported resolution.  A level that
+would make more cells than a start partition may have is refused.
 """
 
 import math
@@ -21,8 +22,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from covlab import coverage
 from covlab import geometry as geo
-from covlab.coverage import KnnField, coverage_threshold, interior_threshold
+from covlab.coverage import (CoverageError, KnnField, coverage_threshold,
+                             interior_threshold)
 from covlab.grids import MIN_RESOLUTION, build_grid, refine_nodes
 from covlab.sampling import uniform_sample
 from conftest import make_cloud
@@ -182,6 +185,23 @@ def test_bracket_meets_probes_and_full_partition(fam, alpha, body, floor,
         assert float(field(probes).max()) <= est.hi + 1e-12
         top = float(field(oracle.nodes).max())
         assert max(est.lo, top) <= min(est.hi, top + oracle.h) + 1e-12
+
+
+def test_runaway_level_is_refused(monkeypatch):
+    # the chord field of a k = n cloud on the sphere is flat at each
+    # sample's antipode, so a target near the supported resolution needs a
+    # level of O(1/target) cells.  At the real cap the refusal comes after
+    # levels of 1.07M and 2.16M cells, where the next needs 4.29M
+    monkeypatch.setattr(coverage, "NODE_CAP", 100_000)
+    spec = geo.unit_sphere()
+    pts = _cloud_points(spec, "k_is_n", 48, np.random.default_rng(34269))
+    cloud = make_cloud(spec, pts)
+    target = 1.8048473014317254 * MIN_RESOLUTION
+    grid = build_grid(spec, geo.REGION_ALL, math.pi / 8.0)
+    for threshold in (coverage_threshold, interior_threshold):
+        with pytest.raises(CoverageError, match=f"width of {target} needs "
+                           r"a level of \d+ cells, above the cap of 100000"):
+            threshold(cloud, grid, 48, EUC, refine_to=target)
 
 
 @pytest.mark.parametrize("fam", ["disk", "sphere", "cap"])
