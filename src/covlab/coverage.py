@@ -16,21 +16,39 @@ largest value alone, so the rest of the start partition is weighed
 against a value close to the max, and most of its cells are set aside at
 once.
 
-The start cells are evaluated from the cloud binned into them (Bentley,
-Weide and Yao 1980), and the tree answers only the cells that a bin
-cannot certify.  The grid's bins put every sample in at most one cell,
-and every sample that they do not put in cell c lies at least c's
-certified radius R from c's representative p (see grids).  So every
-sample within R of p is in c's bin, and when the k-th smallest chord c_k
-from p to the samples in the bin is below R, the k nearest samples of p
-all lie in the bin and c_k is the k-th neighbour chord.  It is computed
-as cKDTree computes it, ``sqrt(dx*dx + dy*dy (+ dz*dz))`` summed in that
-order, so it has the tree's bits, and it goes through the same
-``chord_to_geodesic``.
-The rows of the k nearest samples can differ from the tree's only among
-samples at equal distance; they feed only the bound u(c) of the skip
-below, which holds for any k distinct samples, so every bracket, argmax
-included, keeps its bits.
+Every batch of cells, the start partition and each level alike, is
+evaluated in two passes.  The first pass answers the cells it can answer
+cheaply and leaves the others inf; the second asks the tree, without a
+bound, for every row the first left inf.  Every finite first answer is
+the tree's own value, bit for bit, so every value is exact and lo, hi
+and the argmax keep their bits: the first pass decides only which rows
+the tree is asked for.  The rows of the k nearest samples can differ
+from the tree's only among samples at equal distance; they feed only the
+bound u(c) of the skip below, which holds for any k distinct samples.
+
+The first pass over a start partition reads the cloud binned into its
+cells (Bentley, Weide and Yao 1980).  The grid's bins put every sample
+in at most one cell, and every sample that they do not put in cell c
+lies at least c's certified radius R from c's representative p (see
+grids).  So every sample within R of p is in c's bin, and when the k-th
+smallest chord c_k from p to the samples in the bin is below R, the k
+nearest samples of p all lie in the bin and c_k is the k-th neighbour
+chord.  It is computed as cKDTree computes it, ``sqrt(dx*dx + dy*dy (+
+dz*dz))`` summed in that order, so it has the tree's bits.
+
+The first pass over any other batch asks the tree only as far as the
+bracket can use it (the bounds-overlap-ball test of Friedman, Bentley and
+Finkel 1977).  A child c whose value is at most B = lo + target - rho,
+for the largest cover radius rho among the batch's children, is set
+aside as soon as it is evaluated, since f(c) + rho_c <= lo + target and
+lo only rises.  So a batch of ``_SKIP_MIN_CHILDREN`` nodes or more, when
+B > 0, is searched with B as the tree's search radius (the chord 2
+sin(B/2), B capped at pi, on a geodesic field): the search stops early
+where the k-th neighbour lies beyond the radius, and that node comes
+back inf.  A finite bounded answer is the k-th neighbour chord, computed
+as the unbounded search computes it (the same squares summed in the same
+order).  A smaller batch is searched without a bound and leaves no row
+open.  Both passes turn chords into field values the same way.
 
 Most children of a split cell are set aside as soon as they are
 evaluated, and their parent's k nearest samples already prove it before
@@ -56,26 +74,7 @@ first run held, since it splits with a lo at least the first run's final
 one: so each value it meets there is one the first run met, or that of a
 child the first run skipped (below lo), and none exceeds lo.  The other
 cells are split by lo alone, in the same order, and neither the skip nor
-the bounded query below moves lo or the argmax.  Only hi can differ.
-
-A big batch asks the tree only as far as the bracket can use it (the
-bounds-overlap-ball test of Friedman, Bentley and Finkel 1977).  A child
-c whose value is at most B = lo + target - rho, for the largest cover
-radius rho among the batch's children, is set aside as soon as it
-is evaluated, since f(c) + rho_c <= lo + target and lo only rises.  So a
-batch of ``_SKIP_MIN_CHILDREN`` nodes or more, when B > 0, is queried
-first with B as the tree's search radius (the chord 2 sin(B/2), B capped
-at pi, on a geodesic field): the search stops early where the k-th
-neighbour lies beyond the radius, and that node comes back inf.  The
-nodes that came back inf are queried again without a radius, and their
-values and rows are written back.  A finite bounded answer is the k-th
-neighbour chord, computed as the unbounded search computes it (the same
-squares summed in the same order), and every inf node is asked again, so
-every value keeps its bits, and so do lo, hi and the argmax; B decides
-only which nodes are asked twice.  The rows of the k nearest samples
-can differ only among samples at equal distance, and they feed only the
-bound u(c) of the skip, which holds for any k distinct samples.  The
-start cells are queried without a radius.
+the bounded query above moves lo or the argmax.  Only hi can differ.
 """
 
 from __future__ import annotations
@@ -86,8 +85,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geometry import (ManifoldSpec, Metric, as_points, check_number,
-                       chord_to_geodesic, dist_to_boundary_many)
+from .geometry import (ManifoldSpec, Metric, as_points, check_enum,
+                       check_number, chord_to_geodesic,
+                       dist_to_boundary_many, is_number)
 from .grids import MIN_RESOLUTION, NODE_CAP, EvalGrid, refine_nodes
 from .sampling import PointCloud
 
@@ -147,6 +147,7 @@ class KnnField:
                  metric: Metric):
         points = as_points(points)
         k = check_number(k, "k", integral=True)
+        metric = check_enum(metric, Metric, "metric")
         if k < 1:
             raise CoverageError(f"k must be >= 1, got {k}")
         if len(points) < k:
@@ -199,21 +200,14 @@ class KnnField:
             self.nearest = near[:, None]
         else:
             self.nearest, chord = near, chord[:, -1]
+        return self._field(chord)
+
+    def _field(self, chord: np.ndarray) -> np.ndarray:
+        """The field at the k-th neighbour ``chord``, inf kept as inf."""
         if not self._geodesic:
             return chord
         vals = chord_to_geodesic(chord)
-        if bound < math.inf:
-            vals[chord == np.inf] = np.inf
-        return vals
-
-    def _ask_again(self, nodes: np.ndarray, vals: np.ndarray,
-                   near: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """``vals`` and ``near`` (then ``nearest``) at ``nodes``, with the
-        ``rows`` that they leave open answered by an unbounded query."""
-        if rows.size:
-            vals[rows] = self(nodes.take(rows, axis=0))
-            near[rows] = self.nearest
-        self.nearest = near
+        vals[chord == np.inf] = np.inf
         return vals
 
     def reach(self, nodes: np.ndarray, near: np.ndarray) -> np.ndarray:
@@ -231,21 +225,11 @@ class KnnField:
         far *= 1.0 + _REACH_MARGIN
         return chord_to_geodesic(far) if self._geodesic else far
 
-    def at_cells(self, grid: EvalGrid) -> np.ndarray:
-        """The field at the representatives of ``grid``'s cells, with
-        ``nearest`` for all of them: from the samples in each cell's bin
-        where the grid's bins certify it, and from the tree elsewhere (see
-        the module docstring)."""
-        chord, near = self._binned(grid)
-        vals = chord_to_geodesic(chord) if self._geodesic else chord
-        return self._ask_again(grid.nodes, vals, near,
-                               (chord == np.inf).nonzero()[0])
-
     def _binned(self, grid: EvalGrid):
-        """(k-th smallest chord from each cell's representative to the
-        samples in its bin, where it is below the cell's certified radius,
-        else inf; (N, k) rows of those k samples), in one pass over the
-        tree's own points."""
+        """(the field at each cell's representative from the samples in
+        its bin, where the bin certifies it, else inf; (N, k) rows of those
+        k samples), in one pass over the tree's own points (see the module
+        docstring)."""
         size, k, bins = len(grid), self.k, grid.bins
         near = np.zeros((size, k), np.intp)
         if bins is None:
@@ -268,7 +252,7 @@ class KnnField:
             if j < k - 1:
                 sq[pick.take(cell.take(hit))] = np.inf
         chord = np.where(kth[:size] < bins.reach2[:size], kth[:size], np.inf)
-        return np.sqrt(chord, out=chord), near
+        return self._field(np.sqrt(chord, out=chord)), near
 
 
 def _bucket_sorted(points: np.ndarray) -> np.ndarray:
@@ -311,14 +295,14 @@ def _certified_max(knn: KnnField, grid: EvalGrid, refine_to: float | None,
     module docstring).  Its bracket [best, max bound over the cells set
     aside] has width <= the target.
     """
-    if refine_to is not None and not math.isfinite(refine_to):
+    if refine_to is not None and not is_number(refine_to):
         raise CoverageError(f"target width {refine_to} is not a finite "
                             "number")
     target = grid.h if refine_to is None else min(refine_to, grid.h)
     if target <= MIN_RESOLUTION:
         raise CoverageError(f"target width {target} is below the supported "
                             "resolution")
-    vals, near = _evaluate(knn, grid.nodes, deep, knn.at_cells(grid))
+    vals, near = _evaluate(knn, grid, deep)
     seed = _top_cells(vals, _SEED_CELLS)
     lo, hi, arg = _branch_and_bound(knn, deep, target, grid.take(seed),
                                     vals[seed], near[seed])
@@ -330,20 +314,25 @@ def _certified_max(knn: KnnField, grid: EvalGrid, refine_to: float | None,
                              argmax=tuple(float(v) for v in arg))
 
 
-def _evaluate(knn: KnnField, nodes: np.ndarray, deep: bool,
-              vals: np.ndarray | None = None, bound: float = math.inf):
-    """(field values, rows of the k nearest samples) at ``nodes``, where
-    ``vals``, when given, is the k-NN field there.  Otherwise the tree is
-    asked first within ``bound``, then without it where that left a value
-    open, so every value is exact."""
-    if vals is None:
-        vals = knn(nodes, bound)
-        if bound < math.inf:
-            vals = knn._ask_again(nodes, vals, knn.nearest,
-                                  (vals == np.inf).nonzero()[0])
+def _evaluate(knn: KnnField, cells: EvalGrid, deep: bool,
+              bound: float = math.inf):
+    """(field values, rows of the k nearest samples) at the
+    representatives of ``cells``.  A start partition is answered first by
+    its bins, any other batch by the tree within ``bound``; the tree then
+    answers, without a bound, every row left inf, so every value is exact
+    (see the module docstring)."""
+    nodes = cells.nodes
+    if cells.bins is not None:
+        vals, near = knn._binned(cells)
+    else:
+        vals, near = knn(nodes, bound), knn.nearest
+    rows = (vals == np.inf).nonzero()[0]
+    if rows.size:
+        vals[rows] = knn(nodes.take(rows, axis=0))
+        near[rows] = knn.nearest
     if deep:
         np.minimum(vals, dist_to_boundary_many(knn.spec, nodes), out=vals)
-    return vals, knn.nearest
+    return vals, near
 
 
 def _top_cells(vals: np.ndarray, count: int) -> np.ndarray:
@@ -410,8 +399,8 @@ def _branch_and_bound(knn: KnnField, deep: bool, target: float,
         within = math.inf
         if len(cells) >= _SKIP_MIN_CHILDREN:
             within = lo + target - float(cells.rad.max())
-        vals, near = _evaluate(knn, cells.nodes, deep,
-                               bound=within if within > 0.0 else math.inf)
+        vals, near = _evaluate(knn, cells, deep,
+                               within if within > 0.0 else math.inf)
     return lo, hi, arg
 
 

@@ -412,12 +412,16 @@ def contains_many(spec: ManifoldSpec, pts: np.ndarray) -> np.ndarray:
 def dist_many(spec: ManifoldSpec, x: np.ndarray, pts: np.ndarray,
               metric: Metric = Metric.GEODESIC) -> np.ndarray:
     """Distances from x to each row of pts: great-circle arcs for the
-    geodesic metric on curved families, straight-line norms otherwise."""
+    geodesic metric on curved families, straight-line norms otherwise.
+    The arc is the angle atan2(|x cross p|, x . p), which keeps its
+    relative precision at every angle (arccos of the dot product loses
+    all of it below about 1e-8).  It shares nothing with
+    :func:`chord_to_geodesic`, which the k-NN field uses, so the test
+    oracles built on it stay independent of that field."""
     x = np.asarray(x, dtype=float)
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     if metric is Metric.GEODESIC and spec.curved:
-        c = np.clip(pts @ x, -1.0, 1.0)
-        return np.arccos(c)
+        return np.arctan2(np.linalg.norm(np.cross(pts, x), axis=1), pts @ x)
     return np.linalg.norm(pts - x[None, :], axis=1)
 
 

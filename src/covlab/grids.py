@@ -87,7 +87,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (_INSET, ManifoldSpec, RegionKind, RegionSpec, _Body,
-                       _body, chord_to_geodesic)
+                       _body, chord_to_geodesic, is_number)
 
 # most cells a start partition may have; guards --h and grid_h input
 NODE_CAP = 4_000_000
@@ -127,7 +127,6 @@ class EvalGrid:
     """
 
     spec: ManifoldSpec
-    region: RegionSpec
     domain: _Domain
     nodes: np.ndarray     # (N, m) representative points in B
     h: float
@@ -154,7 +153,7 @@ class EvalGrid:
         stays a bound on their radii."""
         if rows.dtype == bool:
             rows = rows.nonzero()[0]
-        return EvalGrid(self.spec, self.region, self.domain,
+        return EvalGrid(self.spec, self.domain,
                         self.nodes.take(rows, axis=0), self.h,
                         self.box.take(rows, axis=1), self.rad.take(rows),
                         None if self.parent is None
@@ -301,8 +300,8 @@ class _Domain:
         chord = np.sqrt(np.maximum(chord2[0], chord2[1]))
         return chord_to_geodesic(chord) if sphere else chord
 
-    def cells(self, spec: ManifoldSpec, region: RegionSpec, box: np.ndarray,
-              rep: np.ndarray, h: float | None = None,
+    def cells(self, spec: ManifoldSpec, box: np.ndarray, rep: np.ndarray,
+              h: float | None = None,
               parent: np.ndarray | None = None) -> EvalGrid:
         """Cells of the given (2d, N) boxes and (d, N) parameter
         representatives, each with the ``parent`` row given for it."""
@@ -325,7 +324,7 @@ class _Domain:
             x[out] *= (size / nrm[out])[:, None]
         if h is None:
             h = float(np.maximum.reduce(rad, initial=0.0))
-        return EvalGrid(spec, region, self, x, h, box, rad, parent)
+        return EvalGrid(spec, self, x, h, box, rad, parent)
 
 
 @functools.lru_cache(maxsize=64)
@@ -414,7 +413,7 @@ def build_grid(spec: ManifoldSpec, region: RegionSpec, h: float) -> EvalGrid:
     (spec, region, h), so a process that runs again builds none; their
     arrays are read-only, so no caller can change them for the next.
     """
-    if not (math.isfinite(h) and h > 0.0):
+    if not (is_number(h) and h > 0.0):
         raise GridError(f"covering radius h must be a finite number > 0, "
                         f"got {h}")
     if h <= MIN_RESOLUTION:
@@ -439,7 +438,7 @@ def _start_partition(spec: ManifoldSpec, region: RegionSpec,
     """:func:`build_grid`'s partition, its arrays made read-only."""
     dom = _domain(spec, region)
     box, rep, bins = _start(dom, h - dom.slack)
-    grid = dom.cells(spec, region, box, rep, h=float(h))
+    grid = dom.cells(spec, box, rep, h=float(h))
     # every rho <= h: sqrt(d) s / 2 on a lattice, at most about 0.74 h on
     # the rings; where it is h itself (lattices of d >= 4), the corner
     # formula can round a few ulps above it
@@ -480,6 +479,5 @@ def refine_nodes(centers: EvalGrid) -> EvalGrid:
         lower[:, :, 1] = upper[:, :, 0] = mid[i, :, None, None]
         upper[:, :, 1] = hi[i, :, None, None]
     box = box.reshape(2 * d, -1)
-    return dom.cells(centers.spec, centers.region, box,
-                     0.5 * (box[:d] + box[d:]),
+    return dom.cells(centers.spec, box, 0.5 * (box[:d] + box[d:]),
                      parent=np.arange(n).repeat(2 ** d))

@@ -1,6 +1,6 @@
 """The start partition's bins, against the k-d tree.
 
-``KnnField.at_cells`` takes the field at a start cell from the samples
+``coverage._evaluate`` takes the field at a start cell from the samples
 that ``Bins.locate`` puts in the cell's bin, when the k-th smallest chord
 among them is below the cell's certified radius R, and asks the tree for
 the other cells.  These tests pin what that rests on: cKDTree's distances
@@ -143,7 +143,7 @@ def test_binned_start_keeps_the_tree_bits(monkeypatch, all_families, fam,
         for metric in (GEO, EUC):
             knn = KnnField(spec, points, k, metric)
             binned += int(np.isfinite(knn._binned(grid)[0]).sum())
-            got = knn.at_cells(grid)
+            got = coverage._evaluate(knn, grid, False)[0]
             want = knn(grid.nodes)
             assert got.tobytes() == want.tobytes(), (name, k, metric)
             cloud = PointCloud(spec, points)
@@ -259,7 +259,8 @@ def test_margin_holds_against_points_binned_across_a_face():
         grid = build_grid(square, geo.REGION_ALL, h)
         for pair in _misbinned_pairs(grid):
             knn = KnnField(square, pair, 1, EUC)
-            assert knn.at_cells(grid).tobytes() == knn(grid.nodes).tobytes()
+            got = coverage._evaluate(knn, grid, False)[0]
+            assert got.tobytes() == knn(grid.nodes).tobytes()
             pairs.append(pair)
     assert len(pairs) >= 3
 
@@ -267,7 +268,7 @@ def test_margin_holds_against_points_binned_across_a_face():
 def test_each_size_builds_its_bins_once(monkeypatch):
     grids.clear_grid_cache()  # a size's grid may be kept from another test
     filled, used = [], []
-    real_filled, real_at_cells = grids.Bins.filled, KnnField.at_cells
+    real_filled, real_binned = grids.Bins.filled, KnnField._binned
 
     def filling(self, grid, rep):
         filled.append(len(grid))
@@ -275,10 +276,10 @@ def test_each_size_builds_its_bins_once(monkeypatch):
 
     def using(self, grid):
         used.append(grid.bins)
-        return real_at_cells(self, grid)
+        return real_binned(self, grid)
 
     monkeypatch.setattr(grids.Bins, "filled", filling)
-    monkeypatch.setattr(KnnField, "at_cells", using)
+    monkeypatch.setattr(KnnField, "_binned", using)
     cfg = ExperimentConfig(spec=geo.unit_disk(), region=geo.REGION_ALL,
                            mode=RunMode.WEAK_BOUNDARY, sizes=(200, 400),
                            schedule=constant_k(1), replications=3,
@@ -296,7 +297,8 @@ def test_more_dimensions_carry_no_bins():
         grid = build_grid(square, geo.REGION_ALL, 0.7)
         assert grid.bins is None
         knn = KnnField(square, uniform_sample(square, 300, d).points, 2, EUC)
-        assert knn.at_cells(grid).tobytes() == knn(grid.nodes).tobytes()
+        got = coverage._evaluate(knn, grid, False)[0]
+        assert got.tobytes() == knn(grid.nodes).tobytes()
 
 
 def test_only_the_start_partition_carries_bins(all_families):

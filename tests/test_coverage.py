@@ -57,8 +57,7 @@ def test_start_boxes_are_no_longer_than_h(spec, reg, h):
     rho = dom.radius(box, rep) + dom.slack
     assert np.all(rho <= h * (1 + 1e-12))
     assert np.array_equal(build_grid(spec, region, h).rad,
-                          np.minimum(dom.cells(spec, region, box, rep).rad,
-                                     h))
+                          np.minimum(dom.cells(spec, box, rep).rad, h))
 
 
 def test_disk_grid_probe_certification():
@@ -229,6 +228,43 @@ def test_non_finite_target_width_refused(threshold, refine_to):
                        match=f"target width {refine_to} is not a finite"):
         threshold(make_cloud(disk, [[0.0, 0.0]]), grid, 1, GEO,
                   refine_to=refine_to)
+
+
+@pytest.mark.parametrize("h", [True, "0.05"])
+def test_h_that_is_no_number_refused(h):
+    # True built the h = 1 partition, and a string raised a bare TypeError
+    with pytest.raises(GridError, match="finite number > 0, got"):
+        build_grid(geo.unit_disk(), geo.REGION_ALL, h)
+
+
+@pytest.mark.parametrize("threshold", [coverage_threshold, interior_threshold])
+@pytest.mark.parametrize("refine_to", [True, "1e-3"])
+def test_target_width_that_is_no_number_refused(threshold, refine_to):
+    # True was read as a width of 1, and a string raised a bare TypeError
+    disk = geo.unit_disk()
+    grid = build_grid(disk, geo.REGION_ALL, 0.1)
+    with pytest.raises(CoverageError, match="is not a finite number"):
+        threshold(make_cloud(disk, [[0.0, 0.0]]), grid, 1, GEO,
+                  refine_to=refine_to)
+
+
+@pytest.mark.parametrize("threshold", [coverage_threshold, interior_threshold])
+def test_metric_given_as_its_string(threshold):
+    # "geodesic" was compared by identity with Metric.GEODESIC, so it gave
+    # the chord bracket, and to_json() raised; a misspelling ran as well
+    cap = geo.spherical_cap(1.0)
+    cloud = uniform_sample(cap, 2000, 1)
+    grid = build_grid(cap, geo.REGION_ALL, 0.05)
+    lo = {}
+    for name, metric in (("geodesic", GEO), ("euclidean", EUC)):
+        est = threshold(cloud, grid, 1, name, refine_to=1e-3)
+        want = threshold(cloud, grid, 1, metric, refine_to=1e-3)
+        assert est.metric is metric
+        assert est.to_json() == want.to_json()
+        lo[metric] = est.lo
+    assert lo[GEO] != lo[EUC]
+    with pytest.raises(geo.ConfigError, match="unknown metric 'geodsic'"):
+        threshold(cloud, grid, 1, "geodsic", refine_to=1e-3)
 
 
 @pytest.mark.parametrize("threshold", [coverage_threshold, interior_threshold])

@@ -76,6 +76,21 @@ def test_dist_symmetric_and_clamped():
             geo.dist_many(sph, b[i], a[i:i + 1], GEO)[0], abs=1e-15)
 
 
+@pytest.mark.parametrize("phi", [0.0, 0.7, -2.9])
+@pytest.mark.parametrize("angle", [1e-12, 1e-9, 1e-6, 1.0, math.pi - 1e-6])
+def test_geodesic_dist_keeps_its_precision_at_every_angle(angle, phi):
+    # arccos of the dot product gave 0.0 at 1e-9, and was 4.4e-5 too large,
+    # relative, at 1e-6
+    sph = geo.unit_sphere()
+    pole = np.array([0.0, 0.0, 1.0])
+    p = np.array([math.sin(angle) * math.cos(phi),
+                  math.sin(angle) * math.sin(phi), math.cos(angle)])
+    assert geo.dist_many(sph, pole, [p], GEO)[0] == pytest.approx(
+        angle, rel=1e-15, abs=0.0)
+    assert geo.dist_many(sph, p, [pole], GEO)[0] == pytest.approx(
+        angle, rel=1e-15, abs=0.0)
+
+
 def test_metric_domination_and_triangle(all_families):
     rng = np.random.default_rng(3)
     for name, spec in all_families.items():
