@@ -18,11 +18,11 @@ once.
 
 Every batch of cells, the start partition and each level alike, is
 evaluated in two passes.  The first pass answers the cells it can answer
-cheaply and leaves the others inf; the second asks the tree, without a
-bound, for every row the first left inf.  Every finite first answer is
-the tree's own value, bit for bit, so every value is exact and lo, hi
-and the argmax keep their bits: the first pass decides only which rows
-the tree is asked for.  The rows of the k nearest samples can differ
+cheaply and leaves the others inf; the second asks the field, without a
+bound, for every row the first left inf.  Every finite answer is the
+tree's own value, bit for bit, so every value is exact and lo, hi and
+the argmax keep their bits: the passes decide only which rows the tree
+is asked for.  The rows of the k nearest samples can differ
 from the tree's only among samples at equal distance; they feed only the
 bound u(c) of the skip below, which holds for any k distinct samples.
 
@@ -36,19 +36,46 @@ nearest samples of p all lie in the bin and c_k is the k-th neighbour
 chord.  It is computed as cKDTree computes it, ``sqrt(dx*dx + dy*dy (+
 dz*dz))`` summed in that order, so it has the tree's bits.
 
-The first pass over any other batch asks the tree only as far as the
+On a 2-D lattice start partition (the square, whole or an interior
+body), the field answers every node it is asked from blocks of start
+cells, and asks the tree only for the rows that no block certifies.  The
+cloud is sorted by start cell once, so the cells of a block along the
+lattice's last axis are one run of samples.  A node q falls in the slot
+rint((q - lo)/s), clipped to the lattice, and the block of (2w + 1)^2
+cells around that slot holds every sample that the bins put in one of
+them.  Every other sample lies across one of the block's closed faces
+from q, so its chord to q is at least the block's radius R: the distance
+from q to the nearest closed face (a face on the lattice's edge is open,
+since clipping bins every point past it), less the bins' 1e-12.  As in a
+bin, a k-th smallest chord below R is the k-th neighbour chord, summed as
+the tree sums it.  The start spacing is about the threshold's scale, so
+the k-th neighbour of a node that the branch and bound asks lies within
+about one spacing: w = 1 answers almost every node, and w = 2 the rows it
+leaves open.  A node's gather grows with its block and a tree query does
+not, so the blocks serve a lattice whose mean 3 x 3 block holds at most
+``_BLOCK_MEAN`` samples (the harness's planned spacing puts 26 to 40 there
+for n = 1e4 to 1e6), and a block of more than ``_BLOCK_MOST`` samples is
+left to the tree.  The tree is built on the first row that no block
+answers, and scipy is imported there: 80 replications of the square at
+n = 1e5 built none.  In 3-D the blocks lost to the tree: their 27 and 125
+cells gather far more samples per node than the tree visits, and a
+replication on the cube at n = 1e5 took longer, so the blocks serve d = 2
+only.
+
+The first pass over any other batch asks the field only as far as the
 bracket can use it (the bounds-overlap-ball test of Friedman, Bentley and
 Finkel 1977).  A child c whose value is at most B = lo + target - rho,
 for the largest cover radius rho among the batch's children, is set
 aside as soon as it is evaluated, since f(c) + rho_c <= lo + target and
 lo only rises.  So a batch of ``_SKIP_MIN_CHILDREN`` nodes or more, when
-B > 0, is searched with B as the tree's search radius (the chord 2
-sin(B/2), B capped at pi, on a geodesic field): the search stops early
-where the k-th neighbour lies beyond the radius, and that node comes
-back inf.  A finite bounded answer is the k-th neighbour chord, computed
-as the unbounded search computes it (the same squares summed in the same
-order).  A smaller batch is searched without a bound and leaves no row
-open.  Both passes turn chords into field values the same way.
+B > 0, is searched with B as the tree's search radius where no block
+answers it (the chord 2 sin(B/2), B capped at pi, on a geodesic field):
+the search stops early where the k-th neighbour lies beyond the radius,
+and that node comes back inf.  A finite bounded answer is the k-th
+neighbour chord, computed as the unbounded search computes it (the same
+squares summed in the same order).  A smaller batch is searched without
+a bound and leaves no row open.  Both passes turn chords into field
+values the same way.
 
 Most children of a split cell are set aside as soon as they are
 evaluated, and their parent's k nearest samples already prove it before
@@ -83,12 +110,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .geometry import (ManifoldSpec, Metric, as_points, check_enum,
                        check_number, chord_to_geodesic,
                        dist_to_boundary_many, is_number)
-from .grids import MIN_RESOLUTION, NODE_CAP, EvalGrid, refine_nodes
+from .grids import (_BIN_MARGIN, MIN_RESOLUTION, NODE_CAP, Bins, EvalGrid,
+                    refine_nodes)
 from .sampling import PointCloud
 
 
@@ -102,6 +129,28 @@ _SKIP_MIN_CHILDREN = 256
 # relative margin on a child's distance to its parent's nearest samples,
 # for the rounding by which cKDTree's distances and numpy's may differ
 _REACH_MARGIN = 1e-12
+
+# most samples that a lattice's mean block of 3 x 3 start cells may hold
+# for the field to answer from blocks: a node's gather grows with its block,
+# a tree query does not (square, one thread, planned target width: a mean
+# block of 48 samples won at n=1e5 and 1e6, one of 64 lost at n=1e5)
+_BLOCK_MEAN = 48
+
+# most samples one block may hold; a node whose block holds more (a
+# cluster) is left to the tree
+_BLOCK_MOST = 256
+
+# most nodes gathered in one block pass, so that a pass holds at most
+# _BLOCK_NODES * _BLOCK_MOST samples, 4 MB an array
+_BLOCK_NODES = 2048
+
+
+def cKDTree(points: np.ndarray, **options):
+    """scipy's k-d tree over ``points``.  scipy is imported at the first
+    build: importing it is most of covlab's start-up, and a run whose
+    nodes the blocks all answer never needs it."""
+    from scipy.spatial import cKDTree as tree
+    return tree(points, **options)
 
 
 class CoverageError(ValueError):
@@ -140,11 +189,14 @@ class KnnField:
     is monotone in the great-circle distance, so the k-th neighbor is the
     same point; geodesic values are recovered with 2*asin(chord/2).
     ``nearest`` holds the rows of the last call's k nearest samples, an
-    (N, k) index array that :meth:`reach` reads.
+    (N, k) index array that :meth:`reach` reads.  Given the ``bins`` of a
+    2-D lattice start partition, the field answers each node from the
+    blocks of start cells around it first (see the module docstring).
+    The tree is built on the first node that no block answers.
     """
 
     def __init__(self, spec: ManifoldSpec, points: np.ndarray, k: int,
-                 metric: Metric):
+                 metric: Metric, bins: Bins | None = None):
         points = as_points(points)
         k = check_number(k, "k", integral=True)
         metric = check_enum(metric, Metric, "metric")
@@ -163,44 +215,158 @@ class KnnField:
         # plus query fell on the disk, square and cap loads.  A box cloud
         # fills its bounding box, so on the square and the cube the tree
         # skips node compaction, which would only shrink boxes that are
-        # already tight, and is built over a copy sorted by bucket, so that
-        # each node's rows sit close in memory: on the square at n=1e5 the
-        # build, sort included, fell from about 27 to 16 ms per
-        # replication, with the same nodes queried.  The disk, ball and
-        # caps leave much of their bounding box empty, and compaction pays
-        # there: at n=1e4 the same build was slower on the disk, the ball
-        # and the cap.  The k-th distances do not depend on the row order,
-        # so every bracket keeps its bits.
-        if spec.body.kind == "box":
+        # already tight, and is built over a copy sorted by bucket (on a
+        # lattice with blocks, by start cell), so that each node's rows
+        # sit close in memory: on the square at n=1e5 the build, sort
+        # included, fell from about 27 to 16 ms per replication, with the
+        # same nodes queried.  The disk, ball and caps leave much of their
+        # bounding box empty, and compaction pays there: at n=1e4 the same
+        # build was slower on the disk, the ball and the cap.  The k-th
+        # distances do not depend on the row order, so every bracket keeps
+        # its bits.
+        self._box = spec.body.kind == "box"
+        self._bins = None
+        if (bins is not None and not bins.domain.rings
+                and bins.domain.body.d == 2
+                and 9 * len(points) <= _BLOCK_MEAN * (bins.last + 1) ** 2):
+            self._bins = bins
+            self._cell, self._start, self._points = _cell_sorted(bins,
+                                                                 points)
+            self._cols = tuple(np.ascontiguousarray(self._points.T))
+        elif self._box:
             self._points = _bucket_sorted(points)
-            self._tree = cKDTree(self._points, balanced_tree=False,
-                                 leafsize=32, compact_nodes=False)
         else:
             self._points = points
-            self._tree = cKDTree(points, balanced_tree=False, leafsize=32)
+        self._tree = self._build() if self._bins is None else None
         self._geodesic = spec.curved and metric is Metric.GEODESIC
         self.nearest = np.empty((0, k), dtype=np.intp)
 
-    def __call__(self, nodes: np.ndarray, bound: float = math.inf
-                 ) -> np.ndarray:
-        """The field at ``nodes``, or inf where it is not below ``bound``.
+    def __call__(self, nodes: np.ndarray, bound: float = math.inf,
+                 blocks: bool = True) -> np.ndarray:
+        """The field at ``nodes``, or inf at some rows where it is not
+        below ``bound``.
 
-        A finite bound is handed to the tree as its search radius (as a
-        chord, 2 sin(bound/2) with the bound capped at pi, on a geodesic
-        field), so the search stops early where the k-th neighbour lies
-        beyond it; such a row comes back inf, with row N in ``nearest``.
-        Every finite value is the unbounded one, bit for bit.
+        The blocks of start cells answer first, where the field has them
+        and ``blocks`` is true (false for nodes that they already left
+        open).  The tree answers the other rows, with a finite bound as its
+        search radius (as a chord, 2 sin(bound/2) with the bound capped at
+        pi, on a geodesic field), so the search stops early where the k-th
+        neighbour lies beyond it; such a row comes back inf, with row N in
+        ``nearest``.  Every finite value is the unbounded one, bit for bit.
         """
+        nodes = as_points(nodes)
         radius = bound
         if self._geodesic and bound < math.inf:
             radius = 2.0 * math.sin(0.5 * min(bound, math.pi))
-        chord, near = self._tree.query(as_points(nodes), k=self.k,
+        if self._bins is None or not blocks:
+            chord, near = self._ask(nodes, radius)
+        else:
+            chord, near = self._blocks(nodes)
+            rows = (chord == np.inf).nonzero()[0]
+            if rows.size:
+                chord[rows], near[rows] = self._ask(
+                    nodes.take(rows, axis=0), radius)
+        self.nearest = near
+        return self._field(chord)
+
+    def _ask(self, nodes: np.ndarray, radius: float):
+        """(k-th neighbour chords within ``radius``, else inf; (N, k) rows)
+        from the tree, built on the first ask where blocks answer first."""
+        if self._tree is None:
+            self._tree = self._build()
+        chord, near = self._tree.query(nodes, k=self.k,
                                        distance_upper_bound=radius)
         if self.k == 1:  # the tree gives (N,) arrays for k=1
-            self.nearest = near[:, None]
-        else:
-            self.nearest, chord = near, chord[:, -1]
-        return self._field(chord)
+            return chord, near[:, None]
+        return chord[:, -1], near
+
+    def _build(self):
+        return cKDTree(self._points, balanced_tree=False, leafsize=32,
+                       compact_nodes=not self._box)
+
+    def _blocks(self, nodes: np.ndarray):
+        """(k-th neighbour chords where a block of (2w + 1)^2 start cells
+        around the node certifies it, w = 1 and then 2, else inf; (N, k)
+        rows, N where open)."""
+        chord = np.full(len(nodes), np.inf)
+        near = np.full((len(nodes), self.k), len(self._points), np.intp)
+        open_ = np.arange(len(nodes))
+        for w in (1, 2):
+            for first in range(0, len(open_), _BLOCK_NODES):
+                rows = open_[first:first + _BLOCK_NODES]
+                chord[rows], near[rows] = self._block(
+                    nodes.take(rows, axis=0), w)
+            open_ = open_[chord.take(open_) == np.inf]
+            if not open_.size:
+                break
+        return chord, near
+
+    def _block(self, q: np.ndarray, w: int):
+        """``_blocks`` at one w, on at most ``_BLOCK_NODES`` nodes."""
+        bins, k = self._bins, self.k
+        last, step = bins.last, bins.step
+        chord = np.full(len(q), np.inf)
+        near = np.full((len(q), k), len(self._points), np.intp)
+        slot = q - bins.lo
+        slot /= step
+        np.rint(slot, out=slot)
+        np.clip(slot, 0.0, last, out=slot)
+        # the block's certified radius: a face on the lattice's edge is open
+        low, high = slot - w, slot + w
+        reach = np.minimum(
+            np.where(low > 0.0, q - (bins.lo + (low - 0.5) * step), np.inf),
+            np.where(high < last, bins.lo + (high + 0.5) * step - q,
+                     np.inf)).min(axis=1)
+        reach -= _BIN_MARGIN
+        # each row of the block is one run of slots, so one run of samples
+        slot = slot.astype(np.intp)
+        band = slot[:, :1] + np.arange(-w, w + 1)
+        inside = (band >= 0) & (band <= last)
+        band.clip(0, last, out=band)
+        band *= last + 1
+        begin = self._start.take(band + np.maximum(slot[:, 1:] - w, 0))
+        size = self._start.take(band + np.minimum(slot[:, 1:] + w, last) + 1)
+        size -= begin
+        size *= inside
+        count = size.sum(axis=1)
+        rows = ((count >= k) & (count <= _BLOCK_MOST) & (reach > 0.0)
+                ).nonzero()[0]
+        if not rows.size:
+            return chord, near
+        begin, size, count = (begin.take(rows, 0), size.take(rows, 0),
+                              count.take(rows))
+        runs = size.ravel()
+        total = int(count.sum())
+        # sample row of every (node, sample) pair, node by node
+        shift = begin.ravel()
+        shift -= np.cumsum(runs) - runs
+        pick = np.repeat(shift, runs)
+        pick += np.arange(total)
+        sq = None
+        for col, at in zip(self._cols, q.take(rows, axis=0).T):
+            gap = col.take(pick)
+            gap -= np.repeat(at, count)
+            gap *= gap
+            if sq is None:
+                sq = gap
+            else:
+                sq += gap  # cKDTree's order: (0 + dx^2) + dy^2
+        seg = np.cumsum(count) - count
+        picked = np.empty((len(rows), k), np.intp)
+        for j in range(k):  # the j-th smallest chord in every block
+            kth = np.minimum.reduceat(sq, seg)
+            hit = (sq == np.repeat(kth, count)).nonzero()[0]
+            if len(hit) > len(rows):  # keep the first in each block
+                tie = seg.searchsorted(hit, "right")
+                hit = hit[np.diff(tie, prepend=0) > 0]
+            picked[:, j] = pick.take(hit)
+            if j < k - 1:
+                sq[hit] = np.inf
+        reach = reach.take(rows)
+        sure = kth < reach * reach
+        chord[rows[sure]] = np.sqrt(kth[sure])
+        near[rows[sure]] = picked[sure]
+        return chord, near
 
     def _field(self, chord: np.ndarray) -> np.ndarray:
         """The field at the k-th neighbour ``chord``, inf kept as inf."""
@@ -234,7 +400,8 @@ class KnnField:
         near = np.zeros((size, k), np.intp)
         if bins is None:
             return np.full(size, np.inf), near
-        cell = bins.locate(self._points)  # row N: in no cell
+        # the cells the cloud was sorted by, or row N: in no cell
+        cell = self._cell if bins is self._bins else bins.locate(self._points)
         sq = np.zeros(len(cell))
         for rep, col in zip(grid.nodes.T, self._points.T):
             gap = rep.take(cell, mode="clip")
@@ -253,6 +420,25 @@ class KnnField:
                 sq[pick.take(cell.take(hit))] = np.inf
         chord = np.where(kth[:size] < bins.reach2[:size], kth[:size], np.inf)
         return self._field(np.sqrt(chord, out=chord)), near
+
+
+def _cell_sorted(bins: Bins, points: np.ndarray):
+    """((n,) start cell of each sorted row, (cells + 1,) first sorted row
+    of each cell, the rows of ``points`` ordered by cell), for a lattice
+    whose cells are its slots."""
+    cell = bins.locate(points)
+    cells = (bins.last + 1) ** points.shape[1]
+    # numpy sorts 16-bit keys by radix; its stable sort of wider keys is a
+    # merge sort, about 5x slower than a quicksort at n = 1e6
+    if cells <= 1 << 16:
+        order = np.argsort(cell.astype(np.uint16), kind="stable")
+    else:
+        order = np.argsort(cell.astype(np.int32))
+    count = np.bincount(cell, minlength=cells)
+    start = np.zeros(cells + 1, np.intp)
+    np.cumsum(count, out=start[1:])
+    return (np.repeat(np.arange(cells), count), start,
+            points.take(order, axis=0))
 
 
 def _bucket_sorted(points: np.ndarray) -> np.ndarray:
@@ -318,17 +504,19 @@ def _evaluate(knn: KnnField, cells: EvalGrid, deep: bool,
               bound: float = math.inf):
     """(field values, rows of the k nearest samples) at the
     representatives of ``cells``.  A start partition is answered first by
-    its bins, any other batch by the tree within ``bound``; the tree then
-    answers, without a bound, every row left inf, so every value is exact
-    (see the module docstring)."""
+    its bins, any other batch by the field within ``bound``; the field then
+    answers, without a bound, every row left inf, from the tree alone where
+    its blocks already left the row open, so every value is exact (see the
+    module docstring)."""
     nodes = cells.nodes
     if cells.bins is not None:
         vals, near = knn._binned(cells)
     else:
         vals, near = knn(nodes, bound), knn.nearest
     rows = (vals == np.inf).nonzero()[0]
-    if rows.size:
-        vals[rows] = knn(nodes.take(rows, axis=0))
+    if rows.size:  # a row that the field left open, its blocks did too
+        vals[rows] = knn(nodes.take(rows, axis=0),
+                         blocks=cells.bins is not None)
         near[rows] = knn.nearest
     if deep:
         np.minimum(vals, dist_to_boundary_many(knn.spec, nodes), out=vals)
@@ -411,7 +599,7 @@ def _knn_field(cloud: PointCloud, grid: EvalGrid, k: int,
     if cloud.spec != grid.spec:
         raise CoverageError(f"the cloud is on {cloud.spec.to_json()} but "
                             f"the grid is on {grid.spec.to_json()}")
-    return KnnField(grid.spec, cloud.points, k, metric)
+    return KnnField(grid.spec, cloud.points, k, metric, grid.bins)
 
 
 def coverage_threshold(cloud: PointCloud, grid: EvalGrid, k: int,

@@ -418,6 +418,7 @@ def dist_many(spec: ManifoldSpec, x: np.ndarray, pts: np.ndarray,
     all of it below about 1e-8).  It shares nothing with
     :func:`chord_to_geodesic`, which the k-NN field uses, so the test
     oracles built on it stay independent of that field."""
+    metric = check_enum(metric, Metric, "metric")
     x = np.asarray(x, dtype=float)
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     if metric is Metric.GEODESIC and spec.curved:

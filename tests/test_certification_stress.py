@@ -439,27 +439,54 @@ def test_seeded_bracket_meets_the_unseeded_one(all_families, fam, reg, k,
         assert field(np.array([est.argmax]))[0] == est.lo
 
 
+def _assert_seeding_and_skipping_save(monkeypatch, field, grid):
+    """The seeded search evaluates fewer nodes than the unseeded one and
+    meets its bracket, and the skipped one fewer than the unskipped one,
+    at its bits.  ``field()`` makes a fresh field; the bracket is
+    returned."""
+    queried = _count_queries(monkeypatch)
+    est = cov._certified_max(field(), grid, 1e-4)
+    evaluated = sum(queried)
+    lo, hi, oracle_evaluated = _unseeded_max(field(), grid, 1e-4)
+    assert max(est.lo, lo) <= min(est.hi, hi) + 1e-12
+    assert evaluated < oracle_evaluated
+    # the children skipped by their parent's nearest samples are work saved
+    monkeypatch.setattr(cov, "_SKIP_MIN_CHILDREN", math.inf)
+    queried.clear()
+    unskipped = cov._certified_max(field(), grid, 1e-4)
+    assert _bits(unskipped) == _bits(est)
+    assert evaluated < sum(queried)
+    return est
+
+
 def test_seeded_max_evaluates_fewer_nodes(monkeypatch):
     # a square cloud whose start partition is split almost whole when the
     # lower bound is only the best start cell
     square = geo.unit_square(2)
     cloud = uniform_sample(square, 20_000, 2718)
     grid = build_grid(square, geo.REGION_ALL, 0.02)
-    queried = _count_queries(monkeypatch)
-    est = cov._certified_max(KnnField(square, cloud.points, 1, GEO), grid,
-                             1e-4)
-    evaluated = sum(queried)
-    lo, hi, oracle_evaluated = _unseeded_max(
-        KnnField(square, cloud.points, 1, GEO), grid, 1e-4)
-    assert max(est.lo, lo) <= min(est.hi, hi) + 1e-12
-    assert evaluated < oracle_evaluated
-    # the children skipped by their parent's nearest samples are work saved
-    monkeypatch.setattr(cov, "_SKIP_MIN_CHILDREN", math.inf)
-    queried.clear()
-    unskipped = cov._certified_max(KnnField(square, cloud.points, 1, GEO),
-                                   grid, 1e-4)
-    assert _bits(unskipped) == _bits(est)
-    assert evaluated < sum(queried)
+    _assert_seeding_and_skipping_save(
+        monkeypatch, lambda: KnnField(square, cloud.points, 1, GEO), grid)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_seeded_max_from_blocks_evaluates_fewer_nodes(monkeypatch, k):
+    # the square's field as the thresholds build it: blocks of start cells
+    # answer its nodes, so the skip's bound reads the rows that the blocks
+    # chose; the bracket has the tree field's bits
+    square = geo.unit_square(2)
+    cloud = uniform_sample(square, 20_000, 2718 + k)
+    grid = build_grid(square, geo.REGION_ALL, 0.015)
+
+    def blocks():
+        knn = KnnField(square, cloud.points, k, GEO, grid.bins)
+        assert knn._bins is grid.bins
+        return knn
+
+    tree = cov._certified_max(KnnField(square, cloud.points, k, GEO), grid,
+                              1e-4)
+    est = _assert_seeding_and_skipping_save(monkeypatch, blocks, grid)
+    assert _bits(est) == _bits(tree)
 
 
 def test_seed_cells_are_the_largest_ties_to_lowest_index():

@@ -63,6 +63,19 @@ def test_dist_examples():
         math.sqrt(2))
 
 
+def test_dist_reads_the_metric_by_value():
+    # a metric given by its string was compared by identity, so "geodesic"
+    # gave the chord and a misspelt metric went through as euclidean
+    sph = geo.unit_sphere()
+    pole, east = (0.0, 0.0, 1.0), [(1.0, 0.0, 0.0)]
+    assert geo.dist_many(sph, pole, east, "geodesic")[0] == pytest.approx(
+        math.pi / 2, rel=1e-15)
+    assert geo.dist_many(sph, pole, east, "euclidean")[0] == pytest.approx(
+        math.sqrt(2), rel=1e-15)
+    with pytest.raises(geo.ConfigError, match="unknown metric 'geodsic'"):
+        geo.dist_many(sph, pole, east, "geodsic")
+
+
 def test_dist_symmetric_and_clamped():
     sph = geo.unit_sphere()
     x = np.array([1.0, 0.0, 0.0])
