@@ -98,9 +98,11 @@ def _cmd_cover(args) -> int:
     cloud = load_cloud_csv(args.cloud, spec)
     metric = geo.Metric(args.metric)
     grid = build_grid(spec, region, args.h)
+    # one bracket in this process: a field on rings answers from blocks
+    # and saves the import of scipy, as a one-replication run does
     est = coverage_threshold(cloud, grid,
                              _number(args.k, "--k", integral=True), metric,
-                             refine_to=args.refine_to)
+                             refine_to=args.refine_to, ring_blocks=True)
     print(json.dumps(est.to_json(), indent=2, sort_keys=True))
     return 0
 

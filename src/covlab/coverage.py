@@ -36,31 +36,69 @@ nearest samples of p all lie in the bin and c_k is the k-th neighbour
 chord.  It is computed as cKDTree computes it, ``sqrt(dx*dx + dy*dy (+
 dz*dz))`` summed in that order, so it has the tree's bits.
 
-On a 2-D lattice start partition (the square, whole or an interior
-body), the field answers every node it is asked from blocks of start
-cells, and asks the tree only for the rows that no block certifies.  The
-cloud is sorted by start cell once, so the cells of a block along the
-lattice's last axis are one run of samples.  A node q falls in the slot
-rint((q - lo)/s), clipped to the lattice, and the block of (2w + 1)^2
-cells around that slot holds every sample that the bins put in one of
-them.  Every other sample lies across one of the block's closed faces
-from q, so its chord to q is at least the block's radius R: the distance
-from q to the nearest closed face (a face on the lattice's edge is open,
-since clipping bins every point past it), less the bins' 1e-12.  As in a
-bin, a k-th smallest chord below R is the k-th neighbour chord, summed as
-the tree sums it.  The start spacing is about the threshold's scale, so
-the k-th neighbour of a node that the branch and bound asks lies within
-about one spacing: w = 1 answers almost every node, and w = 2 the rows it
-leaves open.  A node's gather grows with its block and a tree query does
-not, so the blocks serve a lattice whose mean 3 x 3 block holds at most
-``_BLOCK_MEAN`` samples (the harness's planned spacing puts 26 to 40 there
-for n = 1e4 to 1e6), and a block of more than ``_BLOCK_MOST`` samples is
-left to the tree.  The tree is built on the first row that no block
-answers, and scipy is imported there: 80 replications of the square at
-n = 1e5 built none.  In 3-D the blocks lost to the tree: their 27 and 125
-cells gather far more samples per node than the tree visits, and a
-replication on the cube at n = 1e5 took longer, so the blocks serve d = 2
-only.
+On every 2-D start partition (the square, the disk, the cap and the
+sphere, whole or an interior body), the field can answer every node it
+is asked from blocks of start cells, and ask the tree only for the rows
+that no block certifies (on the rings when asked; see below).  The
+cloud is sorted by start cell once, so a run of consecutive cells is one
+run of samples.  A block holds every sample that the bins put in one of
+its cells; every other sample lies across one of the block's closed
+faces from its node q, so its chord to q is at least the block's radius
+R: the chord from q to the nearest closed face, less the bins' 1e-12.
+As in a bin, a k-th smallest chord below R is the k-th neighbour chord,
+summed as the tree sums it.
+
+- On a lattice, q falls in the slot rint((q - lo)/s), clipped to the
+  lattice, and its block is the (2w + 1)^2 cells around that slot: one
+  run per row along the last axis.  R is the gap from q to the nearest
+  face along its axis; a face on the lattice's edge is open, since
+  clipping bins every point past it.
+- On the rings (radius, or polar angle on a cap, by azimuth; the cells
+  run ring by ring and by azimuth on each), q falls in ring i =
+  rint(t/dt), clipped, and cell j = rint(phi count_i / 2 pi) on it.  Its
+  cells j - w..j + w span the wedge phi +- A about q, and its block
+  takes rings i - w..i + w and, on each, every cell whose azimuth range
+  meets the wedge: one run of cells, or two where the wedge wraps past
+  the ring's cell 0, and the whole ring where every cell meets it.  A
+  sample outside the block lies beyond the ring circle t' = (i - w -
+  1/2) dt or (i + w + 1/2) dt, at a chord of at least |t - t'| (sin |t -
+  t'| on a cap, 1 for a gap of pi/2 or more), or at an azimuth more than
+  A from q's, at a chord of at least c sin(min(A, pi/2)), c being q's
+  distance to the axis, as in the bins (see grids).  The axis and the
+  rim are open faces, the rim since clipping bins every point past it.
+  A = pi, and every ring of the block is whole, where ring i is, and
+  where the block reaches a ring of one cell, on the axis: near it c is
+  below the spacing, and the rays would leave open nodes whose k-th
+  neighbour lies within one spacing.
+
+The start spacing is about the threshold's scale, so the k-th neighbour
+of a node that the branch and bound asks lies within about one spacing:
+w = 1 answers almost every node, and w = 2 the rows it leaves open (per
+replication, 48 of 943 nodes and then none on the disk at n = 1e4, k =
+1; 134 of 3,051 and then none on the cap of polar radius 1 at n = 1e4,
+k = 2).  A node's gather grows with its block and a tree query does not, so
+the blocks serve a start partition whose mean 9 cells hold at most
+``_BLOCK_MEAN`` samples (the harness's planned spacing puts 25 to 40
+there for n = 1e4 to 1e6), and a block of more than ``_BLOCK_MOST``
+samples is left to the tree.  The tree is built on the first row that no
+block answers, and scipy is imported there: 80 replications of the
+square at n = 1e5 built none, nor did 300 on the disk at n = 1e4.  In
+3-D the blocks lost to the tree: their 27 and 125 cells gather far more
+samples per node than the tree visits, and a replication on the cube at
+n = 1e5 took longer, so the blocks serve d = 2 only.
+
+On the rings the blocks save the import of scipy, most of a short run's
+start-up (0.36 -> 0.11 s for one replication on the disk at n = 1e4),
+but not the tree's time once scipy is loaded.  A level of the branch and
+bound is a few dozen nodes, and a block pass over them is some 60 small
+numpy calls that hold the GIL, where a tree search releases it: at the
+planned spacing and two threads a replication took 8.4 against 4.9 ms
+on the disk at n = 1e4, and 22 against 7.3 ms on the cap at k = 2.  So a
+field on rings answers from blocks only when its caller sets
+``ring_blocks``, and builds its tree at once otherwise, as it did before
+the blocks.  The harness sets it in a run of one replication per size
+(``harness._RING_BLOCK_REPS``), where the import is most of the run, and
+the ``cover`` command for its one bracket.
 
 The first pass over any other batch asks the field only as far as the
 bracket can use it (the bounds-overlap-ball test of Friedman, Bentley and
@@ -130,15 +168,26 @@ _SKIP_MIN_CHILDREN = 256
 # for the rounding by which cKDTree's distances and numpy's may differ
 _REACH_MARGIN = 1e-12
 
-# most samples that a lattice's mean block of 3 x 3 start cells may hold
-# for the field to answer from blocks: a node's gather grows with its block,
-# a tree query does not (square, one thread, planned target width: a mean
-# block of 48 samples won at n=1e5 and 1e6, one of 64 lost at n=1e5)
+# most samples that 9 start cells, about a block at w = 1, may hold on the
+# mean for the field to answer from blocks: a node's gather grows with its
+# block, a tree query does not.  Square, one thread, planned target width:
+# a mean block of 48 samples won at n=1e5 and 1e6, one of 64 lost at
+# n=1e5.  On the rings, which take blocks only to skip scipy's import in a
+# one-replication run, a replication at n=1e4 cost this much more than the
+# tree, scipy loaded (one thread, disk weak k=1 / cap interior k=2): 1.7 /
+# 2.9 ms at a mean of 25 (the planned spacing), 3.9 / 4.8 ms at 48 and
+# 4.6 / 9.2 ms at 63, against 0.3 s or more for the import
 _BLOCK_MEAN = 48
 
 # most samples one block may hold; a node whose block holds more (a
 # cluster) is left to the tree
 _BLOCK_MOST = 256
+
+# most (cell, neighbour) rows that the start partition or a level of the
+# branch and bound may hold: each keeps the rows of its cells' k nearest
+# samples, an (N, k) index array of 128 MB at this budget, and a level
+# bounds its children from a second one
+ROW_CAP = 16_000_000
 
 # most nodes gathered in one block pass, so that a pass holds at most
 # _BLOCK_NODES * _BLOCK_MOST samples, 4 MB an array
@@ -190,13 +239,15 @@ class KnnField:
     same point; geodesic values are recovered with 2*asin(chord/2).
     ``nearest`` holds the rows of the last call's k nearest samples, an
     (N, k) index array that :meth:`reach` reads.  Given the ``bins`` of a
-    2-D lattice start partition, the field answers each node from the
-    blocks of start cells around it first (see the module docstring).
-    The tree is built on the first node that no block answers.
+    2-D start partition, the field answers each node from the blocks of
+    start cells around it first: on a lattice always, on rings when
+    ``ring_blocks`` is set (see the module docstring).  The tree is built
+    on the first node that no block answers.
     """
 
     def __init__(self, spec: ManifoldSpec, points: np.ndarray, k: int,
-                 metric: Metric, bins: Bins | None = None):
+                 metric: Metric, bins: Bins | None = None,
+                 ring_blocks: bool = False):
         points = as_points(points)
         k = check_number(k, "k", integral=True)
         metric = check_enum(metric, Metric, "metric")
@@ -215,24 +266,27 @@ class KnnField:
         # plus query fell on the disk, square and cap loads.  A box cloud
         # fills its bounding box, so on the square and the cube the tree
         # skips node compaction, which would only shrink boxes that are
-        # already tight, and is built over a copy sorted by bucket (on a
-        # lattice with blocks, by start cell), so that each node's rows
-        # sit close in memory: on the square at n=1e5 the build, sort
-        # included, fell from about 27 to 16 ms per replication, with the
-        # same nodes queried.  The disk, ball and caps leave much of their
+        # already tight, and is built over a copy sorted by bucket (with
+        # blocks, by start cell), so that each node's rows sit close in
+        # memory: on the square at n=1e5 the build, sort included, fell
+        # from about 27 to 16 ms per replication, with the same nodes
+        # queried.  The disk, ball and caps leave much of their
         # bounding box empty, and compaction pays there: at n=1e4 the same
         # build was slower on the disk, the ball and the cap.  The k-th
         # distances do not depend on the row order, so every bracket keeps
         # its bits.
         self._box = spec.body.kind == "box"
+        self._cap = spec.body.kind == "cap"
         self._bins = None
-        if (bins is not None and not bins.domain.rings
-                and bins.domain.body.d == 2
-                and 9 * len(points) <= _BLOCK_MEAN * (bins.last + 1) ** 2):
+        if (bins is not None and bins.domain.body.d == 2
+                and 9 * len(points) <= _BLOCK_MEAN * (len(bins.reach2) - 1)
+                and (ring_blocks or not bins.domain.rings)):
             self._bins = bins
             self._cell, self._start, self._points = _cell_sorted(bins,
                                                                  points)
             self._cols = tuple(np.ascontiguousarray(self._points.T))
+            if bins.domain.rings:
+                self._ring_tables(bins)
         elif self._box:
             self._points = _bucket_sorted(points)
         else:
@@ -285,9 +339,9 @@ class KnnField:
                        compact_nodes=not self._box)
 
     def _blocks(self, nodes: np.ndarray):
-        """(k-th neighbour chords where a block of (2w + 1)^2 start cells
-        around the node certifies it, w = 1 and then 2, else inf; (N, k)
-        rows, N where open)."""
+        """(k-th neighbour chords where the block of start cells about the
+        node certifies it, w = 1 and then 2, else inf; (N, k) rows, N where
+        open)."""
         chord = np.full(len(nodes), np.inf)
         near = np.full((len(nodes), self.k), len(self._points), np.intp)
         open_ = np.arange(len(nodes))
@@ -303,31 +357,12 @@ class KnnField:
 
     def _block(self, q: np.ndarray, w: int):
         """``_blocks`` at one w, on at most ``_BLOCK_NODES`` nodes."""
-        bins, k = self._bins, self.k
-        last, step = bins.last, bins.step
+        k = self.k
         chord = np.full(len(q), np.inf)
         near = np.full((len(q), k), len(self._points), np.intp)
-        slot = q - bins.lo
-        slot /= step
-        np.rint(slot, out=slot)
-        np.clip(slot, 0.0, last, out=slot)
-        # the block's certified radius: a face on the lattice's edge is open
-        low, high = slot - w, slot + w
-        reach = np.minimum(
-            np.where(low > 0.0, q - (bins.lo + (low - 0.5) * step), np.inf),
-            np.where(high < last, bins.lo + (high + 0.5) * step - q,
-                     np.inf)).min(axis=1)
+        runs = self._ring_runs if self._bins.domain.rings else self._row_runs
+        reach, begin, size = runs(q, w)
         reach -= _BIN_MARGIN
-        # each row of the block is one run of slots, so one run of samples
-        slot = slot.astype(np.intp)
-        band = slot[:, :1] + np.arange(-w, w + 1)
-        inside = (band >= 0) & (band <= last)
-        band.clip(0, last, out=band)
-        band *= last + 1
-        begin = self._start.take(band + np.maximum(slot[:, 1:] - w, 0))
-        size = self._start.take(band + np.minimum(slot[:, 1:] + w, last) + 1)
-        size -= begin
-        size *= inside
         count = size.sum(axis=1)
         rows = ((count >= k) & (count <= _BLOCK_MOST) & (reach > 0.0)
                 ).nonzero()[0]
@@ -367,6 +402,116 @@ class KnnField:
         chord[rows[sure]] = np.sqrt(kth[sure])
         near[rows[sure]] = picked[sure]
         return chord, near
+
+    def _row_runs(self, q: np.ndarray, w: int):
+        """((N,) radius of each node's block on the lattice, before the
+        margin; (N, 2w + 1) first sorted row and length of each run of
+        samples in it)."""
+        bins = self._bins
+        last, step = bins.last, bins.step
+        slot = q - bins.lo
+        slot /= step
+        np.rint(slot, out=slot)
+        np.clip(slot, 0.0, last, out=slot)
+        # a face on the lattice's edge is open
+        low, high = slot - w, slot + w
+        reach = np.minimum(
+            np.where(low > 0.0, q - (bins.lo + (low - 0.5) * step), np.inf),
+            np.where(high < last, bins.lo + (high + 0.5) * step - q,
+                     np.inf)).min(axis=1)
+        # each row of the block is one run of slots, so one run of samples
+        slot = slot.astype(np.intp)
+        band = slot[:, :1] + np.arange(-w, w + 1)
+        inside = (band >= 0) & (band <= last)
+        band.clip(0, last, out=band)
+        band *= last + 1
+        begin = self._start.take(band + np.maximum(slot[:, 1:] - w, 0))
+        size = self._start.take(band + np.minimum(slot[:, 1:] + w, last) + 1)
+        size -= begin
+        size *= inside
+        return reach, begin, size
+
+    def _ring_tables(self, bins: Bins) -> None:
+        """The per-ring arrays that ``_ring_runs`` reads: cells, cells per
+        turn and first cell of every ring, with two rings of one empty
+        cell (cell N, which ``_start`` leaves empty) padding each end; and,
+        for w = 1 and 2, the ring circles below and above the block about
+        each ring, -inf and inf where the face is open, and whether the
+        block is taken whole."""
+        cells, ring = len(bins.reach2) - 1, np.arange(bins.last + 1.0)
+        pad = np.ones(2)
+        count = np.concatenate([pad, bins.count, pad])
+        first = np.concatenate([cells * pad, bins.first, cells * pad])
+        self._rings = count, count * (0.5 / math.pi), first
+        self._bands = {w: np.arange(2 - w, 3 + w) for w in (1, 2)}
+        # rings whose block is taken whole: their cells j - w..j + w are
+        # all of them, or the block reaches a ring of one cell, on the axis,
+        # near which an azimuth ray passes closer than any ring circle
+        pole = bins.count[-1] == 1.0
+        self._whole = {w: (bins.count <= 2 * w + 1) | (ring <= w)
+                       | (pole & (ring >= bins.last - w)) for w in (1, 2)}
+        self._faces = {w: (np.where(ring > w, (ring - w - 0.5) * bins.step,
+                                    -np.inf),
+                           np.where(ring < bins.last - w,
+                                    (ring + w + 0.5) * bins.step, np.inf))
+                       for w in (1, 2)}
+
+    def _ring_runs(self, q: np.ndarray, w: int):
+        """``_row_runs`` on the rings: the block takes rings i - w..i + w
+        around the node's ring i, and on each the cells whose azimuth range
+        meets the wedge phi +- A that the node's own ring's cells j - w..j
+        + w span around it; so one run of cells on a ring, or two where the
+        wedge wraps past the ring's first cell, (N, 2(2w + 1)) runs."""
+        bins, (count, turns, first) = self._bins, self._rings
+        step, last = bins.step, bins.last
+        x0, x1 = q[:, 0], q[:, 1]
+        c = np.hypot(x0, x1)  # distance to the axis
+        t = np.arctan2(c, q[:, 2]) if self._cap else c
+        ring = np.rint(t / step)
+        np.minimum(ring, last, out=ring)
+        ring = ring.astype(np.intp)
+        phi = np.arctan2(x1, x0)
+        # A = (2w + 1 - 2 |turn - j|) pi / count_i, pi where the block is
+        # taken whole
+        half = phi * turns.take(ring + 2)
+        half -= np.rint(half)
+        np.abs(half, out=half)
+        half *= -2.0
+        half += 2 * w + 1
+        half *= math.pi
+        half /= count.take(ring + 2)
+        half[self._whole[w].take(ring)] = math.pi
+        # the block's certified radius; the axis and the rim are open faces
+        below, above = self._faces[w]
+        gap = np.minimum(t - below.take(ring), above.take(ring) - t)
+        if self._cap:
+            gap = np.where(gap < np.inf,
+                           np.sin(np.minimum(gap, 0.5 * math.pi)), np.inf)
+        across = np.minimum(half, 0.5 * math.pi)
+        np.sin(across, out=across)
+        across *= c
+        across[half >= math.pi] = np.inf
+        reach = np.minimum(gap, across)
+        # on each ring of the block (two empty rings pad each end), cells j
+        # with j - 1/2 <= (phi + A) count / 2 pi, j + 1/2 >= (phi - A) count
+        # / 2 pi: cells low..low + span - 1, wrapped past cell count - 1
+        band = ring[:, None] + self._bands[w]
+        count, turns = count.take(band), turns.take(band)
+        low = np.ceil((phi - half)[:, None] * turns - 0.5)
+        span = np.floor((phi + half)[:, None] * turns + 0.5)
+        span -= low
+        span += 1.0
+        low += count * (low < 0.0)
+        low[span >= count] = 0.0
+        np.minimum(span, count, out=span)
+        span += low
+        cell = first.take(band)
+        edges = np.concatenate([cell + low, cell,
+                                cell + np.minimum(span, count),
+                                cell + np.maximum(span - count, 0.0)], axis=1)
+        edges = self._start.take(edges.astype(np.intp))
+        runs = 2 * band.shape[1]
+        return reach, edges[:, :runs], edges[:, runs:] - edges[:, :runs]
 
     def _field(self, chord: np.ndarray) -> np.ndarray:
         """The field at the k-th neighbour ``chord``, inf kept as inf."""
@@ -410,6 +555,9 @@ class KnnField:
             sq += gap  # cKDTree's order: ((0 + dx^2) + dy^2) + dz^2
         kth = np.empty(size + 1)
         for j in range(k):  # the j-th smallest chord in every cell
+            # a scatter, even over a cloud sorted by cell: at n = 1e6 on
+            # the square np.minimum.at took 2.6 ms, a reduceat over the
+            # 279k cell runs 13 ms
             kth.fill(np.inf)
             np.minimum.at(kth, cell, sq)
             hit = (sq == kth.take(cell)).nonzero()[0]
@@ -423,21 +571,23 @@ class KnnField:
 
 
 def _cell_sorted(bins: Bins, points: np.ndarray):
-    """((n,) start cell of each sorted row, (cells + 1,) first sorted row
-    of each cell, the rows of ``points`` ordered by cell), for a lattice
-    whose cells are its slots."""
+    """((n,) start cell of each sorted row, (cells + 2,) first sorted row
+    of each cell and of an empty cell N, then n, the rows of ``points``
+    ordered by cell), for bins that put every point in a cell: a lattice
+    whose cells are its slots, or rings, whose cells run ring by ring and
+    by azimuth on each."""
     cell = bins.locate(points)
-    cells = (bins.last + 1) ** points.shape[1]
+    cells = len(bins.reach2) - 1
     # numpy sorts 16-bit keys by radix; its stable sort of wider keys is a
     # merge sort, about 5x slower than a quicksort at n = 1e6
     if cells <= 1 << 16:
         order = np.argsort(cell.astype(np.uint16), kind="stable")
     else:
         order = np.argsort(cell.astype(np.int32))
-    count = np.bincount(cell, minlength=cells)
-    start = np.zeros(cells + 1, np.intp)
+    count = np.bincount(cell, minlength=cells + 1)
+    start = np.zeros(cells + 2, np.intp)
     np.cumsum(count, out=start[1:])
-    return (np.repeat(np.arange(cells), count), start,
+    return (np.repeat(np.arange(cells + 1), count), start,
             points.take(order, axis=0))
 
 
@@ -479,7 +629,9 @@ def _certified_max(knn: KnnField, grid: EvalGrid, refine_to: float | None,
     value, the first run's hi and argmax, on the rest of the partition,
     reusing its values, so it sets aside most start cells at once (see the
     module docstring).  Its bracket [best, max bound over the cells set
-    aside] has width <= the target.
+    aside] has width <= the target.  Raises :class:`CoverageError` when
+    the start partition holds more than ``ROW_CAP`` rows of k nearest
+    samples.
     """
     if refine_to is not None and not is_number(refine_to):
         raise CoverageError(f"target width {refine_to} is not a finite "
@@ -488,6 +640,11 @@ def _certified_max(knn: KnnField, grid: EvalGrid, refine_to: float | None,
     if target <= MIN_RESOLUTION:
         raise CoverageError(f"target width {target} is below the supported "
                             "resolution")
+    if len(grid) * knn.k > ROW_CAP:
+        raise CoverageError(
+            f"a start partition of {len(grid)} cells of k = {knn.k} nearest "
+            f"samples needs {len(grid) * knn.k} rows, above the budget of "
+            f"{ROW_CAP}; coarsen h")
     vals, near = _evaluate(knn, grid, deep)
     seed = _top_cells(vals, _SEED_CELLS)
     lo, hi, arg = _branch_and_bound(knn, deep, target, grid.take(seed),
@@ -556,7 +713,8 @@ def _branch_and_bound(knn: KnnField, deep: bool, target: float,
     batch of that many nodes or more is queried within lo + target - rho
     first, and again without a bound where that leaves a value open.
     Raises :class:`CoverageError` when a level would make more than
-    ``NODE_CAP`` children.
+    ``NODE_CAP`` children, or more than ``ROW_CAP`` rows of k nearest
+    samples.
     """
     while True:
         best = vals.argmax()
@@ -573,6 +731,11 @@ def _branch_and_bound(knn: KnnField, deep: bool, target: float,
             raise CoverageError(
                 f"a target width of {target} needs a level of {count} "
                 f"cells, above the cap of {NODE_CAP}; widen the target")
+        if count * knn.k > ROW_CAP:
+            raise CoverageError(
+                f"a target width of {target} needs a level of {count} "
+                f"cells of k = {knn.k} nearest samples, {count * knn.k} "
+                f"rows, above the budget of {ROW_CAP}; widen the target")
         cells = refine_nodes(centers=cells.take(split))
         if len(cells) >= _SKIP_MIN_CHILDREN:
             u = knn.reach(cells.nodes, near.take(split[cells.parent], axis=0))
@@ -592,33 +755,36 @@ def _branch_and_bound(knn: KnnField, deep: bool, target: float,
     return lo, hi, arg
 
 
-def _knn_field(cloud: PointCloud, grid: EvalGrid, k: int,
-               metric: Metric) -> KnnField:
+def _knn_field(cloud: PointCloud, grid: EvalGrid, k: int, metric: Metric,
+               ring_blocks: bool) -> KnnField:
     """The cloud's k-NN field on the grid's shape, which must be the
     shape the cloud was drawn on."""
     if cloud.spec != grid.spec:
         raise CoverageError(f"the cloud is on {cloud.spec.to_json()} but "
                             f"the grid is on {grid.spec.to_json()}")
-    return KnnField(grid.spec, cloud.points, k, metric, grid.bins)
+    return KnnField(grid.spec, cloud.points, k, metric, grid.bins,
+                    ring_blocks)
 
 
 def coverage_threshold(cloud: PointCloud, grid: EvalGrid, k: int,
-                       metric: Metric, refine_to: float | None = None
-                       ) -> ThresholdEstimate:
+                       metric: Metric, refine_to: float | None = None,
+                       ring_blocks: bool = False) -> ThresholdEstimate:
     """Certified bracket for the k-coverage threshold of B.
 
     The threshold is the max over B of the k-NN distance field; the bracket
     is narrowed to a width of ``refine_to`` when it is given, and is at
     most ``grid.h`` wide otherwise.  The cloud must lie on the grid's
-    shape.
+    shape.  ``ring_blocks`` lets a field on rings answer from blocks of
+    start cells before it builds a tree (see the module docstring); the
+    bracket does not depend on it.
     """
-    return _certified_max(_knn_field(cloud, grid, k, metric), grid,
-                          refine_to)
+    return _certified_max(_knn_field(cloud, grid, k, metric, ring_blocks),
+                          grid, refine_to)
 
 
 def interior_threshold(cloud: PointCloud, grid: EvalGrid, k: int,
-                       metric: Metric, refine_to: float | None = None
-                       ) -> ThresholdEstimate:
+                       metric: Metric, refine_to: float | None = None,
+                       ring_blocks: bool = False) -> ThresholdEstimate:
     """Certified bracket for the interior coverage threshold of B.
 
     This is the smallest r such that every point of B farther than r from
@@ -629,6 +795,7 @@ def interior_threshold(cloud: PointCloud, grid: EvalGrid, k: int,
     :func:`coverage_threshold` carries over unchanged.  The depth is taken
     on the grid's shape, which must be the cloud's; on a boundaryless shape
     it is infinite and the result equals the plain coverage threshold.
+    ``ring_blocks`` is as in :func:`coverage_threshold`.
     """
-    return _certified_max(_knn_field(cloud, grid, k, metric), grid,
-                          refine_to, deep=True)
+    return _certified_max(_knn_field(cloud, grid, k, metric, ring_blocks),
+                          grid, refine_to, deep=True)

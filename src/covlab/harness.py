@@ -76,6 +76,15 @@ class Sampler(str, Enum):
 # the one parameter key of each k schedule kind
 _SCHEDULE_KEYS = {"constant": "k", "beta_log": "beta", "power": "p"}
 
+# most replications per size of a run whose fields on rings (the disk, the
+# cap, the sphere) answer from blocks of start cells.  There the blocks
+# only save the import of scipy, most of a one-replication run (0.36 ->
+# 0.11 s on the disk at n = 1e4), and a replication on blocks costs more
+# than one on the tree (see the coverage module).  A longer run builds its
+# trees at once, as before the blocks; the run length up to which a fresh
+# process still gains from them is not measured.
+_RING_BLOCK_REPS = 1
+
 
 @dataclass(frozen=True)
 class KSchedule:
@@ -504,6 +513,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     parts = _MODE_PARTS[config.mode](config)
     check_density(config.spec, config.density)  # fail before any replication
     spec, region, metric = config.spec, config.region, config.metric
+    ring_blocks = config.replications <= _RING_BLOCK_REPS
     rows: list[ReplicationRow] = []
     for si, size in enumerate(config.sizes):
         k = config.schedule.k_of(size)
@@ -522,7 +532,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             cloud = _draw_cloud(config, size, si, rep)
             threshold = (interior_threshold if parts.interior
                          else coverage_threshold)
-            est = threshold(cloud, grid, k, metric, refine_to=h_target)
+            est = threshold(cloud, grid, k, metric, refine_to=h_target,
+                            ring_blocks=ring_blocks)
             return ReplicationRow(size=size, rep=rep, k=k, metric=metric.value,
                                   lo=est.lo, hi=est.hi, h=est.h,
                                   stat_lo=parts.statistic(est.lo, size, k),

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import covlab
-from covlab import coverage
+from covlab import coverage, harness
 from covlab import geometry as geo
 from covlab.grids import build_grid
 from covlab.harness import ExperimentConfig, run_experiment
@@ -108,37 +108,98 @@ def test_square_at_benchmark_size_builds_no_tree(monkeypatch):
     assert built == []
 
 
+def test_disk_at_benchmark_size_builds_few_trees(monkeypatch):
+    """The disk_weak_1e4 load of perfbench/workloads.py at its first seed,
+    its fields on blocks, as in a run of one replication.  None of the 300
+    replications of that load's seeds 1,100,000 to 1,100,014 built a tree,
+    so 20 replications may build one at most."""
+    monkeypatch.setattr(harness, "_RING_BLOCK_REPS", 20)
+    built = _counting_trees(monkeypatch)
+    run_experiment(ExperimentConfig.from_json({
+        "spec": {"family": "unit_disk"}, "mode": "weak_boundary",
+        "sizes": [10_000], "k": {"kind": "constant", "k": 1},
+        "replications": 20, "base_seed": 1_100_000}))
+    assert len(built) <= 1
+
+
+def _run_script(script, *args):
+    """The last stdout line of ``script`` run with ``args`` in a fresh
+    interpreter that imports covlab from this checkout, as JSON."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(PERFBENCH.parent / "src"), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", script, *map(str, args)],
+                         env=env, capture_output=True, text=True,
+                         timeout=300, check=True)
+    return json.loads(out.stdout.splitlines()[-1])
+
+
 _LOADED = """
 import json, sys
 import covlab.cli
+from covlab import coverage
 
 def scipy():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
+built = []
+real = coverage.cKDTree
+
+def counting(points, **kwargs):
+    built.append(len(points))
+    return real(points, **kwargs)
+
+coverage.cKDTree = counting
 imported = scipy()
 with open(sys.argv[2], "w") as fh:
-    json.dump({"spec": {"family": sys.argv[3]},
-               "sizes": [int(sys.argv[4])], "replications": 2,
-               "k": {"kind": "constant", "k": 1}}, fh)
+    json.dump({"spec": json.loads(sys.argv[3]),
+               "sizes": [int(sys.argv[4])], "replications": 1,
+               "k": {"kind": "constant", "k": int(sys.argv[5])}}, fh)
 code = covlab.cli.main([sys.argv[1], "--config", sys.argv[2], "--out",
-                        sys.argv[5]])
-print(json.dumps([imported, scipy(), code]))
+                        sys.argv[6]])
+print(json.dumps([imported, scipy(), len(built), code]))
 """
 
 
-@pytest.mark.parametrize("mode,family,size", [("slln", "unit_square", 20_000),
-                                              ("weak", "unit_disk", 2_000)])
-def test_scipy_is_loaded_by_the_first_tree(tmp_path, mode, family, size):
-    # importing scipy.spatial is most of a CLI call's start-up
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(PERFBENCH.parent / "src"), os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run(
-        [sys.executable, "-c", _LOADED, mode, str(tmp_path / "config.json"),
-         family, str(size), str(tmp_path / "out")],
-        env=env, capture_output=True, text=True, timeout=300, check=True)
-    imported, after, code = json.loads(out.stdout.splitlines()[-1])
+@pytest.mark.parametrize("mode,spec,size,k", [
+    pytest.param("slln", {"family": "unit_square"}, 20_000, 1,
+                 id="slln-unit_square-20000"),
+    pytest.param("weak", {"family": "unit_disk"}, 2_000, 1,
+                 id="weak-unit_disk-2000"),
+    pytest.param("weak", {"family": "unit_disk"}, 10_000, 1,
+                 id="weak-unit_disk-10000"),
+    pytest.param("interior", {"family": "spherical_cap", "alpha": 1.0},
+                 10_000, 2, id="interior-spherical_cap-10000")])
+def test_scipy_is_loaded_by_the_first_tree(tmp_path, mode, spec, size, k):
+    # importing scipy.spatial is most of a one-replication CLI call's
+    # start-up; a run that builds no tree does not pay for it
+    imported, after, built, code = _run_script(
+        _LOADED, mode, tmp_path / "config.json", json.dumps(spec), size, k,
+        tmp_path / "out")
     assert imported == [] and code == 0
-    assert bool(after) == (family == "unit_disk")
+    assert bool(after) == (built > 0)
+
+
+@pytest.mark.parametrize("reps,trees", [(1, 0), (2, 2), (3, 3)])
+def test_ring_fields_answer_from_blocks_in_a_one_replication_run(
+        monkeypatch, reps, trees):
+    # a run of one replication answers the disk from blocks, and builds
+    # no tree at this size; a longer run builds one tree a replication, at
+    # once, as before the blocks, whatever the process has loaded
+    built = _counting_trees(monkeypatch)
+    asked = []
+    real = coverage.KnnField._blocks
+
+    def blocks(self, nodes):
+        asked.append(len(nodes))
+        return real(self, nodes)
+
+    monkeypatch.setattr(coverage.KnnField, "_blocks", blocks)
+    run_experiment(ExperimentConfig.from_json({
+        "spec": {"family": "unit_disk"}, "mode": "weak_boundary",
+        "sizes": [2_000], "k": {"kind": "constant", "k": 1},
+        "replications": reps, "base_seed": 1_100_000}))
+    assert len(built) == trees
+    assert bool(asked) == (reps == 1)
 
 
 @pytest.mark.parametrize("threshold", [coverage.coverage_threshold,

@@ -12,10 +12,16 @@ unrefined start partition at another resolution, on clouds with repeated
 points, with k equal to the cloud size, and with every point on the
 boundary of the shape, on the whole shape and on interior bodies, and at
 target widths down to just above the supported resolution.  A level that
-would make more cells than a start partition may have is refused.
+would make more cells than a start partition may have is refused, and so
+is one whose cells' rows of k nearest samples exceed their budget.
 """
 
+import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -202,6 +208,75 @@ def test_runaway_level_is_refused(monkeypatch):
         with pytest.raises(CoverageError, match=f"width of {target} needs "
                            r"a level of \d+ cells, above the cap of 100000"):
             threshold(cloud, grid, 48, EUC, refine_to=target)
+
+
+_RUNAWAY = """
+import json, math, resource
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+import numpy as np
+from covlab import coverage, geometry as geo
+from covlab.grids import MIN_RESOLUTION, build_grid
+from covlab.sampling import PointCloud, uniform_sample
+
+spec = geo.unit_sphere()
+seed = int(np.random.default_rng(34269).integers(2 ** 31))
+cloud = PointCloud(spec, uniform_sample(spec, 48, seed).points)
+grid = build_grid(spec, geo.REGION_ALL, math.pi / 8.0)
+try:
+    coverage.coverage_threshold(cloud, grid, 48, geo.Metric.EUCLIDEAN,
+                                refine_to=1.8048473014317254 * MIN_RESOLUTION)
+    message = None
+except coverage.CoverageError as exc:
+    message = str(exc)
+print(json.dumps([message,
+                  resource.getrusage(resource.RUSAGE_SELF).ru_maxrss]))
+"""
+
+
+def test_runaway_level_is_refused_within_its_row_budget():
+    # the sphere example above at the real cell cap: k = 48 rows a cell
+    # would take 2.2 GB on its level of 2.16M cells; the row budget
+    # refuses a level of 528k cells first.  The child process limits its
+    # address space to 2 GB and must peak below 1 GB.
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    # one BLAS thread: each thread's buffer would count against the limit
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   [str(src), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", _RUNAWAY], env=env,
+                         capture_output=True, text=True, timeout=300,
+                         check=True)
+    message, peak_kb = json.loads(out.stdout.splitlines()[-1])
+    assert message is not None
+    assert f"above the budget of {coverage.ROW_CAP}" in message
+    assert "k = 48" in message
+    assert peak_kb < 1 << 20
+
+
+class _Evaluated(Exception):
+    pass
+
+
+def test_fine_start_partition_is_refused_within_its_row_budget(monkeypatch):
+    # k = 48 rows a cell of a start partition of 392k cells would take
+    # 150 MB an index array; the row budget refuses it before the field is
+    # asked anything, and lets k = 38 through
+    def evaluate(*args, **kwargs):
+        raise _Evaluated
+
+    monkeypatch.setattr(coverage, "_evaluate", evaluate)
+    square = geo.unit_square(2)
+    cloud = make_cloud(square, uniform_sample(square, 100, 3).points)
+    grid = build_grid(square, geo.REGION_ALL, 0.0016)
+    assert 38 * len(grid) <= coverage.ROW_CAP < 48 * len(grid)
+    for threshold in (coverage_threshold, interior_threshold):
+        with pytest.raises(CoverageError, match=(
+                f"start partition of {len(grid)} cells of k = 48 nearest "
+                f"samples needs {48 * len(grid)} rows, above the budget of "
+                f"{coverage.ROW_CAP}")):
+            threshold(cloud, grid, 48, EUC)
+        with pytest.raises(_Evaluated):
+            threshold(cloud, grid, 38, EUC)
 
 
 @pytest.mark.parametrize("fam", ["disk", "sphere", "cap"])
