@@ -263,9 +263,10 @@ class _Domain:
         return self.body.kind != "box" and self.body.d == 2
 
     def ambient(self, q: np.ndarray) -> np.ndarray:
-        """(N, m) ambient points of the (d, N) parameter points ``q``."""
+        """(N, m) ambient points of the (d, N) parameter points ``q``, in
+        row order, so that a gather of rows copies only those rows."""
         if not self.rings:
-            return q.T
+            return np.ascontiguousarray(q.T)
         sphere = self.body.kind == "cap"
         t, phi = q
         c = np.sin(t) if sphere else t

@@ -293,7 +293,13 @@ class ExperimentResult:
 
 def ks_distance(samples, cdf) -> float:
     """One-sample Kolmogorov-Smirnov sup distance against a CDF callable."""
-    xs = np.sort(np.asarray(samples, dtype=float))
+    return _ks_side(samples, cdf)[2]
+
+
+def _ks_side(samples, cdf):
+    """(sorted samples, the CDF at them, their KS sup distance); a stable
+    sort keeps -0.0 and 0.0 in the order they came."""
+    xs = np.sort(np.asarray(samples, dtype=float), kind="stable")
     n = len(xs)
     if n == 0:
         raise ConfigError("ks_distance needs a nonempty sample")
@@ -301,7 +307,7 @@ def ks_distance(samples, cdf) -> float:
     i = np.arange(1, n + 1)
     d_plus = np.max(i / n - f)
     d_minus = np.max(f - (i - 1) / n)
-    return float(min(1.0, max(d_plus, d_minus, 0.0)))
+    return xs, f, float(min(1.0, max(d_plus, d_minus, 0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -366,21 +372,27 @@ def _density_floors(config: ExperimentConfig) -> tuple[float, float | None]:
     return config.density.f0, f1
 
 
+_QUANTILES = (0.05, 0.25, 0.5, 0.75, 0.95)
+
+
 def _summarize_weak(rows: list, sizes, cdf) -> dict:
+    """Per size, each side of the bracket sorted, its CDF evaluated and its
+    quantiles taken once."""
     out = {}
     for size in sizes:
-        stats_lo = np.array([r.stat_lo for r in rows if r.size == size])
-        stats_hi = np.array([r.stat_hi for r in rows if r.size == size])
-        order = np.argsort(stats_lo, kind="stable")
-        qs = [0.05, 0.25, 0.5, 0.75, 0.95]
+        (lo, cdf_lo, ks_lo), (hi, _, ks_hi) = (
+            _ks_side([getattr(r, side) for r in rows if r.size == size], cdf)
+            for side in ("stat_lo", "stat_hi"))
         out[str(size)] = {
-            "replications": int(len(stats_lo)),
-            "ks_lo": ks_distance(stats_lo, cdf),
-            "ks_hi": ks_distance(stats_hi, cdf),
-            "ecdf_nodes": [float(v) for v in stats_lo[order]],
-            "cdf_values": [float(v) for v in np.asarray(cdf(stats_lo[order]))],
-            "quantiles_lo": {str(q): float(np.quantile(stats_lo, q)) for q in qs},
-            "quantiles_hi": {str(q): float(np.quantile(stats_hi, q)) for q in qs},
+            "replications": len(lo),
+            "ks_lo": ks_lo,
+            "ks_hi": ks_hi,
+            "ecdf_nodes": lo.tolist(),
+            "cdf_values": cdf_lo.tolist(),
+            "quantiles_lo": dict(zip(map(str, _QUANTILES),
+                                     np.quantile(lo, _QUANTILES).tolist())),
+            "quantiles_hi": dict(zip(map(str, _QUANTILES),
+                                     np.quantile(hi, _QUANTILES).tolist())),
         }
     return out
 

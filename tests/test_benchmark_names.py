@@ -279,9 +279,9 @@ def test_query_hook_counts_the_nodes_the_tree_answers(monkeypatch, threshold,
 @pytest.mark.parametrize("fam", ["square", "cube", "disk", "ball", "sphere",
                                  "cap"])
 def test_no_node_is_queried_twice(monkeypatch, all_families, threshold, fam):
-    """The seed cells' subtrees are searched by the first run alone, and
-    the second run holds only the other start cells, so no box of one
-    threshold call is split by ``refine_nodes`` twice, and no node is
+    """The seed pass hands the cells it set aside, values and all, to the
+    finishing run, which holds them and the other start cells, so no box
+    of one threshold call is split by ``refine_nodes`` twice, and no node is
     answered by ``KnnField.__call__`` twice.  A node reaches that call a
     second time only when a bounded call left it open (inf), and then the
     second call answers it from the tree: no node's block of start cells

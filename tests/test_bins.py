@@ -7,9 +7,9 @@ the other cells.  These tests pin what that rests on: cKDTree's distances
 are ``sqrt(dx*dx + dy*dy [+ dz*dz])`` bit for bit; every point that the
 locator puts in another bin lies at least R from a cell's representative;
 and on clouds placed on the bins' faces, seams and poles, the start values
-are the tree's bits, and every bracket has the lo and argmax bits of the
-reference branch and bound (``tests/reference_bnb.py``, which queries the
-tree at every start cell and never bounds a search) and meets its bracket.
+are the tree's bits, and every bracket has the bits, argmax included, of
+the reference branch and bound (``tests/reference_bnb.py``, which queries
+the tree at every start cell and never bounds a search).
 The same clouds pin the bounded tree query that big batches of children
 make: every value it gives is the unbounded one, bit for bit.
 """
@@ -126,8 +126,8 @@ def _clouds(spec, grid, rng):
         yield "cluster", cluster, k
 
 
-def _lo_bits(est):
-    return np.array([est.lo, est.h, *est.argmax]).tobytes()
+def _bits(est):
+    return np.array([est.lo, est.hi, est.h, *est.argmax]).tobytes()
 
 
 @pytest.mark.parametrize("fam,reg", CASES, ids=[f"{f}-{r}" for f, r in CASES])
@@ -157,9 +157,8 @@ def test_binned_start_keeps_the_tree_bits(monkeypatch, all_families, fam,
                     ref = reference_bnb._certified_max(knn, grid, refine_to,
                                                        deep)
                     case = (name, k, metric, deep, gate)
-                    assert _lo_bits(est) == _lo_bits(ref), case
+                    assert _bits(est) == _bits(ref), case
                     assert est.lo <= est.hi <= est.lo + est.h, case
-                    assert max(est.lo, ref.lo) <= min(est.hi, ref.hi), case
     assert binned > 0  # the bins did answer cells
 
 

@@ -11,9 +11,12 @@ The branch and bound is audited against 60k random probes of B and an
 unrefined start partition at another resolution, on clouds with repeated
 points, with k equal to the cloud size, and with every point on the
 boundary of the shape, on the whole shape and on interior bodies, and at
-target widths down to just above the supported resolution.  A level that
-would make more cells than a start partition may have is refused, and so
-is one whose cells' rows of k nearest samples exceed their budget.
+target widths down to just above the supported resolution; and against
+the same cloud and grid refined to a 64th of its target width, which
+checks the certificate without the search order that produced it.  A
+level that would make more cells than a start partition may have is
+refused, and so is one whose cells' rows of k nearest samples exceed
+their budget.
 """
 
 import json
@@ -191,6 +194,38 @@ def test_bracket_meets_probes_and_full_partition(fam, alpha, body, floor,
         assert float(field(probes).max()) <= est.hi + 1e-12
         top = float(field(oracle.nodes).max())
         assert max(est.lo, top) <= min(est.hi, top + oracle.h) + 1e-12
+
+
+FINE_CASES = [(fam, reg) for fam in ("square", "disk", "cap", "sphere",
+                                      "ball")
+              for reg in ("all", "body") if not (fam == "sphere"
+                                                 and reg == "body")]
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("fam,reg", FINE_CASES,
+                         ids=[f"{f}-{r}" for f, r in FINE_CASES])
+def test_bracket_meets_the_bracket_at_a_64th_of_its_width(fam, reg, k):
+    # the certificate checked without the search order that produced it:
+    # the same cloud and grid refined to a 64th of the target give a lo,
+    # a field value at a point of B, that hi must reach, and a hi that lo
+    # must not pass
+    spec = _spec(fam, 1.1)
+    region = geo.REGION_ALL if reg == "all" else geo.interior_body(0.2)
+    grid = build_grid(spec, region, geo.intrinsic_diameter(spec) / 9.0)
+    target = grid.h / 100.0
+    for seed in range(3):
+        cloud = uniform_sample(spec, 400, 1000 * k + 10 * seed
+                               + FINE_CASES.index((fam, reg)))
+        for metric in (GEO, EUC):
+            for threshold in (coverage_threshold, interior_threshold):
+                est = threshold(cloud, grid, k, metric, refine_to=target)
+                fine = threshold(cloud, grid, k, metric,
+                                 refine_to=target / 64.0)
+                case = (seed, metric, threshold.__name__)
+                assert est.width <= target, case
+                assert est.hi >= fine.lo, case
+                assert est.lo <= fine.hi, case
 
 
 def test_runaway_level_is_refused(monkeypatch):

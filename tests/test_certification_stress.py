@@ -571,24 +571,17 @@ def test_skipped_children_keep_the_bits_on_adversarial_clouds(monkeypatch,
 
 
 # ---------------------------------------------------------------------------
-# the seed subtrees searched once, against the branch and bound that splits
-# them again in its second run (tests/reference_bnb.py)
+# bins, blocks and bounded queries against the same branch and bound on the
+# k-d tree alone (tests/reference_bnb.py)
 
 _SKIP_GATE = cov._SKIP_MIN_CHILDREN
 
 
-def _lo_bits(est):
-    return np.array([est.lo, est.h, *est.argmax]).tobytes()
-
-
-def _assert_keeps_the_reference_lo(monkeypatch, cloud, region, k, metric,
-                                   h):
+def _assert_keeps_the_reference_bits(monkeypatch, cloud, region, k, metric,
+                                     h):
     """Both thresholds, with no target and at h/10 and h/100, and with the
-    skip tested on large levels only or on every level: lo, h and the
-    argmax have the reference's bits, and hi is within the target of lo
-    and meets the reference's bracket.  hi itself may differ: a seed cell
-    that the first run set aside under its lower lo keeps its bound, where
-    the reference splits it again."""
+    skip tested on large levels only or on every level: lo, hi, h and the
+    argmax have the reference's bits, and hi is within the target of lo."""
     grid = build_grid(cloud.spec, region, h)
     knn = KnnField(cloud.spec, cloud.points, k, metric)
     for gate in (_SKIP_GATE, 0):
@@ -600,9 +593,8 @@ def _assert_keeps_the_reference_lo(monkeypatch, cloud, region, k, metric,
                 est = threshold(cloud, grid, k, metric, refine_to=refine_to)
                 ref = reference_bnb._certified_max(knn, grid, refine_to, deep)
                 case = (gate, refine_to, deep)
-                assert _lo_bits(est) == _lo_bits(ref), case
+                assert _bits(est) == _bits(ref), case
                 assert est.lo <= est.hi <= est.lo + est.h, case
-                assert max(est.lo, ref.lo) <= min(est.hi, ref.hi), case
 
 
 @pytest.mark.parametrize("metric", [GEO, EUC], ids=["geo", "euc"])
@@ -612,7 +604,7 @@ def test_replay_keeps_the_reference_bits(monkeypatch, all_families, fam, k,
                                          metric):
     spec = all_families[fam]
     cloud = uniform_sample(spec, 600, 110 * SHAPES.index(fam) + k)
-    _assert_keeps_the_reference_lo(monkeypatch, cloud, geo.REGION_ALL, k,
+    _assert_keeps_the_reference_bits(monkeypatch, cloud, geo.REGION_ALL, k,
                                    metric, _prune_h(spec))
 
 
@@ -630,5 +622,5 @@ def test_replay_keeps_the_reference_bits_on_adversarial_clouds(monkeypatch,
         cloud = make_cloud(spec, pts)
         for metric in (GEO, EUC):
             for region in (geo.REGION_ALL, geo.interior_body(0.2)):
-                _assert_keeps_the_reference_lo(monkeypatch, cloud, region,
+                _assert_keeps_the_reference_bits(monkeypatch, cloud, region,
                                                k, metric, h)

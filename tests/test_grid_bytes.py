@@ -109,3 +109,17 @@ def test_refine_window_is_exact_subgrid(all_families, fam, reg, h):
     # of a cell on the axis does not
     slack = _domain(spec, region).slack
     assert np.all(parents.rad - slack <= 0.75 * (root_rad - slack) + 1e-12)
+
+
+SHAPE_CASES = sorted({(fam, reg) for fam, reg, _ in CASES})
+
+
+@pytest.mark.parametrize("fam,reg", SHAPE_CASES,
+                         ids=[f"{f}-{r}" for f, r in SHAPE_CASES])
+def test_nodes_are_in_row_order(all_families, fam, reg):
+    # the branch and bound gathers rows of nodes; on a column-major array
+    # each gather would copy the whole array first
+    grid = build_grid(all_families[fam], REGIONS[reg], HS[0])
+    kids = refine_nodes(centers=grid.take(np.arange(0, len(grid), 7)))
+    assert grid.nodes.flags.c_contiguous
+    assert kids.nodes.flags.c_contiguous
