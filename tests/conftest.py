@@ -20,13 +20,18 @@ def knn_sort_oracle(spec, x, pts, k, metric) -> float:
     return float(d[k - 1])
 
 
+# one shape of every family, by name; ``tools/pin_grids.py`` pins the start
+# partitions of these shapes
+FAMILIES = {
+    "square": geo.unit_square(2),
+    "cube": geo.unit_square(3),
+    "disk": geo.unit_disk(),
+    "ball": geo.solid_ball(),
+    "sphere": geo.unit_sphere(),
+    "cap": geo.spherical_cap(1.1),
+}
+
+
 @pytest.fixture(scope="session")
 def all_families():
-    return {
-        "square": geo.unit_square(2),
-        "cube": geo.unit_square(3),
-        "disk": geo.unit_disk(),
-        "ball": geo.solid_ball(),
-        "sphere": geo.unit_sphere(),
-        "cap": geo.spherical_cap(1.1),
-    }
+    return FAMILIES

@@ -10,6 +10,12 @@ meet the ball, and the lattices (square, cube, ball) when their spacing
 became min(h, 2h/sqrt(d)).  The golden runs never reach the solid ball or the cube,
 so these hashes are their only byte-level guard.
 
+``tests/data/golden/grid_cells.json`` pins, for the same cases, what a
+start partition holds beyond its nodes: its boxes, its radii, the cells
+its bins put a fixed uniform cloud of probes in, and the nodes, boxes,
+radii and parents of the children of every 7th start cell.
+``tools/pin_grids.py`` writes both files from the current code.
+
 The splitting test checks the contract the branch and bound rests on:
 ``refine_nodes`` halves every box of the cells it is given, so the
 children tile their parents exactly, and each child keeps its
@@ -26,9 +32,11 @@ import pytest
 
 from covlab import geometry as geo
 from covlab.grids import _domain, build_grid, refine_nodes
+from covlab.sampling import uniform_sample
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden",
                       "grid_nodes.json")
+GOLDEN_CELLS = os.path.join(os.path.dirname(GOLDEN), "grid_cells.json")
 FAMILIES = ("square", "cube", "disk", "ball", "sphere", "cap")
 REGIONS = {"all": geo.REGION_ALL, "body": geo.interior_body(0.2)}
 HS = (0.17, 0.037)
@@ -51,10 +59,45 @@ def _digest(nodes: np.ndarray) -> dict:
     return {"sha256": hashlib.sha256(raw).hexdigest(), "bytes": len(raw)}
 
 
+def _cells(spec, reg, h) -> dict:
+    """Digests of the start partition's boxes, radii and probe cells, and
+    of the children of every 7th start cell."""
+    grid = build_grid(spec, REGIONS[reg], h)
+    kids = refine_nodes(centers=grid.take(np.arange(0, len(grid), 7)))
+    probes = uniform_sample(spec, 4000, 29).points
+    return {"box": _digest(grid.box), "rad": _digest(grid.rad),
+            "locate": _digest(grid.bins.locate(probes)),
+            "kids_nodes": _digest(kids.nodes), "kids_box": _digest(kids.box),
+            "kids_rad": _digest(kids.rad),
+            "kids_parent": _digest(kids.parent)}
+
+
+def node_pins(families) -> dict:
+    """``grid_nodes.json``'s table, from the current code."""
+    return {_case_id(fam, reg, h): _digest(
+        build_grid(families[fam], REGIONS[reg], h).nodes)
+        for fam, reg, h in CASES + FACE_CASES}
+
+
+def cell_pins(families) -> dict:
+    """``grid_cells.json``'s table, from the current code."""
+    return {_case_id(fam, reg, h): _cells(families[fam], reg, h)
+            for fam, reg, h in CASES + FACE_CASES}
+
+
+def _load(path):
+    with open(path) as fh:
+        return json.load(fh)
+
+
 @pytest.fixture(scope="module")
 def golden():
-    with open(GOLDEN) as fh:
-        return json.load(fh)
+    return _load(GOLDEN)
+
+
+@pytest.fixture(scope="module")
+def golden_cells():
+    return _load(GOLDEN_CELLS)
 
 
 @pytest.mark.parametrize("fam,reg,h", CASES + FACE_CASES,
@@ -62,6 +105,14 @@ def golden():
 def test_grid_nodes_match_golden_bytes(golden, all_families, fam, reg, h):
     nodes = build_grid(all_families[fam], REGIONS[reg], h).nodes
     assert _digest(nodes) == golden[_case_id(fam, reg, h)]
+
+
+@pytest.mark.parametrize("fam,reg,h", CASES + FACE_CASES,
+                         ids=[_case_id(*c) for c in CASES + FACE_CASES])
+def test_grid_cells_match_golden_bytes(golden_cells, all_families, fam,
+                                       reg, h):
+    got = _cells(all_families[fam], reg, h)
+    assert got == golden_cells[_case_id(fam, reg, h)]
 
 
 def _volume(lo, hi):
