@@ -105,6 +105,18 @@ def test_cover_rejects_outside_points(tmp_path, capsys):
     assert rc == 1
 
 
+def test_cover_rejects_a_cloud_of_other_coordinates(tmp_path, capsys):
+    # a sphere cloud (an index and three coordinates a row) is no disk
+    # cloud: its last two columns are not read as one
+    path = str(tmp_path / "sphere.csv")
+    save_cloud_csv(uniform_sample(geo.unit_sphere(), 300, 1), path)
+    rc = main(["cover", "--cloud", path, "--spec", "disk", "--k", "1",
+               "--h", "0.1"])
+    out, err = capsys.readouterr()
+    assert rc == 1 and out == ""
+    assert err.startswith("error: ") and "line 2: 4 columns" in err
+
+
 def _write_cfg(tmp_path, **kw):
     doc = {
         "spec": {"family": "unit_disk"},
