@@ -41,35 +41,12 @@ sphere, whole or an interior body), the field can answer every node it
 is asked from blocks of start cells, and ask the tree only for the rows
 that no block certifies (on the rings when asked; see below).  The
 cloud is sorted by start cell once, so a run of consecutive cells is one
-run of samples.  A block holds every sample that the bins put in one of
-its cells; every other sample lies across one of the block's closed
-faces from its node q, so its chord to q is at least the block's radius
-R: the chord from q to the nearest closed face, less the bins' 1e-12.
-As in a bin, a k-th smallest chord below R is the k-th neighbour chord,
-summed as the tree sums it.
-
-- On a lattice, q falls in the slot rint((q - lo)/s), clipped to the
-  lattice, and its block is the (2w + 1)^2 cells around that slot: one
-  run per row along the last axis.  R is the gap from q to the nearest
-  face along its axis; a face on the lattice's edge is open, since
-  clipping bins every point past it.
-- On the rings (radius, or polar angle on a cap, by azimuth; the cells
-  run ring by ring and by azimuth on each), q falls in ring i =
-  rint(t/dt), clipped, and cell j = rint(phi count_i / 2 pi) on it.  Its
-  cells j - w..j + w span the wedge phi +- A about q, and its block
-  takes rings i - w..i + w and, on each, every cell whose azimuth range
-  meets the wedge: one run of cells, or two where the wedge wraps past
-  the ring's cell 0, and the whole ring where every cell meets it.  A
-  sample outside the block lies beyond the ring circle t' = (i - w -
-  1/2) dt or (i + w + 1/2) dt, at a chord of at least |t - t'| (sin |t -
-  t'| on a cap, 1 for a gap of pi/2 or more), or at an azimuth more than
-  A from q's, at a chord of at least c sin(min(A, pi/2)), c being q's
-  distance to the axis, as in the bins (see grids).  The axis and the
-  rim are open faces, the rim since clipping bins every point past it.
-  A = pi, and every ring of the block is whole, where ring i is, and
-  where the block reaches a ring of one cell, on the axis: near it c is
-  below the spacing, and the rays would leave open nodes whose k-th
-  neighbour lies within one spacing.
+run of samples.  The partition's chart lays out the block about a node q
+at w, (2w + 1)^2 cells on a lattice and the cells of 2w + 1 rings that
+meet a wedge about q on the rings, as runs of consecutive cells, and
+certifies its radius R: every sample outside the block lies at least R
+from q (see grids).  As in a bin, a k-th smallest chord below R is the
+k-th neighbour chord, summed as the tree sums it.
 
 The start spacing is about the threshold's scale, so the k-th neighbour
 of a node that the branch and bound asks lies within about one spacing:
@@ -165,8 +142,7 @@ import numpy as np
 from .geometry import (ManifoldSpec, Metric, as_points, check_enum,
                        check_number, chord_to_geodesic,
                        dist_to_boundary_many, is_number)
-from .grids import (_BIN_MARGIN, MIN_RESOLUTION, NODE_CAP, Bins, EvalGrid,
-                    refine_nodes)
+from .grids import MIN_RESOLUTION, NODE_CAP, Bins, EvalGrid, refine_nodes
 from .sampling import PointCloud
 
 
@@ -294,17 +270,14 @@ class KnnField:
         # distances do not depend on the row order, so every bracket keeps
         # its bits.
         self._box = spec.body.kind == "box"
-        self._cap = spec.body.kind == "cap"
         self._bins = None
-        if (bins is not None and bins.domain.body.d == 2
+        if (bins is not None and bins.chart.body.d == 2
                 and 9 * len(points) <= _BLOCK_MEAN * (len(bins.reach2) - 1)
-                and (ring_blocks or not bins.domain.rings)):
+                and (ring_blocks or not bins.chart.tree_first)):
             self._bins = bins
             self._cell, self._start, self._points = _cell_sorted(bins,
                                                                  points)
             self._cols = tuple(np.ascontiguousarray(self._points.T))
-            if bins.domain.rings:
-                self._ring_tables(bins)
         elif self._box:
             self._points = _bucket_sorted(points)
         else:
@@ -378,9 +351,9 @@ class KnnField:
         k = self.k
         chord = np.full(len(q), np.inf)
         near = np.full((len(q), k), len(self._points), np.intp)
-        runs = self._ring_runs if self._bins.domain.rings else self._row_runs
-        reach, begin, size = runs(q, w)
-        reach -= _BIN_MARGIN
+        reach, first, end = self._bins.runs(q, w)
+        begin = self._start.take(first)
+        size = self._start.take(end) - begin
         count = size.sum(axis=1)
         rows = ((count >= k) & (count <= _BLOCK_MOST) & (reach > 0.0)
                 ).nonzero()[0]
@@ -420,116 +393,6 @@ class KnnField:
         chord[rows[sure]] = np.sqrt(kth[sure])
         near[rows[sure]] = picked[sure]
         return chord, near
-
-    def _row_runs(self, q: np.ndarray, w: int):
-        """((N,) radius of each node's block on the lattice, before the
-        margin; (N, 2w + 1) first sorted row and length of each run of
-        samples in it)."""
-        bins = self._bins
-        last, step = bins.last, bins.step
-        slot = q - bins.lo
-        slot /= step
-        np.rint(slot, out=slot)
-        np.clip(slot, 0.0, last, out=slot)
-        # a face on the lattice's edge is open
-        low, high = slot - w, slot + w
-        reach = np.minimum(
-            np.where(low > 0.0, q - (bins.lo + (low - 0.5) * step), np.inf),
-            np.where(high < last, bins.lo + (high + 0.5) * step - q,
-                     np.inf)).min(axis=1)
-        # each row of the block is one run of slots, so one run of samples
-        slot = slot.astype(np.intp)
-        band = slot[:, :1] + np.arange(-w, w + 1)
-        inside = (band >= 0) & (band <= last)
-        band.clip(0, last, out=band)
-        band *= last + 1
-        begin = self._start.take(band + np.maximum(slot[:, 1:] - w, 0))
-        size = self._start.take(band + np.minimum(slot[:, 1:] + w, last) + 1)
-        size -= begin
-        size *= inside
-        return reach, begin, size
-
-    def _ring_tables(self, bins: Bins) -> None:
-        """The per-ring arrays that ``_ring_runs`` reads: cells, cells per
-        turn and first cell of every ring, with two rings of one empty
-        cell (cell N, which ``_start`` leaves empty) padding each end; and,
-        for w = 1 and 2, the ring circles below and above the block about
-        each ring, -inf and inf where the face is open, and whether the
-        block is taken whole."""
-        cells, ring = len(bins.reach2) - 1, np.arange(bins.last + 1.0)
-        pad = np.ones(2)
-        count = np.concatenate([pad, bins.count, pad])
-        first = np.concatenate([cells * pad, bins.first, cells * pad])
-        self._rings = count, count * (0.5 / math.pi), first
-        self._bands = {w: np.arange(2 - w, 3 + w) for w in (1, 2)}
-        # rings whose block is taken whole: their cells j - w..j + w are
-        # all of them, or the block reaches a ring of one cell, on the axis,
-        # near which an azimuth ray passes closer than any ring circle
-        pole = bins.count[-1] == 1.0
-        self._whole = {w: (bins.count <= 2 * w + 1) | (ring <= w)
-                       | (pole & (ring >= bins.last - w)) for w in (1, 2)}
-        self._faces = {w: (np.where(ring > w, (ring - w - 0.5) * bins.step,
-                                    -np.inf),
-                           np.where(ring < bins.last - w,
-                                    (ring + w + 0.5) * bins.step, np.inf))
-                       for w in (1, 2)}
-
-    def _ring_runs(self, q: np.ndarray, w: int):
-        """``_row_runs`` on the rings: the block takes rings i - w..i + w
-        around the node's ring i, and on each the cells whose azimuth range
-        meets the wedge phi +- A that the node's own ring's cells j - w..j
-        + w span around it; so one run of cells on a ring, or two where the
-        wedge wraps past the ring's first cell, (N, 2(2w + 1)) runs."""
-        bins, (count, turns, first) = self._bins, self._rings
-        step, last = bins.step, bins.last
-        x0, x1 = q[:, 0], q[:, 1]
-        c = np.hypot(x0, x1)  # distance to the axis
-        t = np.arctan2(c, q[:, 2]) if self._cap else c
-        ring = np.rint(t / step)
-        np.minimum(ring, last, out=ring)
-        ring = ring.astype(np.intp)
-        phi = np.arctan2(x1, x0)
-        # A = (2w + 1 - 2 |turn - j|) pi / count_i, pi where the block is
-        # taken whole
-        half = phi * turns.take(ring + 2)
-        half -= np.rint(half)
-        np.abs(half, out=half)
-        half *= -2.0
-        half += 2 * w + 1
-        half *= math.pi
-        half /= count.take(ring + 2)
-        half[self._whole[w].take(ring)] = math.pi
-        # the block's certified radius; the axis and the rim are open faces
-        below, above = self._faces[w]
-        gap = np.minimum(t - below.take(ring), above.take(ring) - t)
-        if self._cap:
-            gap = np.where(gap < np.inf,
-                           np.sin(np.minimum(gap, 0.5 * math.pi)), np.inf)
-        across = np.minimum(half, 0.5 * math.pi)
-        np.sin(across, out=across)
-        across *= c
-        across[half >= math.pi] = np.inf
-        reach = np.minimum(gap, across)
-        # on each ring of the block (two empty rings pad each end), cells j
-        # with j - 1/2 <= (phi + A) count / 2 pi, j + 1/2 >= (phi - A) count
-        # / 2 pi: cells low..low + span - 1, wrapped past cell count - 1
-        band = ring[:, None] + self._bands[w]
-        count, turns = count.take(band), turns.take(band)
-        low = np.ceil((phi - half)[:, None] * turns - 0.5)
-        span = np.floor((phi + half)[:, None] * turns + 0.5)
-        span -= low
-        span += 1.0
-        low += count * (low < 0.0)
-        low[span >= count] = 0.0
-        np.minimum(span, count, out=span)
-        span += low
-        cell = first.take(band)
-        edges = np.concatenate([cell + low, cell,
-                                cell + np.minimum(span, count),
-                                cell + np.maximum(span - count, 0.0)], axis=1)
-        edges = self._start.take(edges.astype(np.intp))
-        runs = 2 * band.shape[1]
-        return reach, edges[:, :runs], edges[:, runs:] - edges[:, :runs]
 
     def _field(self, chord: np.ndarray) -> np.ndarray:
         """The field at the k-th neighbour ``chord``, inf kept as inf."""
@@ -591,9 +454,7 @@ class KnnField:
 def _cell_sorted(bins: Bins, points: np.ndarray):
     """((n,) start cell of each sorted row, (cells + 2,) first sorted row
     of each cell and of an empty cell N, then n, the rows of ``points``
-    ordered by cell), for bins that put every point in a cell: a lattice
-    whose cells are its slots, or rings, whose cells run ring by ring and
-    by azimuth on each."""
+    ordered by cell), for bins that put every point in a cell."""
     cell = bins.locate(points)
     cells = len(bins.reach2) - 1
     # numpy sorts 16-bit keys by radix; its stable sort of wider keys is a
@@ -780,7 +641,7 @@ def _branch_and_bound(knn: KnnField, deep: bool, target: float,
         centers, near = _joined(split_off)
         if not len(centers):
             break
-        count = len(centers) * 2 ** centers.domain.body.d
+        count = len(centers) * 2 ** centers.domain.chart.body.d
         if count > NODE_CAP:
             raise CoverageError(
                 f"a target width of {target} needs a level of {count} "

@@ -77,7 +77,8 @@ def _faces(grid):
     """Ambient points on every face of every cell's box, at its corners,
     at the middles of its faces and at its centre, each also one ulp to
     either side, kept where they lie on the shape."""
-    d = grid.domain.body.d
+    chart = grid.domain.chart
+    d = chart.body.d
     lo, hi = grid.box[:d], grid.box[d:]
     mid = 0.5 * (lo + hi)
     params = []
@@ -90,7 +91,7 @@ def _faces(grid):
     q = np.concatenate(params, axis=1)
     q = np.concatenate([q, np.nextafter(q, -np.inf), np.nextafter(q, np.inf)],
                        axis=1)
-    x = grid.domain.ambient(q)
+    x = chart.ambient(q)
     return x[geo.contains_many(grid.spec, x)]
 
 
@@ -216,8 +217,9 @@ def test_points_in_other_bins_lie_beyond_the_radius(all_families, fam, reg):
 def test_locate_inverts_the_start_indexing(all_families, fam, reg):
     # the centre of each cell's box falls in that cell
     grid = _grid(all_families[fam], reg)
-    d = grid.domain.body.d
-    centres = grid.domain.ambient(0.5 * (grid.box[:d] + grid.box[d:]))
+    chart = grid.domain.chart
+    d = chart.body.d
+    centres = chart.ambient(0.5 * (grid.box[:d] + grid.box[d:]))
     assert np.array_equal(grid.bins.locate(centres), np.arange(len(grid)))
 
 
@@ -227,7 +229,7 @@ def _misbinned_pairs(grid):
     face, but the locator's rounding puts it in the next cell; A lies in
     p's bin, farther from p than B and nearer than every face."""
     pairs = []
-    last = grid.bins.last
+    last = grid.bins.chart.last
     for row in range(len(grid) - last - 1):  # not the open upper x faces
         p, box = grid.nodes[row], grid.box[:, row]
         face = min(p[0] - box[0], p[1] - box[1], box[2] - p[0], box[3] - p[1])
@@ -267,7 +269,7 @@ def test_margin_holds_against_points_binned_across_a_face():
 def test_each_size_builds_its_bins_once(monkeypatch):
     grids.clear_grid_cache()  # a size's grid may be kept from another test
     filled, used = [], []
-    real_filled, real_binned = grids.Bins.filled, KnnField._binned
+    real_filled, real_binned = grids._Chart.bins, KnnField._binned
 
     def filling(self, grid, rep):
         filled.append(len(grid))
@@ -277,7 +279,7 @@ def test_each_size_builds_its_bins_once(monkeypatch):
         used.append(grid.bins)
         return real_binned(self, grid)
 
-    monkeypatch.setattr(grids.Bins, "filled", filling)
+    monkeypatch.setattr(grids._Chart, "bins", filling)
     monkeypatch.setattr(KnnField, "_binned", using)
     cfg = ExperimentConfig(spec=geo.unit_disk(), region=geo.REGION_ALL,
                            mode=RunMode.WEAK_BOUNDARY, sizes=(200, 400),

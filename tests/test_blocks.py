@@ -58,9 +58,9 @@ def _chords(points, probes):
 def _faces(grid):
     """The lattice's cell faces, one cell beyond each edge included, and
     its edges."""
-    bins = grid.bins
-    faces = bins.lo + (np.arange(-1, bins.last + 2) - 0.5) * bins.step
-    edges = bins.lo + np.array([0.0, bins.last]) * bins.step
+    chart = grid.bins.chart
+    faces = chart.lo + (np.arange(-1, chart.last + 2) - 0.5) * chart.step
+    edges = chart.lo + np.array([0.0, chart.last]) * chart.step
     return np.concatenate([faces, edges, [0.0, 1.0]]).clip(0.0, 1.0)
 
 
@@ -125,17 +125,17 @@ def _misbinned_pairs(grid):
     nearer to q than the face, but the locator's rounding puts it in the
     next cell, outside the block; A lies in the block, farther from q than
     B and nearer than every face of the block."""
-    bins, pairs = grid.bins, []
-    s = bins.step
-    for i in range(bins.last - 1):
+    chart, pairs = grid.bins.chart, []
+    s = chart.step
+    for i in range(chart.last - 1):
         # low in the lattice, so that A's coordinate steps finer than B's
-        q = np.array([bins.lo + (i + 0.4) * s, bins.lo + s])
-        face = bins.lo + (i + 1.5) * s  # as the block computes it
+        q = np.array([chart.lo + (i + 0.4) * s, chart.lo + s])
+        face = chart.lo + (i + 1.5) * s  # as the block computes it
         x = face
         for _ in range(6):
             x = np.nextafter(x, -np.inf)
             b = np.array([x, q[1]])
-            if bins.locate(b[None])[0] // (bins.last + 1) != i + 2:
+            if chart.locate(b[None])[0] // (chart.last + 1) != i + 2:
                 continue
             cb = _chords(b[None, None], q[None])[0, 0]
             y = q[1] + cb
@@ -191,7 +191,7 @@ def test_a_lattice_coarse_for_its_cloud_keeps_the_tree(monkeypatch):
 
     monkeypatch.setattr(coverage, "cKDTree", counting)
     grid = _grid("all")
-    assert coverage._BLOCK_MEAN == 48 and grid.bins.last == 12
+    assert coverage._BLOCK_MEAN == 48 and grid.bins.chart.last == 12
     for n, blocks in ((901, True), (902, False)):
         built.clear()
         knn = KnnField(SQUARE, uniform_sample(SQUARE, n, 5).points, 1, GEO,
@@ -232,12 +232,12 @@ def _ring_faces(grid, extent):
     """(the ring circles, one beyond each end included, the axis and the
     rim; the azimuth rays between every ring's cells and the seams at 0
     and +-pi, each with its neighbouring floats)."""
-    bins = grid.bins
-    circles = (np.arange(-1, bins.last + 2) + 0.5) * bins.step
-    circles = np.concatenate([circles, [0.0, bins.last * bins.step, extent],
+    chart = grid.bins.chart
+    circles = (np.arange(-1, chart.last + 2) + 0.5) * chart.step
+    circles = np.concatenate([circles, [0.0, chart.last * chart.step, extent],
                               np.nextafter(circles, 0.0)]).clip(0.0, extent)
     rays = [0.0, math.pi, -math.pi]
-    for count in bins.count:
+    for count in chart.count:
         edge = (2.0 * np.arange(count) + 1.0) * math.pi / count
         rays.extend(np.where(edge > math.pi, edge - 2.0 * math.pi, edge))
     rays = np.array(rays)
@@ -254,7 +254,7 @@ def _ring_clouds(spec, grid, extent, rng, k):
         _ambient(spec, rng.choice(circles, 300), phi[:300]),
         _ambient(spec, t[300:], rng.choice(rays, 300))])
     # the axis cell, its face and the rim, at every azimuth
-    ends = np.array([0.0, 1e-300, 0.5 * grid.bins.step, extent,
+    ends = np.array([0.0, 1e-300, 0.5 * grid.bins.chart.step, extent,
                      np.nextafter(extent, 0.0)])
     yield "axis_rim", np.concatenate([
         _ambient(spec, rng.choice(ends, 60), rng.choice(rays, 60)),
@@ -319,17 +319,17 @@ def _misbinned_ring_pairs(grid):
     the locator's rounding puts it in ring i + 2, outside the block; A lies
     in the block, farther from q than B and nearer than every face of the
     block."""
-    bins, pairs = grid.bins, []
-    dt = bins.step
-    for i in range(2, bins.last - 2):
+    chart, pairs = grid.bins.chart, []
+    dt = chart.step
+    for i in range(2, chart.last - 2):
         q = np.array([(i + 0.4) * dt, 0.0])
         face = (i + 1.0 + 0.5) * dt  # as the block computes it
-        ring = bins.first[i + 2], bins.first[i + 2] + bins.count[i + 2]
+        ring = chart.first[i + 2], chart.first[i + 2] + chart.count[i + 2]
         x = face
         for _ in range(6):
             x = np.nextafter(x, -np.inf)
             b = np.array([x, 0.0])
-            if not ring[0] <= bins.locate(b[None])[0] < ring[1]:
+            if not ring[0] <= chart.locate(b[None])[0] < ring[1]:
                 continue
             cb = _chords(b[None, None], q[None])[0, 0]
             y = cb

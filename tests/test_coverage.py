@@ -44,17 +44,17 @@ def test_start_boxes_are_no_longer_than_h(spec, reg, h):
     # ring (sin of the polar angle on a cap)
     region = geo.REGION_ALL if reg == "all" else geo.interior_body(0.2)
     dom = grids._domain(spec, region)
-    box, rep, _ = grids._start(dom, h - dom.slack)
+    chart, box, rep = dom.chart.start(h - dom.slack)
     d = spec.d
     side = box[d:] - box[:d]
-    if dom.rings:
+    if isinstance(chart, grids._Rings):
         c = np.sin(rep[0]) if spec.curved else rep[0]
         side[1] *= c
         assert np.all(side <= h * (1 + 1e-12))
     else:
         spacing = min(h, 2.0 * h / math.sqrt(d))
         assert np.all(side <= spacing * (1 + 1e-12))
-    rho = dom.radius(box, rep) + dom.slack
+    rho = chart.radius(box, rep) + dom.slack
     assert np.all(rho <= h * (1 + 1e-12))
     assert np.array_equal(build_grid(spec, region, h).rad,
                           np.minimum(dom.cells(spec, box, rep).rad, h))
@@ -116,12 +116,13 @@ def test_start_partitions_are_kept_read_only(monkeypatch):
     for spec in (geo.unit_disk(), geo.solid_ball()):
         grid = build_grid(spec, geo.REGION_ALL, 0.3)
         assert build_grid(spec, geo.REGION_ALL, 0.3) is grid
-        bins = grid.bins
-        for a in (grid.nodes, grid.box, grid.rad, bins.reach2, bins.first,
-                  bins.count, bins.row):
-            if a is not None:  # a write would reach every later run
-                with pytest.raises(ValueError, match="read-only"):
-                    a[0] = 0
+        tables = [a for a in vars(grid.bins.chart).values()
+                  if isinstance(a, np.ndarray)]  # the chart's, rows on rings
+        assert len(tables) == (1 if spec.d == 3 else 6)
+        for a in (grid.nodes, grid.box, grid.rad, grid.bins.reach2, *tables):
+            # a write would reach every later run
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
     # the kept grids hold at most _KEPT_CELLS cells, least recent out first
     disk = geo.unit_disk()
     coarse = build_grid(disk, geo.REGION_ALL, 0.3)
