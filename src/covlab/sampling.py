@@ -241,27 +241,23 @@ def load_cloud_csv(path: str, spec: ManifoldSpec) -> PointCloud:
     """The cloud in a CSV file of m columns a row, or of an index column
     and m, as :func:`save_cloud_csv` writes it; a first line that does not
     start with a number is a header.  Raises :class:`SamplingError`, naming
-    the line, for a row of another width or a value that is not a number,
-    and for a file without points or with a point off the shape."""
+    the line, for a row of another width or of a value that is not a
+    number, and for a file without points or with a point off the shape."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     start = int(bool(rows and rows[0] and not _is_float(rows[0][0])))
-    if len(rows) <= start:
+    rows, m = rows[start:], spec.m
+    if not rows:
         raise SamplingError(f"cloud file {path} holds no points")
-    width, m = len(rows[start]), spec.m
-    data = []
-    for line, row in enumerate(rows[start:], start + 1):
-        if len(row) != width or width not in (m, m + 1):
+    width = len(rows[0])
+    for line, row in enumerate(rows, start + 1):
+        if (len(row) != width or width not in (m, m + 1)
+                or not all(map(_is_float, row))):
             raise SamplingError(
-                f"cloud file {path}, line {line}: {len(row)} columns; every "
-                f"row takes the {m} coordinates of a point, all with an "
-                f"index column first or none")
-        try:
-            data.append([float(v) for v in row])
-        except ValueError:
-            raise SamplingError(f"cloud file {path}, line {line}: a value "
-                                f"that is not a number in {row}") from None
-    pts = np.array(data)[:, width - m:]
+                f"cloud file {path}, line {line}: {len(row)} values {row}; a "
+                f"row holds the {m} numbers of a point, all rows after an "
+                f"index or none")
+    pts = np.array([[float(v) for v in row] for row in rows])[:, width - m:]
     ok = contains_many(spec, pts)
     if not np.all(ok):
         bad = int(np.argmin(ok))

@@ -114,7 +114,7 @@ def test_cover_rejects_a_cloud_of_other_coordinates(tmp_path, capsys):
                "--h", "0.1"])
     out, err = capsys.readouterr()
     assert rc == 1 and out == ""
-    assert err.startswith("error: ") and "line 2: 4 columns" in err
+    assert err.startswith("error: ") and "line 2: 4 values" in err
 
 
 def _write_cfg(tmp_path, **kw):
