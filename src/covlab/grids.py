@@ -280,20 +280,20 @@ class _Lattice(_Chart):
         return slot if self.row is None else self.row.take(slot)
 
     def _reach(self, x: np.ndarray, low: np.ndarray, high: np.ndarray):
-        """Certified radius about the (N, d) points ``x`` of the boxes of
-        (N, d) lower and upper faces ``low`` and ``high``."""
+        """Certified radius about the (d, N) points ``x`` of the boxes of
+        (d, N) lower and upper faces ``low`` and ``high``."""
         return np.maximum(np.minimum(
             np.where(low > self.lo, x - low, np.inf),
             np.where(high < self.lo + self.side, high - x, np.inf)
-        ).min(axis=1) - _BIN_MARGIN, 0.0)
+        ).min(axis=0) - _BIN_MARGIN, 0.0)
 
     def bin_reach(self, grid, rep):
-        return self._reach(grid.nodes, grid.box_lo, grid.box_hi)
+        return self._reach(grid.nodes.T, *np.split(grid.box, 2))
 
     def runs(self, q, w):
         slot = self._slot(q)
-        reach = self._reach(q, self.lo + (slot - (w + 0.5)) * self.step,
-                            self.lo + (slot + (w + 0.5)) * self.step)
+        reach = self._reach(q.T, (self.lo + (slot - (w + 0.5)) * self.step).T,
+                            (self.lo + (slot + (w + 0.5)) * self.step).T)
         slot, last = slot.astype(np.intp), self.last
         band = slot[:, :1] + np.arange(-w, w + 1)
         inside = (band >= 0) & (band <= last)
