@@ -117,7 +117,7 @@ def test_start_partitions_are_kept_read_only(monkeypatch):
         grid = build_grid(spec, geo.REGION_ALL, 0.3)
         assert build_grid(spec, geo.REGION_ALL, 0.3) is grid
         tables = [a for a in vars(grid.bins.chart).values()
-                  if isinstance(a, np.ndarray)]  # the chart's, rows on rings
+                  if isinstance(a, np.ndarray)]  # the cut chart's tables
         assert len(tables) == (1 if spec.d == 3 else 6)
         for a in (grid.nodes, grid.box, grid.rad, grid.bins.reach2, *tables):
             # a write would reach every later run
