@@ -11,9 +11,11 @@ became min(h, 2h/sqrt(d)).  The golden runs never reach the solid ball or the cu
 so these hashes are their only byte-level guard.
 
 ``tests/data/golden/grid_cells.json`` pins, for the same cases, what a
-start partition holds beyond its nodes: its boxes, its radii, the cells
-its bins put a fixed uniform cloud of probes in, and the nodes, boxes,
-radii and parents of the children of every 7th start cell.
+start partition holds beyond its nodes: its boxes, its radii, its bins'
+squared radii, the cells its bins put a fixed uniform cloud of probes in,
+the nodes, boxes, radii and parents of the children of every 7th start
+cell, and on the 2-D cases each probe's block at w = 1 and 2: its radius
+and its runs' first and end rows.
 ``tools/pin_grids.py`` writes both files from the current code.
 
 The splitting test checks the contract the branch and bound rests on:
@@ -60,16 +62,24 @@ def _digest(nodes: np.ndarray) -> dict:
 
 
 def _cells(spec, reg, h) -> dict:
-    """Digests of the start partition's boxes, radii and probe cells, and
-    of the children of every 7th start cell."""
+    """Digests of the start partition's boxes, radii, bin radii and probe
+    cells, of the children of every 7th start cell, and on 2-D cells of
+    the probes' blocks at w = 1 and 2."""
     grid = build_grid(spec, REGIONS[reg], h)
     kids = refine_nodes(centers=grid.take(np.arange(0, len(grid), 7)))
     probes = uniform_sample(spec, 4000, 29).points
-    return {"box": _digest(grid.box), "rad": _digest(grid.rad),
+    pins = {"box": _digest(grid.box), "rad": _digest(grid.rad),
+            "reach2": _digest(grid.bins.reach2),
             "locate": _digest(grid.bins.locate(probes)),
             "kids_nodes": _digest(kids.nodes), "kids_box": _digest(kids.box),
             "kids_rad": _digest(kids.rad),
             "kids_parent": _digest(kids.parent)}
+    if spec.d == 2:
+        for w in (1, 2):
+            for name, a in zip(("reach", "first", "end"),
+                               grid.bins.runs(probes, w)):
+                pins[f"runs{w}_{name}"] = _digest(a)
+    return pins
 
 
 def node_pins(families) -> dict:
