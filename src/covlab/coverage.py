@@ -17,16 +17,18 @@ start partition is weighed against it, and most of its cells are set
 aside at once.
 
 Every batch of cells, the start partition and each level alike, is
-evaluated in two passes.  The first pass answers the cells it can answer
-cheaply and leaves the others inf; the second asks the field, without a
-bound, for every row the first left inf.  Every finite answer is the
-tree's own value, bit for bit, so every value is exact and lo, hi and
-the argmax keep their bits: the passes decide only which rows the tree
-is asked for.  The rows of the k nearest samples can differ
-from the tree's only among samples at equal distance; they feed only the
-bound u(c) of the skip below, which holds for any k distinct samples.
+evaluated in steps that each answer what they can cheaply and leave the
+other rows to the next: on a start partition the bins, then the field;
+within one call of the field its blocks of start cells, then the tree
+within a bound, then the tree without one for the rows that the bound
+left open.  Every answer is the tree's own value, bit for bit, so every
+value is exact and lo, hi and the argmax keep their bits: the steps
+decide only which rows the tree is asked for.  The rows of the k nearest
+samples can differ from the tree's only among samples at equal
+distance; they feed only the bound u(c) of the skip below, which holds
+for any k distinct samples.
 
-The first pass over a start partition reads the cloud binned into its
+The first step over a start partition reads the cloud binned into its
 cells (Bentley, Weide and Yao 1980).  The grid's bins put every sample
 in at most one cell, and every sample that they do not put in cell c
 lies at least c's certified radius R from c's representative p (see
@@ -77,7 +79,7 @@ the blocks.  The harness sets it in a run of one replication per size
 (``harness._RING_BLOCK_REPS``), where the import is most of the run, and
 the ``cover`` command for its one bracket.
 
-The first pass over any other batch asks the field only as far as the
+The field's call on any other batch asks the tree only as far as the
 bracket can use it (the bounds-overlap-ball test of Friedman, Bentley
 and Finkel 1977).  A child c whose value is at most B = lo + w - rho,
 for the largest cover radius rho among the batch's children and the
@@ -86,11 +88,11 @@ evaluated, since f(c) + rho_c <= lo + w and lo only rises.  So a batch
 of ``_SKIP_MIN_CHILDREN`` nodes or more, when B > 0, is searched with B
 as the tree's search radius where no block answers it (the chord 2
 sin(B/2), B capped at pi, on a geodesic field): the search stops early
-where the k-th neighbour lies beyond the radius, and that node comes
-back inf.  A finite bounded answer is the k-th neighbour chord, computed
-as the unbounded search computes it (the same squares summed in the same
-order).  A smaller batch is searched without a bound and leaves no row
-open.  Both passes turn chords into field values the same way.
+where the k-th neighbour lies beyond the radius, and the same call asks
+the tree again, without a bound, for the nodes that came back inf.  A
+finite bounded answer is the k-th neighbour chord, computed as the
+unbounded search computes it (the same squares summed in the same
+order).  A smaller batch is searched without a bound.
 
 Most children of a split cell are set aside as soon as they are
 evaluated, and their parent's k nearest samples already prove it before
@@ -142,7 +144,7 @@ import numpy as np
 from .geometry import (ManifoldSpec, Metric, as_points, check_enum,
                        check_number, chord_to_geodesic,
                        dist_to_boundary_many, is_number)
-from .grids import MIN_RESOLUTION, NODE_CAP, Bins, EvalGrid, refine_nodes
+from .grids import MIN_RESOLUTION, NODE_CAP, EvalGrid, refine_nodes
 from .sampling import PointCloud
 
 
@@ -232,15 +234,15 @@ class KnnField:
     is monotone in the great-circle distance, so the k-th neighbor is the
     same point; geodesic values are recovered with 2*asin(chord/2).
     ``nearest`` holds the rows of the last call's k nearest samples, an
-    (N, k) index array that :meth:`reach` reads.  Given the ``bins`` of a
-    2-D start partition, the field answers each node from the blocks of
+    (N, k) index array that :meth:`reach` reads.  Given a 2-D start
+    partition ``grid``, the field answers each node from the blocks of
     start cells around it first: on a lattice always, on rings when
     ``ring_blocks`` is set (see the module docstring).  The tree is built
     on the first node that no block answers.
     """
 
     def __init__(self, spec: ManifoldSpec, points: np.ndarray, k: int,
-                 metric: Metric, bins: Bins | None = None,
+                 metric: Metric, grid: EvalGrid | None = None,
                  ring_blocks: bool = False):
         points = as_points(points)
         k = check_number(k, "k", integral=True)
@@ -270,55 +272,65 @@ class KnnField:
         # distances do not depend on the row order, so every bracket keeps
         # its bits.
         self._box = spec.body.kind == "box"
-        self._bins = None
-        if (bins is not None and bins.chart.body.d == 2
-                and 9 * len(points) <= _BLOCK_MEAN * (len(bins.reach2) - 1)
-                and (ring_blocks or not bins.chart.tree_first)):
-            self._bins = bins
-            self._cell, self._start, self._points = _cell_sorted(bins,
+        self._chart = None
+        if (grid is not None and grid.reach2 is not None
+                and grid.chart.body.d == 2
+                and 9 * len(points) <= _BLOCK_MEAN * len(grid)
+                and (ring_blocks or not grid.chart.tree_first)):
+            self._chart = grid.chart
+            self._cell, self._start, self._points = _cell_sorted(grid,
                                                                  points)
             self._cols = tuple(np.ascontiguousarray(self._points.T))
         elif self._box:
             self._points = _bucket_sorted(points)
         else:
             self._points = points
-        self._tree = self._build() if self._bins is None else None
+        self._tree = self._build() if self._chart is None else None
         self._geodesic = spec.curved and metric is Metric.GEODESIC
         self.nearest = np.empty((0, k), dtype=np.intp)
 
-    def __call__(self, nodes: np.ndarray, bound: float = math.inf,
-                 blocks: bool = True) -> np.ndarray:
-        """The field at ``nodes``, or inf at some rows where it is not
-        below ``bound``.
+    def __call__(self, nodes: np.ndarray,
+                 bound: float = math.inf) -> np.ndarray:
+        """The field at ``nodes``, every value the tree's own, bit for bit.
 
-        The blocks of start cells answer first, where the field has them
-        and ``blocks`` is true (false for nodes that they already left
-        open).  The tree answers the other rows, with a finite bound as its
+        The blocks of start cells answer first, where the field has them,
+        and the tree the other rows.  A finite ``bound`` is the tree's
         search radius (as a chord, 2 sin(bound/2) with the bound capped at
         pi, on a geodesic field), so the search stops early where the k-th
-        neighbour lies beyond it; such a row comes back inf, with row N in
-        ``nearest``.  Every finite value is the unbounded one, bit for bit.
+        neighbour lies beyond it, and the rows where it did are asked again
+        without a bound.  The bound decides only which queries the tree
+        makes.
         """
         nodes = as_points(nodes)
-        radius = bound
-        if self._geodesic and bound < math.inf:
-            radius = 2.0 * math.sin(0.5 * min(bound, math.pi))
-        if self._bins is None or not blocks:
-            chord, near = self._ask(nodes, radius)
+        if self._chart is None:
+            chord, near = self._ask(nodes, bound)
         else:
             chord, near = self._blocks(nodes)
             rows = (chord == np.inf).nonzero()[0]
             if rows.size:
                 chord[rows], near[rows] = self._ask(
-                    nodes.take(rows, axis=0), radius)
+                    nodes.take(rows, axis=0), bound)
         self.nearest = near
         return self._field(chord)
 
-    def _ask(self, nodes: np.ndarray, radius: float):
-        """(k-th neighbour chords within ``radius``, else inf; (N, k) rows)
-        from the tree, built on the first ask where blocks answer first."""
+    def _ask(self, nodes: np.ndarray, bound: float):
+        """(k-th neighbour chords, (N, k) rows) from the tree, built on the
+        first ask where blocks answer first: within ``bound``, and again
+        without it for the rows that that search left inf."""
         if self._tree is None:
             self._tree = self._build()
+        if bound < math.inf and self._geodesic:
+            bound = 2.0 * math.sin(0.5 * min(bound, math.pi))
+        chord, near = self._query(nodes, bound)
+        rows = (chord == np.inf).nonzero()[0]
+        if rows.size:
+            chord[rows], near[rows] = self._query(nodes.take(rows, axis=0),
+                                                  math.inf)
+        return chord, near
+
+    def _query(self, nodes: np.ndarray, radius: float):
+        """(k-th neighbour chords within ``radius``, else inf; (N, k) rows,
+        N where inf) from the tree."""
         chord, near = self._tree.query(nodes, k=self.k,
                                        distance_upper_bound=radius)
         if self.k == 1:  # the tree gives (N,) arrays for k=1
@@ -351,7 +363,7 @@ class KnnField:
         k = self.k
         chord = np.full(len(q), np.inf)
         near = np.full((len(q), k), len(self._points), np.intp)
-        reach, first, end = self._bins.runs(q, w)
+        reach, first, end = self._chart.runs(q, w)
         begin = self._start.take(first)
         size = self._start.take(end) - begin
         count = size.sum(axis=1)
@@ -422,12 +434,13 @@ class KnnField:
         its bin, where the bin certifies it, else inf; (N, k) rows of those
         k samples), in one pass over the tree's own points (see the module
         docstring)."""
-        size, k, bins = len(grid), self.k, grid.bins
+        size, k = len(grid), self.k
         near = np.zeros((size, k), np.intp)
-        if bins is None:
+        if grid.reach2 is None:
             return np.full(size, np.inf), near
         # the cells the cloud was sorted by, or row N: in no cell
-        cell = self._cell if bins is self._bins else bins.locate(self._points)
+        cell = (self._cell if grid.chart is self._chart
+                else grid.chart.locate(self._points))
         sq = np.zeros(len(cell))
         for rep, col in zip(grid.nodes.T, self._points.T):
             gap = rep.take(cell, mode="clip")
@@ -447,16 +460,17 @@ class KnnField:
             near[:, j] = pick[:size]
             if j < k - 1:
                 sq[pick.take(cell.take(hit))] = np.inf
-        chord = np.where(kth[:size] < bins.reach2[:size], kth[:size], np.inf)
+        chord = np.where(kth[:size] < grid.reach2[:size], kth[:size], np.inf)
         return self._field(np.sqrt(chord, out=chord)), near
 
 
-def _cell_sorted(bins: Bins, points: np.ndarray):
+def _cell_sorted(grid: EvalGrid, points: np.ndarray):
     """((n,) start cell of each sorted row, (cells + 2,) first sorted row
     of each cell and of an empty cell N, then n, the rows of ``points``
-    ordered by cell), for bins that put every point in a cell."""
-    cell = bins.locate(points)
-    cells = len(bins.reach2) - 1
+    ordered by cell), for a start partition ``grid`` whose chart puts
+    every point in a cell."""
+    cell = grid.chart.locate(points)
+    cells = len(grid)
     # numpy sorts 16-bit keys by radix; its stable sort of wider keys is a
     # merge sort, about 5x slower than a quicksort at n = 1e6
     if cells <= 1 << 16:
@@ -542,21 +556,18 @@ def _certified_max(knn: KnnField, grid: EvalGrid, refine_to: float | None,
 def _evaluate(knn: KnnField, cells: EvalGrid, deep: bool,
               bound: float = math.inf):
     """(field values, rows of the k nearest samples) at the
-    representatives of ``cells``.  A start partition is answered first by
-    its bins, any other batch by the field within ``bound``; the field then
-    answers, without a bound, every row left inf, from the tree alone where
-    its blocks already left the row open, so every value is exact (see the
-    module docstring)."""
+    representatives of ``cells``, each exact (see the module docstring):
+    a start partition's from its bins, and from the field where they
+    certify none; any other batch's from the field within ``bound``."""
     nodes = cells.nodes
-    if cells.bins is not None:
-        vals, near = knn._binned(cells)
-    else:
+    if cells.reach2 is None:
         vals, near = knn(nodes, bound), knn.nearest
-    rows = (vals == np.inf).nonzero()[0]
-    if rows.size:  # a row that the field left open, its blocks did too
-        vals[rows] = knn(nodes.take(rows, axis=0),
-                         blocks=cells.bins is not None)
-        near[rows] = knn.nearest
+    else:
+        vals, near = knn._binned(cells)
+        rows = (vals == np.inf).nonzero()[0]
+        if rows.size:
+            vals[rows] = knn(nodes.take(rows, axis=0))
+            near[rows] = knn.nearest
     if deep:
         np.minimum(vals, dist_to_boundary_many(knn.spec, nodes), out=vals)
     return vals, near
@@ -584,7 +595,7 @@ def _joined(batches: list) -> tuple:
         return batches[0]
     grids, *arrays = zip(*batches)
     first = grids[0]
-    cells = EvalGrid(first.spec, first.domain,
+    cells = EvalGrid(first.spec, first.chart,
                      np.concatenate([g.nodes for g in grids]),
                      max(g.h for g in grids),
                      np.concatenate([g.box for g in grids], axis=1),
@@ -641,7 +652,7 @@ def _branch_and_bound(knn: KnnField, deep: bool, target: float,
         centers, near = _joined(split_off)
         if not len(centers):
             break
-        count = len(centers) * 2 ** centers.domain.chart.body.d
+        count = len(centers) * 2 ** centers.chart.body.d
         if count > NODE_CAP:
             raise CoverageError(
                 f"a target width of {target} needs a level of {count} "
@@ -677,8 +688,7 @@ def _knn_field(cloud: PointCloud, grid: EvalGrid, k: int, metric: Metric,
     if cloud.spec != grid.spec:
         raise CoverageError(f"the cloud is on {cloud.spec.to_json()} but "
                             f"the grid is on {grid.spec.to_json()}")
-    return KnnField(grid.spec, cloud.points, k, metric, grid.bins,
-                    ring_blocks)
+    return KnnField(grid.spec, cloud.points, k, metric, grid, ring_blocks)
 
 
 def coverage_threshold(cloud: PointCloud, grid: EvalGrid, k: int,

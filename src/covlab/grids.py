@@ -49,7 +49,7 @@ slack is added to every cover radius; geometry refuses an interior body
 that has no point that far inside it.
 
 The start partition also bins ambient points (Bentley, Weide and Yao
-1980): ``Bins.locate`` sends a point to the cell whose node is nearest in
+1980): ``chart.locate`` puts a point in the cell whose node is nearest in
 the partition's own indexing, that is ``rint((x - lo) / s)`` per lattice
 axis, clipped to the lattice, or the ring ``rint(t / dt)``, clipped, and
 the azimuth ``rint(phi count / 2 pi) mod count`` on it.  The bin of a cell
@@ -69,7 +69,7 @@ that bound its azimuth, c being p's distance to the axis and alpha the
 half-width of the ring's boxes.  The one cell of a ring on the axis has
 no azimuth face.  A representative that leaves its box (a projected node
 of the ball) has R = 0, and a grid that is not a start partition carries
-no bins: none of their cells is certified.
+no ``reach2``: none of its cells is certified.
 
 On a 2-D start partition the cells also form blocks about any point q,
 for the k-NN field (see the coverage module).  A block holds the bins of
@@ -93,7 +93,6 @@ lies within one spacing.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 import threading
 from collections import OrderedDict
@@ -137,19 +136,21 @@ class EvalGrid:
     contiguous rows.  Its representative is ``nodes[i]`` (ambient
     coordinates) and its cover radius ``rad[i] <= h``.  ``parent[i]`` is
     the row, among the cells that :func:`refine_nodes` split, whose box
-    holds cell i's box; a start partition has no parents.  ``domain`` is
-    B's chart, in which the cells split.  ``bins`` locate points in the
-    cells of a start partition; other grids have none.
+    holds cell i's box; a start partition has no parents.  ``chart`` is
+    B's chart cut into the start partition, in which the cells split and
+    whose ``locate`` bins points in the start cells.  ``reach2`` holds a
+    start partition's squared bin radii, with a 0 at row N; other grids
+    have none.
     """
 
     spec: ManifoldSpec
-    domain: _Domain
+    chart: _Chart
     nodes: np.ndarray     # (N, m) representative points in B
     h: float
     box: np.ndarray       # (2d, N) parameter box lower, then upper corners
     rad: np.ndarray       # (N,) certified cover radii
     parent: np.ndarray | None = None  # (N,) row of each cell's parent
-    bins: Bins | None = None
+    reach2: np.ndarray | None = None  # (N + 1,) squared bin radii
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -169,7 +170,7 @@ class EvalGrid:
         stays a bound on their radii."""
         if rows.dtype == bool:
             rows = rows.nonzero()[0]
-        return EvalGrid(self.spec, self.domain,
+        return EvalGrid(self.spec, self.chart,
                         self.nodes.take(rows, axis=0), self.h,
                         self.box.take(rows, axis=1), self.rad.take(rows),
                         None if self.parent is None
@@ -181,15 +182,18 @@ class _Chart:
     """A chart of B's body, whose cells are boxes in its parameters: the
     (N, m) ``ambient`` points of (d, N) parameters, the cover ``radius``
     of (2d, N) boxes about their representatives, the rows of the boxes
-    that meet the body (``keep``, None for all) and the ``nodes`` in B.
-    ``start(h)`` gives (the chart cut into the start partition at h, its
-    boxes, its representatives); the cut chart holds the spacing ``step``,
-    the ``last`` lattice index or ring, and the tables with which its bins
-    ``locate`` points and lay out the ``runs`` of blocks.  A field on a
-    chart that is ``tree_first`` builds its tree at once unless asked for
-    blocks."""
+    that meet the body (``keep``, None for all) and the ``nodes`` in B;
+    the cover radii add ``slack``.  ``start(h)`` gives (the chart cut into
+    the start partition at h, its boxes, its representatives); the cut
+    chart holds the spacing ``step``, the ``last`` lattice index or ring,
+    and the tables with which it ``locate``s points in the start cells,
+    as N for none, and lays out the ``runs`` of blocks: ``runs(q, w)``
+    gives each node's block radius (0 where it certifies none) and its
+    runs' first and end rows, on 2-D cells.  A field on a chart that is
+    ``tree_first`` builds its tree at once unless asked for blocks."""
 
     body: _Body
+    slack: float = 0.0
     step: float = 0.0
     last: int = 0
     tree_first: ClassVar[bool] = False  # see the coverage module
@@ -200,11 +204,21 @@ class _Chart:
     def nodes(self, rep: np.ndarray) -> np.ndarray:
         return self.ambient(rep)
 
-    def bins(self, grid: EvalGrid, rep: np.ndarray) -> Bins:
-        """The bins of ``grid``, the start partition of this chart, whose
-        (d, N) parameter representatives (unprojected) are ``rep``."""
-        reach = self.bin_reach(grid, rep)
-        return Bins(self, np.append(reach * reach, 0.0))
+    def cells(self, spec: ManifoldSpec, box: np.ndarray, rep: np.ndarray,
+              h: float | None = None,
+              parent: np.ndarray | None = None) -> EvalGrid:
+        """Cells of the (2d, N) boxes and (d, N) parameter representatives
+        that meet the body, each with the ``parent`` row given for it."""
+        keep = self.keep(box)
+        if keep is not None:
+            box, rep = box.take(keep, axis=1), rep.take(keep, axis=1)
+            if parent is not None:
+                parent = parent.take(keep)
+        rad = self.radius(box, rep)
+        rad += self.slack
+        if h is None:
+            h = float(np.maximum.reduce(rad, initial=0.0))
+        return EvalGrid(spec, self, self.nodes(rep), h, box, rad, parent)
 
 
 @dataclass(frozen=True, eq=False)
@@ -446,52 +460,7 @@ class _Rings(_Chart):
         return reach, *np.split(edges.astype(np.intp), 2, axis=1)
 
 
-@dataclass(frozen=True, eq=False)
-class Bins:
-    """The cells of a start partition as bins of ambient points, each with
-    its certified chord radius (see the module docstring): ``chart`` is
-    the chart cut into the partition, and ``reach2`` holds the squared
-    radii, with a 0 at row N.  ``locate`` gives the row of each point's
-    cell, N for none, and ``runs(q, w)`` each node's block radius (0 where
-    it certifies none) and its runs' first and end rows, on 2-D cells."""
-
-    chart: _Chart
-    reach2: np.ndarray
-
-    def locate(self, x: np.ndarray) -> np.ndarray:
-        return self.chart.locate(x)
-
-    def runs(self, q: np.ndarray, w: int):
-        return self.chart.runs(q, w)
-
-
-@dataclass(frozen=True, eq=False)
-class _Domain:
-    """B's ``chart``, plus the ``slack`` that its cover radii add."""
-
-    chart: _Chart
-    slack: float = 0.0
-
-    def cells(self, spec: ManifoldSpec, box: np.ndarray, rep: np.ndarray,
-              h: float | None = None,
-              parent: np.ndarray | None = None) -> EvalGrid:
-        """Cells of the (2d, N) boxes and (d, N) parameter representatives
-        that meet the body, each with the ``parent`` row given for it."""
-        keep = self.chart.keep(box)
-        if keep is not None:
-            box, rep = box.take(keep, axis=1), rep.take(keep, axis=1)
-            if parent is not None:
-                parent = parent.take(keep)
-        rad = self.chart.radius(box, rep)
-        rad += self.slack
-        if h is None:
-            h = float(np.maximum.reduce(rad, initial=0.0))
-        return EvalGrid(spec, self, self.chart.nodes(rep), h, box, rad,
-                        parent)
-
-
-@functools.lru_cache(maxsize=64)
-def _domain(spec: ManifoldSpec, region: RegionSpec) -> _Domain:
+def _chart(spec: ManifoldSpec, region: RegionSpec) -> _Chart:
     """B's chart: a box's lattice, the cube lattice of a 3-d ball, or the
     rings of the disk and of a cap."""
     body, slack = _body(spec, region), 0.0  # refuses an empty interior body
@@ -501,12 +470,11 @@ def _domain(spec: ManifoldSpec, region: RegionSpec) -> _Domain:
         body = spec.body.shrunk(region.delta + _INSET)
         slack = _INSET * math.sqrt(spec.d)
     if body.kind == "box":
-        chart = _Lattice(body, lo=body.lo, side=body.size)
-    elif body.d == 3:
-        chart = _Lattice(body, lo=-body.size, side=2 * body.size, ball=True)
-    else:
-        chart = _Rings(body, sphere=body.kind == "cap")
-    return _Domain(chart, slack)
+        return _Lattice(body, slack=slack, lo=body.lo, side=body.size)
+    if body.d == 3:
+        return _Lattice(body, slack=slack, lo=-body.size,
+                        side=2 * body.size, ball=True)
+    return _Rings(body, slack=slack, sphere=body.kind == "cap")
 
 
 def _check_cap(count: int, h: float) -> None:
@@ -531,9 +499,10 @@ def build_grid(spec: ManifoldSpec, region: RegionSpec, h: float) -> EvalGrid:
     """Start partition of B with every cover radius <= h.
 
     The driver builds one per sample size; tests and benchmarks use it as
-    the full-partition oracle at h.  The partition carries its
-    :class:`Bins` in two and three dimensions, where the tests pin the
-    chords that the bins certify to cKDTree's bits.  Raises
+    the full-partition oracle at h.  The partition holds its cut chart,
+    which locates points in its cells, and in two and three dimensions the
+    squared radii that its bins certify (``reach2``), where the tests pin
+    those chords to cKDTree's bits.  Raises
     :class:`GridError` when h is not a finite number above
     ``MIN_RESOLUTION``, or when the partition would need more than
     ``NODE_CAP`` cells (the message reports the count needed).
@@ -565,17 +534,18 @@ def build_grid(spec: ManifoldSpec, region: RegionSpec, h: float) -> EvalGrid:
 def _start_partition(spec: ManifoldSpec, region: RegionSpec,
                      h: float) -> EvalGrid:
     """:func:`build_grid`'s partition, its arrays made read-only."""
-    dom = _domain(spec, region)
-    chart, box, rep = dom.chart.start(h - dom.slack)
-    grid = dom.cells(spec, box, rep, h=float(h))
+    chart = _chart(spec, region)
+    chart, box, rep = chart.start(h - chart.slack)
+    grid = chart.cells(spec, box, rep, h=float(h))
     # every rho <= h: sqrt(d) s / 2 on a lattice, at most about 0.74 h on
     # the rings; where it is h itself (lattices of d >= 4), the corner
     # formula can round a few ulps above it
     np.minimum(grid.rad, grid.h, out=grid.rad)
     if spec.m <= 3:  # cKDTree's order of summation differs from m = 8 on
-        grid = dataclasses.replace(grid, bins=chart.bins(grid, rep))
-        _read_only(grid.bins.reach2, *vars(chart).values())
-    _read_only(grid.nodes, grid.box, grid.rad)
+        reach = chart.bin_reach(grid, rep)
+        grid = dataclasses.replace(grid, reach2=np.append(reach * reach, 0.0))
+    _read_only(grid.nodes, grid.box, grid.rad, grid.reach2,
+               *vars(chart).values())
     return grid
 
 
@@ -592,8 +562,8 @@ def refine_nodes(centers: EvalGrid) -> EvalGrid:
     ball, children whose box misses the ball are dropped.  Each child's
     ``parent`` is its row in ``centers``.
     """
-    dom = centers.domain
-    d = dom.chart.body.d
+    chart = centers.chart
+    d = chart.body.d
     lo, hi = centers.box[:d], centers.box[d:]
     mid = 0.5 * (lo + hi)
     n = lo.shape[1]
@@ -607,5 +577,5 @@ def refine_nodes(centers: EvalGrid) -> EvalGrid:
         lower[:, :, 1] = upper[:, :, 0] = mid[i, :, None, None]
         upper[:, :, 1] = hi[i, :, None, None]
     box = box.reshape(2 * d, -1)
-    return dom.cells(centers.spec, box, 0.5 * (box[:d] + box[d:]),
-                     parent=np.arange(n).repeat(2 ** d))
+    return chart.cells(centers.spec, box, 0.5 * (box[:d] + box[d:]),
+                       parent=np.arange(n).repeat(2 ** d))

@@ -63,7 +63,7 @@ def _evaluate(knn: KnnField, nodes: np.ndarray, deep: bool):
 def _joined(batches):
     """Evaluated (cells, values, rows) batches as one batch, in order."""
     grids, vals, near = zip(*batches)
-    cells = EvalGrid(grids[0].spec, grids[0].domain,
+    cells = EvalGrid(grids[0].spec, grids[0].chart,
                      np.concatenate([g.nodes for g in grids]),
                      max(g.h for g in grids),
                      np.concatenate([g.box for g in grids], axis=1),

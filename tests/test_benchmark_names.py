@@ -211,12 +211,14 @@ def test_query_hook_counts_the_nodes_the_tree_answers(monkeypatch, threshold,
     """The benchmark's ``coverage.query_nodes`` is ``len(out)`` summed over
     ``KnnField.__call__``.  The children that the branch and bound skips
     are bounded from their parent's neighbours, never queried, so every
-    ``cKDTree.query`` must go through that call, once at most, and ask for
-    its nodes: all of them on the cap, and on the square those that the
-    blocks of start cells leave open.  The start cells that the grid's
-    bins certify are not queried either: the bins and the field's first
-    call answer each start cell once.  The square's cloud is packed to
-    one side, so that the blocks leave nodes to the tree."""
+    ``cKDTree.query`` must go through that call.  Its first query asks
+    for its nodes: all of them on the cap, and on the square those that
+    the blocks of start cells leave open.  A second query comes only after
+    a finite search radius, without one, and asks for exactly the rows
+    that the first left inf.  The start cells that the grid's bins
+    certify are not queried either: the bins and the field's first call
+    answer each start cell once.  The square's cloud is packed to one
+    side, so that the blocks leave nodes to the tree."""
     asked, counted, expected, binned = [], [], [], []
     inside = []
     real_tree = coverage.cKDTree
@@ -227,8 +229,11 @@ def test_query_hook_counts_the_nodes_the_tree_answers(monkeypatch, threshold,
 
         def query(self, x, *args, **kwargs):
             assert inside, "a tree query outside KnnField.__call__"
-            asked[-1].append(np.array(x))
-            return self.tree.query(x, *args, **kwargs)
+            dist, rows = self.tree.query(x, *args, **kwargs)
+            kth = dist if dist.ndim == 1 else dist[:, -1]
+            asked[-1].append((np.array(x), kwargs["distance_upper_bound"],
+                              kth == np.inf))
+            return dist, rows
 
     real = coverage.KnnField.__call__
     real_binned = coverage.KnnField._binned
@@ -236,9 +241,9 @@ def test_query_hook_counts_the_nodes_the_tree_answers(monkeypatch, threshold,
     def counting(self, nodes, *args, **kwargs):
         nodes = np.array(nodes)
         want = nodes
-        if self._bins is not None and kwargs.get("blocks", True):
+        if self._chart is not None:
             want = nodes[self._blocks(nodes)[0] == np.inf]
-        expected.append([want] if len(want) else [])
+        expected.append(want)
         asked.append([])
         inside.append(True)
         try:
@@ -266,8 +271,19 @@ def test_query_hook_counts_the_nodes_the_tree_answers(monkeypatch, threshold,
         expected.clear()
         binned.clear()
         threshold(cloud, grid, 2, geo.Metric.GEODESIC, refine_to=3e-4)
-        assert [[x.tobytes() for x in call] for call in asked] == \
-            [[x.tobytes() for x in call] for call in expected]
+        assert len(asked) == len(expected)
+        for call, want in zip(asked, expected):
+            if not len(want):
+                assert call == []
+                continue
+            (x, radius, open_), *again = call
+            assert x.tobytes() == want.tobytes()
+            if again:  # the rows that a bounded search left open
+                ((y, unbounded, _),) = again
+                assert radius < math.inf and unbounded == math.inf
+                assert y.tobytes() == x[open_].tobytes()
+            else:
+                assert not open_.any()
         assert sum(map(len, asked)) > 0  # the tree did answer nodes
         (sure,) = binned
         assert 0 < sure.sum() < len(grid)
@@ -281,11 +297,10 @@ def test_query_hook_counts_the_nodes_the_tree_answers(monkeypatch, threshold,
 def test_no_node_is_queried_twice(monkeypatch, all_families, threshold, fam):
     """The seed pass hands the cells it set aside, values and all, to the
     finishing run, which holds them and the other start cells, so no box
-    of one threshold call is split by ``refine_nodes`` twice, and no node is
-    answered by ``KnnField.__call__`` twice.  A node reaches that call a
-    second time only when a bounded call left it open (inf), and then the
-    second call answers it from the tree: no node's block of start cells
-    is gathered twice.
+    of one threshold call is split by ``refine_nodes`` twice, and no node
+    reaches ``KnnField.__call__`` twice.  A node that a bounded tree
+    search leaves open (inf) is asked again within the same call, from
+    the tree alone: no node's block of start cells is gathered twice.
 
     The one exception is the solid ball, whose cells are boxes of the
     enclosing cube: a representative outside the ball is projected onto
@@ -294,16 +309,21 @@ def test_no_node_is_queried_twice(monkeypatch, all_families, threshold, fam):
     answered once for each of those cells, and no more often."""
     answered, left_open, made, split, gathered = [], [], [], [], []
     real = coverage.KnnField.__call__
+    real_query = coverage.KnnField._query
     real_refine = coverage.refine_nodes
     real_blocks = coverage.KnnField._blocks
 
-    def recording(self, nodes, bound=math.inf, **kwargs):
-        out = real(self, nodes, bound, **kwargs)
-        nodes = np.array(nodes, dtype=float)
-        answered.append(nodes[out != np.inf])
-        if bound < math.inf:
-            left_open.append(nodes[out == np.inf])
+    def recording(self, nodes, bound=math.inf):
+        out = real(self, nodes, bound)
+        assert np.all(out != np.inf)
+        answered.append(np.array(nodes, dtype=float))
         return out
+
+    def searching(self, nodes, radius):
+        chord, near = real_query(self, nodes, radius)
+        if radius < math.inf:
+            left_open.append(np.array(nodes)[chord == np.inf])
+        return chord, near
 
     def blocking(self, nodes):
         gathered.append(np.array(nodes))
@@ -316,6 +336,7 @@ def test_no_node_is_queried_twice(monkeypatch, all_families, threshold, fam):
         return kids
 
     monkeypatch.setattr(coverage.KnnField, "__call__", recording)
+    monkeypatch.setattr(coverage.KnnField, "_query", searching)
     monkeypatch.setattr(coverage.KnnField, "_blocks", blocking)
     monkeypatch.setattr(coverage, "refine_nodes", refining)
     spec = all_families[fam]

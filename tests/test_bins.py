@@ -1,7 +1,7 @@
 """The start partition's bins, against the k-d tree.
 
 ``coverage._evaluate`` takes the field at a start cell from the samples
-that ``Bins.locate`` puts in the cell's bin, when the k-th smallest chord
+that ``chart.locate`` puts in the cell's bin, when the k-th smallest chord
 among them is below the cell's certified radius R, and asks the tree for
 the other cells.  These tests pin what that rests on: cKDTree's distances
 are ``sqrt(dx*dx + dy*dy [+ dz*dz])`` bit for bit; every point that the
@@ -11,7 +11,8 @@ are the tree's bits, and every bracket has the bits, argmax included, of
 the reference branch and bound (``tests/reference_bnb.py``, which queries
 the tree at every start cell and never bounds a search).
 The same clouds pin the bounded tree query that big batches of children
-make: every value it gives is the unbounded one, bit for bit.
+make: every value it gives is the unbounded one, bit for bit, and the
+field's call gives the unbounded value at every row.
 """
 
 import itertools
@@ -77,7 +78,7 @@ def _faces(grid):
     """Ambient points on every face of every cell's box, at its corners,
     at the middles of its faces and at its centre, each also one ulp to
     either side, kept where they lie on the shape."""
-    chart = grid.domain.chart
+    chart = grid.chart
     d = chart.body.d
     lo, hi = grid.box[:d], grid.box[d:]
     mid = 0.5 * (lo + hi)
@@ -166,9 +167,11 @@ def test_binned_start_keeps_the_tree_bits(monkeypatch, all_families, fam,
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("fam", SHAPES)
 def test_bounded_query_keeps_the_tree_bits(all_families, fam, k):
-    # a row within the bound gets the unbounded value, bit for bit; a row
-    # beyond it comes back inf, with row N; bounds at the values themselves
-    # and past the sphere's diameter included
+    # the tree's search within the bound gives a row within it the
+    # unbounded value, bit for bit, and a row beyond it inf, with row N;
+    # the call asks those rows again, so it gives every row the unbounded
+    # value; bounds at the values themselves and past the sphere's
+    # diameter included
     spec = all_families[fam]
     grid = _grid(spec, "all")
     rng = np.random.default_rng(40 + SHAPES.index(fam))
@@ -182,11 +185,23 @@ def test_bounded_query_keeps_the_tree_bits(all_families, fam, k):
             knn = KnnField(spec, points, k, metric)
             full = knn(probes)
             ranked = np.sort(full)
+            searched = []
+            query = knn._query
+
+            def bounded(nodes, radius):
+                chord, near = query(nodes, radius)
+                if radius < math.inf:
+                    searched.append((chord.copy(), near.copy()))
+                return chord, near
+
+            knn._query = bounded
             for bound in (*ranked[[0, len(full) // 10, len(full) // 2, -1]],
                           float(np.nextafter(ranked[-1], np.inf)), math.pi,
                           4.0):
-                got = knn(probes, bound)
-                near = knn.nearest
+                searched.clear()
+                assert knn(probes, bound).tobytes() == full.tobytes(), bound
+                ((chord, near),) = searched
+                got = knn._field(chord)
                 kept = got != np.inf
                 assert got[kept].tobytes() == full[kept].tobytes(), bound
                 assert np.all(full[~kept] >= bound * (1.0 - 1e-12)), bound
@@ -204,8 +219,8 @@ def test_points_in_other_bins_lie_beyond_the_radius(all_families, fam, reg):
                              uniform_sample(spec, 3000, 5).points])
     if spec.d == 2 and spec.family is not geo.Family.UNIT_SQUARE:
         points = np.concatenate([points, _seams(spec)])
-    cell = grid.bins.locate(points)
-    reach = np.sqrt(grid.bins.reach2[:-1])
+    cell = grid.chart.locate(points)
+    reach = np.sqrt(grid.reach2[:-1])
     assert np.all(reach >= 0.0) and np.all(reach < grid.h)
     for row in range(len(grid)):
         other = cell != row
@@ -217,10 +232,10 @@ def test_points_in_other_bins_lie_beyond_the_radius(all_families, fam, reg):
 def test_locate_inverts_the_start_indexing(all_families, fam, reg):
     # the centre of each cell's box falls in that cell
     grid = _grid(all_families[fam], reg)
-    chart = grid.domain.chart
+    chart = grid.chart
     d = chart.body.d
     centres = chart.ambient(0.5 * (grid.box[:d] + grid.box[d:]))
-    assert np.array_equal(grid.bins.locate(centres), np.arange(len(grid)))
+    assert np.array_equal(grid.chart.locate(centres), np.arange(len(grid)))
 
 
 def _misbinned_pairs(grid):
@@ -229,7 +244,7 @@ def _misbinned_pairs(grid):
     face, but the locator's rounding puts it in the next cell; A lies in
     p's bin, farther from p than B and nearer than every face."""
     pairs = []
-    last = grid.bins.chart.last
+    last = grid.chart.last
     for row in range(len(grid) - last - 1):  # not the open upper x faces
         p, box = grid.nodes[row], grid.box[:, row]
         face = min(p[0] - box[0], p[1] - box[1], box[2] - p[0], box[3] - p[1])
@@ -237,14 +252,14 @@ def _misbinned_pairs(grid):
         for _ in range(6):
             x = np.nextafter(x, -np.inf)
             b = np.array([x, p[1]])
-            if grid.bins.locate(b[None])[0] == row:
+            if grid.chart.locate(b[None])[0] == row:
                 continue
             cb = _chord(b[None], p)[0]
             y = p[1] + cb
             for _ in range(40):
                 a = np.array([p[0], y])
                 ca = _chord(a[None], p)[0]
-                if cb < ca < face and grid.bins.locate(a[None])[0] == row:
+                if cb < ca < face and grid.chart.locate(a[None])[0] == row:
                     pairs.append(np.array([a, b]))
                     break
                 y = np.nextafter(y, np.inf)
@@ -269,17 +284,17 @@ def test_margin_holds_against_points_binned_across_a_face():
 def test_each_size_builds_its_bins_once(monkeypatch):
     grids.clear_grid_cache()  # a size's grid may be kept from another test
     filled, used = [], []
-    real_filled, real_binned = grids._Chart.bins, KnnField._binned
+    real_filled, real_binned = grids._Rings.bin_reach, KnnField._binned
 
     def filling(self, grid, rep):
         filled.append(len(grid))
         return real_filled(self, grid, rep)
 
     def using(self, grid):
-        used.append(grid.bins)
+        used.append(grid.reach2)
         return real_binned(self, grid)
 
-    monkeypatch.setattr(grids._Chart, "bins", filling)
+    monkeypatch.setattr(grids._Rings, "bin_reach", filling)
     monkeypatch.setattr(KnnField, "_binned", using)
     cfg = ExperimentConfig(spec=geo.unit_disk(), region=geo.REGION_ALL,
                            mode=RunMode.WEAK_BOUNDARY, sizes=(200, 400),
@@ -287,8 +302,8 @@ def test_each_size_builds_its_bins_once(monkeypatch):
                            base_seed=5)
     run_experiment(cfg)
     assert len(filled) == 2 and len(used) == 6
-    assert len({id(bins) for bins in used}) == 2
-    assert None not in used
+    assert len({id(reach2) for reach2 in used}) == 2
+    assert not any(reach2 is None for reach2 in used)
 
 
 def test_more_dimensions_carry_no_bins():
@@ -296,7 +311,7 @@ def test_more_dimensions_carry_no_bins():
     for d in (4, 8):
         square = geo.unit_square(d)
         grid = build_grid(square, geo.REGION_ALL, 0.7)
-        assert grid.bins is None
+        assert grid.reach2 is None
         knn = KnnField(square, uniform_sample(square, 300, d).points, 2, EUC)
         got = coverage._evaluate(knn, grid, False)[0]
         assert got.tobytes() == knn(grid.nodes).tobytes()
@@ -305,10 +320,10 @@ def test_more_dimensions_carry_no_bins():
 def test_only_the_start_partition_carries_bins(all_families):
     for spec in all_families.values():
         grid = _grid(spec, "all")
-        assert grid.bins is not None
+        assert grid.reach2 is not None
         some = grid.take(np.arange(0, len(grid), 3))
-        assert some.bins is None
-        assert refine_nodes(centers=some).bins is None
+        assert some.reach2 is None
+        assert refine_nodes(centers=some).reach2 is None
         # a grid without bins certifies no cell
         knn = KnnField(spec, uniform_sample(spec, 500, 1).points, 1, GEO)
         assert np.all(knn._binned(some)[0] == np.inf)

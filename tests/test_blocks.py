@@ -58,7 +58,7 @@ def _chords(points, probes):
 def _faces(grid):
     """The lattice's cell faces, one cell beyond each edge included, and
     its edges."""
-    chart = grid.bins.chart
+    chart = grid.chart
     faces = chart.lo + (np.arange(-1, chart.last + 2) - 0.5) * chart.step
     edges = chart.lo + np.array([0.0, chart.last]) * chart.step
     return np.concatenate([faces, edges, [0.0, 1.0]]).clip(0.0, 1.0)
@@ -97,8 +97,8 @@ def test_blocks_give_the_tree_bits(reg, k, metric):
     probes = _probes(grid, rng)
     certified = left_open = 0
     for name, points in _clouds(grid, rng, k):
-        knn = KnnField(SQUARE, points, k, metric, grid.bins)
-        assert knn._bins is grid.bins, name
+        knn = KnnField(SQUARE, points, k, metric, grid)
+        assert knn._chart is grid.chart, name
         dist = cKDTree(points).query(probes, k=k)[0].reshape(len(probes), k)
         got = knn(probes)
         assert got.tobytes() == dist[:, -1].tobytes(), name
@@ -125,7 +125,7 @@ def _misbinned_pairs(grid):
     nearer to q than the face, but the locator's rounding puts it in the
     next cell, outside the block; A lies in the block, farther from q than
     B and nearer than every face of the block."""
-    chart, pairs = grid.bins.chart, []
+    chart, pairs = grid.chart, []
     s = chart.step
     for i in range(chart.last - 1):
         # low in the lattice, so that A's coordinate steps finer than B's
@@ -157,7 +157,7 @@ def test_margin_holds_against_points_binned_across_a_block_face():
     for h in (0.013, 0.037, 0.05, 0.09):
         grid = build_grid(SQUARE, geo.REGION_ALL, h)
         for q, pair in _misbinned_pairs(grid):
-            knn = KnnField(SQUARE, pair, 1, EUC, grid.bins)
+            knn = KnnField(SQUARE, pair, 1, EUC, grid)
             want = cKDTree(pair).query(q[None])[0]
             assert knn._blocks(q[None])[0].tobytes() == want.tobytes()
             assert knn(q[None]).tobytes() == want.tobytes()
@@ -172,9 +172,9 @@ def test_every_two_dimensional_start_partition_has_blocks(all_families):
         for name, spec in all_families.items():
             grid = build_grid(spec, geo.REGION_ALL, 0.3)
             knn = KnnField(spec, uniform_sample(spec, 100, 1).points, 1,
-                           GEO, grid.bins, ring_blocks=blocks)
+                           GEO, grid, ring_blocks=blocks)
             want = spec.d == 2 and (blocks or name == "square")
-            assert (knn._bins is not None) == want, (name, blocks)
+            assert (knn._chart is not None) == want, (name, blocks)
             assert (knn._tree is None) == want, (name, blocks)
 
 
@@ -191,12 +191,12 @@ def test_a_lattice_coarse_for_its_cloud_keeps_the_tree(monkeypatch):
 
     monkeypatch.setattr(coverage, "cKDTree", counting)
     grid = _grid("all")
-    assert coverage._BLOCK_MEAN == 48 and grid.bins.chart.last == 12
+    assert coverage._BLOCK_MEAN == 48 and grid.chart.last == 12
     for n, blocks in ((901, True), (902, False)):
         built.clear()
         knn = KnnField(SQUARE, uniform_sample(SQUARE, n, 5).points, 1, GEO,
-                       grid.bins)
-        assert (knn._bins is not None) == blocks, n
+                       grid)
+        assert (knn._chart is not None) == blocks, n
         assert built == ([] if blocks else [n]), n
         probes = refine_nodes(centers=grid).nodes
         want = cKDTree(knn._points).query(probes)[0]
@@ -232,7 +232,7 @@ def _ring_faces(grid, extent):
     """(the ring circles, one beyond each end included, the axis and the
     rim; the azimuth rays between every ring's cells and the seams at 0
     and +-pi, each with its neighbouring floats)."""
-    chart = grid.bins.chart
+    chart = grid.chart
     circles = (np.arange(-1, chart.last + 2) + 0.5) * chart.step
     circles = np.concatenate([circles, [0.0, chart.last * chart.step, extent],
                               np.nextafter(circles, 0.0)]).clip(0.0, extent)
@@ -254,7 +254,7 @@ def _ring_clouds(spec, grid, extent, rng, k):
         _ambient(spec, rng.choice(circles, 300), phi[:300]),
         _ambient(spec, t[300:], rng.choice(rays, 300))])
     # the axis cell, its face and the rim, at every azimuth
-    ends = np.array([0.0, 1e-300, 0.5 * grid.bins.chart.step, extent,
+    ends = np.array([0.0, 1e-300, 0.5 * grid.chart.step, extent,
                      np.nextafter(extent, 0.0)])
     yield "axis_rim", np.concatenate([
         _ambient(spec, rng.choice(ends, 60), rng.choice(rays, 60)),
@@ -289,8 +289,8 @@ def test_ring_blocks_give_the_tree_bits(fam, reg, k, metric):
     probes = _ring_probes(spec, grid, extent, rng)
     certified = left_open = 0
     for name, points in _ring_clouds(spec, grid, extent, rng, k):
-        knn = KnnField(spec, points, k, metric, grid.bins, ring_blocks=True)
-        assert knn._bins is grid.bins, name
+        knn = KnnField(spec, points, k, metric, grid, ring_blocks=True)
+        assert knn._chart is grid.chart, name
         dist = cKDTree(points).query(probes, k=k)[0].reshape(len(probes), k)
         got = knn(probes)
         assert got.tobytes() == knn._field(dist[:, -1].copy()).tobytes(), \
@@ -319,7 +319,7 @@ def _misbinned_ring_pairs(grid):
     the locator's rounding puts it in ring i + 2, outside the block; A lies
     in the block, farther from q than B and nearer than every face of the
     block."""
-    chart, pairs = grid.bins.chart, []
+    chart, pairs = grid.chart, []
     dt = chart.step
     for i in range(2, chart.last - 2):
         q = np.array([(i + 0.4) * dt, 0.0])
@@ -351,7 +351,7 @@ def test_margin_holds_against_points_binned_across_a_ring_circle():
     for h in (0.013, 0.037, 0.05, 0.09):
         grid = build_grid(disk, geo.REGION_ALL, h)
         for q, pair in _misbinned_ring_pairs(grid):
-            knn = KnnField(disk, pair, 1, EUC, grid.bins, ring_blocks=True)
+            knn = KnnField(disk, pair, 1, EUC, grid, ring_blocks=True)
             want = cKDTree(pair).query(q[None])[0]
             assert knn._blocks(q[None])[0].tobytes() == want.tobytes()
             assert knn(q[None]).tobytes() == want.tobytes()
@@ -370,9 +370,45 @@ def test_ring_blocks_keep_the_bracket_bits(fam, threshold):
         cloud = uniform_sample(spec, 600, 7 + k)
         brackets = []
         for blocks in (True, False):
-            knn = KnnField(spec, cloud.points, k, GEO, grid.bins, blocks)
-            assert (knn._bins is not None) == blocks
+            knn = KnnField(spec, cloud.points, k, GEO, grid, blocks)
+            assert (knn._chart is not None) == blocks
             est = threshold(cloud, grid, k, GEO, refine_to=grid.h / 50,
                             ring_blocks=blocks)
             brackets.append(np.array([est.lo, est.hi, *est.argmax]))
         assert brackets[0].tobytes() == brackets[1].tobytes(), k
+
+
+# (shape, metric, ring_blocks) of the bounded calls below
+BOUNDED = {"square": (SQUARE, EUC, False),
+           "disk": (RINGS["disk"], EUC, False),
+           "disk-blocks": (RINGS["disk"], EUC, True),
+           "cap": (RINGS["cap"], GEO, False),
+           "cube": (geo.unit_square(3), EUC, False)}
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDED))
+def test_a_bounded_call_gives_the_unbounded_field(name):
+    # a finite bound only stops the tree's first search early: the call
+    # asks the rows that it left open again, without the bound, and gives
+    # the unbounded values and rows of nearest samples, bit for bit.  The
+    # cloud holds half the shape, so the blocks leave the nodes of the
+    # other half to the tree, and the bound leaves many of those open
+    spec, metric, ring_blocks = BOUNDED[name]
+    grid = build_grid(spec, geo.REGION_ALL, 0.09)
+    points = uniform_sample(spec, 1200, 31).points
+    points = points[points[:, 0] < np.median(points[:, 0])]
+    probes = np.concatenate([refine_nodes(centers=grid).nodes,
+                             uniform_sample(spec, 500, 32).points])
+    for k in (1, 2):
+        knn = KnnField(spec, points, k, metric, grid, ring_blocks)
+        assert (knn._chart is not None) == (
+            spec.d == 2 and (name == "square" or ring_blocks)), name
+        full = knn(probes)
+        near = knn.nearest
+        open_ = np.full(len(probes), True)
+        if knn._chart is not None:  # the rows that the tree is asked for
+            open_ = knn._blocks(probes)[0] == np.inf
+        for bound in np.quantile(full, [0.1, 0.5, 0.9]):
+            assert (open_ & (full > bound)).any(), (name, k, bound)
+            assert knn(probes, bound).tobytes() == full.tobytes(), (name, k)
+            assert knn.nearest.tobytes() == near.tobytes(), (name, k)

@@ -479,8 +479,8 @@ def test_seeded_max_from_blocks_evaluates_fewer_nodes(monkeypatch, k):
     grid = build_grid(square, geo.REGION_ALL, 0.015)
 
     def blocks():
-        knn = KnnField(square, cloud.points, k, GEO, grid.bins)
-        assert knn._bins is grid.bins
+        knn = KnnField(square, cloud.points, k, GEO, grid)
+        assert knn._chart is grid.chart
         return knn
 
     tree = cov._certified_max(KnnField(square, cloud.points, k, GEO), grid,

@@ -43,8 +43,8 @@ def test_start_boxes_are_no_longer_than_h(spec, reg, h):
     # h in the polar angle and c dphi <= h in azimuth, c the radius of its
     # ring (sin of the polar angle on a cap)
     region = geo.REGION_ALL if reg == "all" else geo.interior_body(0.2)
-    dom = grids._domain(spec, region)
-    chart, box, rep = dom.chart.start(h - dom.slack)
+    chart = grids._chart(spec, region)
+    chart, box, rep = chart.start(h - chart.slack)
     d = spec.d
     side = box[d:] - box[:d]
     if isinstance(chart, grids._Rings):
@@ -54,10 +54,10 @@ def test_start_boxes_are_no_longer_than_h(spec, reg, h):
     else:
         spacing = min(h, 2.0 * h / math.sqrt(d))
         assert np.all(side <= spacing * (1 + 1e-12))
-    rho = chart.radius(box, rep) + dom.slack
+    rho = chart.radius(box, rep) + chart.slack
     assert np.all(rho <= h * (1 + 1e-12))
     assert np.array_equal(build_grid(spec, region, h).rad,
-                          np.minimum(dom.cells(spec, box, rep).rad, h))
+                          np.minimum(chart.cells(spec, box, rep).rad, h))
 
 
 def test_disk_grid_probe_certification():
@@ -116,10 +116,10 @@ def test_start_partitions_are_kept_read_only(monkeypatch):
     for spec in (geo.unit_disk(), geo.solid_ball()):
         grid = build_grid(spec, geo.REGION_ALL, 0.3)
         assert build_grid(spec, geo.REGION_ALL, 0.3) is grid
-        tables = [a for a in vars(grid.bins.chart).values()
+        tables = [a for a in vars(grid.chart).values()
                   if isinstance(a, np.ndarray)]  # the cut chart's tables
         assert len(tables) == (1 if spec.d == 3 else 6)
-        for a in (grid.nodes, grid.box, grid.rad, grid.bins.reach2, *tables):
+        for a in (grid.nodes, grid.box, grid.rad, grid.reach2, *tables):
             # a write would reach every later run
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0

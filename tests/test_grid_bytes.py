@@ -33,7 +33,7 @@ import numpy as np
 import pytest
 
 from covlab import geometry as geo
-from covlab.grids import _domain, build_grid, refine_nodes
+from covlab.grids import _chart, build_grid, refine_nodes
 from covlab.sampling import uniform_sample
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden",
@@ -69,15 +69,15 @@ def _cells(spec, reg, h) -> dict:
     kids = refine_nodes(centers=grid.take(np.arange(0, len(grid), 7)))
     probes = uniform_sample(spec, 4000, 29).points
     pins = {"box": _digest(grid.box), "rad": _digest(grid.rad),
-            "reach2": _digest(grid.bins.reach2),
-            "locate": _digest(grid.bins.locate(probes)),
+            "reach2": _digest(grid.reach2),
+            "locate": _digest(grid.chart.locate(probes)),
             "kids_nodes": _digest(kids.nodes), "kids_box": _digest(kids.box),
             "kids_rad": _digest(kids.rad),
             "kids_parent": _digest(kids.parent)}
     if spec.d == 2:
         for w in (1, 2):
             for name, a in zip(("reach", "first", "end"),
-                               grid.bins.runs(probes, w)):
+                               grid.chart.runs(probes, w)):
                 pins[f"runs{w}_{name}"] = _digest(a)
     return pins
 
@@ -168,7 +168,7 @@ def test_refine_window_is_exact_subgrid(all_families, fam, reg, h):
         parents, root_rad = kids, root_rad[owner]
     # two halvings shrink every cover radius, also where the first split
     # of a cell on the axis does not
-    slack = _domain(spec, region).slack
+    slack = _chart(spec, region).slack
     assert np.all(parents.rad - slack <= 0.75 * (root_rad - slack) + 1e-12)
 
 

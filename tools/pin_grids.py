@@ -7,11 +7,13 @@
 Builds every case of ``tests/test_grid_bytes.py`` (``CASES`` and
 ``FACE_CASES``, on the shapes of ``tests/conftest.py``'s ``FAMILIES``)
 with the current code and writes ``tests/data/golden/grid_nodes.json``
-(the nodes' digests) and ``grid_cells.json`` (boxes, radii, probe cells
-and one split), as ``json.dumps(table, indent=1, sort_keys=True)`` and a
-newline.  A new chart's cases are pinned by adding them to those lists
-and running this once.  With ``--check`` it prints, per file, whether the
-committed file equals what it would write, and exits 1 if one differs.
+(the nodes' digests) and ``grid_cells.json`` (boxes, radii, the squared
+bin radii ``reach2``, the cells that the chart's ``locate`` gives probes,
+on 2-D cells the ``runs`` of their blocks, and one split), as
+``json.dumps(table, indent=1, sort_keys=True)`` and a newline.  A new
+chart's cases are pinned by adding them to those lists and running this
+once.  With ``--check`` it prints, per file, whether the committed file
+equals what it would write, and exits 1 if one differs.
 """
 
 from __future__ import annotations
